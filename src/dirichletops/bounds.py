@@ -166,11 +166,14 @@ def approx_number_bound(sym: DirichletSymbol) -> ApproxNumberBound:
 
         a_(N+1) <= sqrt((2 sigma1 - 1)(2 sigma1) / ((2 sigma1 - 1)^2 - (2 |c2|)^2))
                    * (2 |c2| / (2 sigma1 - 1))^N
+
+    Boundary symbols are rejected by ``classify``, with its EQ_TOL, because
+    rounding can leave the raw gap positive on the boundary line.
     """
     sigma1 = sym.sigma1
     c = sym.c2_abs
     gap = 2.0 * sigma1 - 2.0 * c - 1.0
-    if gap <= 0.0:
+    if gap <= 0.0 or classify(sym) is SymbolClass.BOUNDARY:
         raise NonCompactError(
             f"approximation-number bound needs 2 Re c1 - 2 |c2| - 1 > 0, got {gap}"
         )

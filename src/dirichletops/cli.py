@@ -253,7 +253,7 @@ def cmd_matrix_norm(cfg: RunConfig) -> tuple[int, str]:
     """Power-iteration norm of the truncation, checked against the bracket."""
     sym = cfg.symbol()
     budget = cfg.budget()
-    matrix = build_matrix(sym, cfg.rows, cfg.cols, budget)
+    matrix = build_matrix(sym, cfg.rows, cfg.cols)
     if cfg.dump_matrix:
         write_matrix(matrix, cfg.dump_matrix)
     estimate = operator_norm_estimate(matrix, tol=cfg.rel_tol)
@@ -300,7 +300,7 @@ def cmd_approx_numbers(cfg: RunConfig) -> tuple[int, str]:
     rows: list[list] = []
     failures = 0
     if cfg.n_max > 0:
-        matrix = build_matrix(sym, cfg.rows, cfg.cols, cfg.budget())
+        matrix = build_matrix(sym, cfg.rows, cfg.cols)
         available = min(matrix.row_count, matrix.col_count)
         count = min(cfg.n_max + 1, available)
         spectrum = singular_values(matrix, count)

@@ -7,9 +7,8 @@ side) the operator acts as the infinite matrix
 
 which never references q.  This module builds dense truncations of that
 matrix, certifies the norm of the discarded rows and columns, estimates the
-largest singular value by power iteration, computes singular spectra with a
-one-sided Jacobi sweep, and checks the two-weight Schur inequalities
-numerically.
+largest singular value by power iteration, computes singular spectra with
+LAPACK, and checks the two-weight Schur inequalities numerically.
 """
 
 from __future__ import annotations
@@ -25,7 +24,9 @@ from .errors import DomainError, MatrixSizeError
 from .special_functions import (
     DEFAULT_BUDGET,
     PrecisionBudget,
-    log_moment_tail_integral,
+    log_factorials,
+    log_moment_tail,
+    logsumexp,
 )
 from .special_functions import zeta as _certified_zeta
 from .symbol import DirichletSymbol, SymbolClass, classify
@@ -54,11 +55,6 @@ def _check_truncation(i_max: int, j_max: int) -> None:
         raise DomainError(f"row index bound must be an integer >= 0, got {i_max!r}")
     if not isinstance(j_max, int) or isinstance(j_max, bool) or j_max < 1:
         raise DomainError(f"column count must be an integer >= 1, got {j_max!r}")
-
-
-def _log_factorials(i_max: int) -> np.ndarray:
-    """lgamma(i+1) for i = 0..i_max, computed exactly per entry."""
-    return np.array([math.lgamma(i + 1.0) for i in range(i_max + 1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,12 +88,7 @@ class TruncatedMatrix:
         return self.col_count
 
 
-def build_matrix(
-    sym: DirichletSymbol,
-    i_max: int,
-    j_max: int,
-    budget: PrecisionBudget = DEFAULT_BUDGET,
-) -> TruncatedMatrix:
+def build_matrix(sym: DirichletSymbol, i_max: int, j_max: int) -> TruncatedMatrix:
     """Entries a[i][j] = j^(-c1) (-c2 log j)^i / i! for i <= I, j <= J.
 
     Assembled column-blockwise in log space,
@@ -119,7 +110,7 @@ def build_matrix(
     entries = np.zeros((i_max + 1, j_max), dtype=np.complex128)
     entries[0, 0] = 1.0
     if j_max >= 2:
-        log_fact = _log_factorials(i_max)
+        log_fact = log_factorials(i_max)
         i_idx = np.arange(i_max + 1, dtype=np.float64)
         for start in range(2, j_max + 1, _COLUMN_CHUNK):
             stop = min(start + _COLUMN_CHUNK - 1, j_max)
@@ -136,40 +127,11 @@ def build_matrix(
                 )
                 entries[:, start - 1 : stop] = np.exp(expo)
     entries.flags.writeable = False
-    tail = tail_bounds(sym, i_max, j_max, budget)
+    tail = tail_bounds(sym, i_max, j_max)
     return TruncatedMatrix(entries=entries, symbol=sym, tail_bound=tail)
 
 
-def _log_moment_tail(s: float, order: int, j_max: int) -> float:
-    """log of a certified upper bound for sum_{j>J} (log j)^order j^-s.
-
-    For order = 0 the Euler-Maclaurin tail at N = J+1 is sharp to O(N^-s-3);
-    for order >= 1 the bound is the incomplete-gamma integral tail plus, when
-    J sits left of the summand's peak at e^(order/s), the peak value.
-    """
-    if order == 0:
-        n = float(j_max + 1)
-        s_ = float(s)
-        tail = (
-            n ** (1.0 - s_) / (s_ - 1.0)
-            + 0.5 * n**-s_
-            + s_ * n ** (-s_ - 1.0) / 12.0
-            + s_ * (s_ + 1.0) * (s_ + 2.0) * n ** (-s_ - 3.0) / 720.0
-        )
-        return math.log(tail) if tail > 0.0 else -math.inf
-    log_tail = log_moment_tail_integral(s, order, j_max)
-    if math.log(j_max) < order / s:
-        log_peak = order * (math.log(order / s) - 1.0)
-        log_tail = float(np.logaddexp(log_tail, log_peak))
-    return log_tail
-
-
-def tail_bounds(
-    sym: DirichletSymbol,
-    i_max: int,
-    j_max: int,
-    budget: PrecisionBudget = DEFAULT_BUDGET,
-) -> float:
+def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     """Certified operator-norm bound on the discarded rows and columns.
 
     Root-sum of two Hilbert-Schmidt pieces:
@@ -182,20 +144,15 @@ def tail_bounds(
     * columns j > J within rows i <= I: log-moment tails of order 2i, each
       bounded by its incomplete-gamma integral (plus peak term when J is left
       of the summand's peak).
-
-    The bound is closed form; the budget parameter is accepted for interface
-    uniformity with the certified evaluators but no iteration depends on it.
     """
     _check_truncation(i_max, j_max)
-    if not isinstance(budget, PrecisionBudget):
-        raise DomainError("budget must be a PrecisionBudget")
     sigma1 = sym.sigma1
     c = sym.c2_abs
     s = 2.0 * sigma1
 
     if c == 0.0:
         # single nonzero row: only the column tail survives
-        col_sq = math.exp(_log_moment_tail(s, 0, j_max))
+        col_sq = math.exp(log_moment_tail(s, 0, j_max))
         return math.sqrt(col_sq)
 
     rho_sq = (2.0 * c / (2.0 * sigma1 - 1.0)) ** 2
@@ -209,7 +166,7 @@ def tail_bounds(
         log_term = (
             2.0 * i * log_c
             - 2.0 * math.lgamma(i + 1.0)
-            + _log_moment_tail(s, 2 * i, j_max)
+            + log_moment_tail(s, 2 * i, j_max)
         )
         col_sq += math.exp(log_term)
     return math.sqrt(row_sq + col_sq)
@@ -275,75 +232,16 @@ class SingularSpectrum:
 
     values: np.ndarray
     truncation: tuple[int, int]
-    converged: np.ndarray
-
-
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 40
-
-
-def _one_sided_jacobi(g: np.ndarray, tol: float, max_sweeps: int):
-    """Orthogonalize the columns of g in place by plane rotations.
-
-    Classic cyclic one-sided Jacobi: for every column pair the 2x2 Gram
-    block is diagonalized exactly, so the column norms converge to the
-    singular values.  Returns the per-column convergence flags (a column is
-    converged when its normalized inner product with every other column is
-    below tol).
-    """
-    n = g.shape[1]
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            u = g[:, p]
-            app = float(np.real(np.vdot(u, u)))
-            for q in range(p + 1, n):
-                v = g[:, q]
-                aqq = float(np.real(np.vdot(v, v)))
-                apq = complex(np.vdot(u, v))
-                denom = math.sqrt(app * aqq)
-                if denom == 0.0 or abs(apq) <= tol * denom:
-                    continue
-                rotated = True
-                # twist v by the phase of <u, v> so the 2x2 Gram block is
-                # real symmetric, then apply the classic Jacobi rotation
-                phase = apq / abs(apq)
-                v = v * np.conj(phase)
-                g_off = abs(apq)
-                tau = (aqq - app) / (2.0 * g_off)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + math.hypot(1.0, tau))
-                cos = 1.0 / math.hypot(1.0, t)
-                sin = t * cos
-                # u aliases column p: materialize both updates before writing
-                new_u = cos * u - sin * v
-                new_v = sin * u + cos * v
-                g[:, p] = new_u
-                g[:, q] = new_v
-                app = float(np.real(np.vdot(new_u, new_u)))
-        if not rotated:
-            break
-
-    norms = np.sqrt(np.real(np.einsum("ij,ij->j", np.conj(g), g)))
-    gram = np.abs(np.conj(g.T) @ g)
-    np.fill_diagonal(gram, 0.0)
-    scale = np.where(norms > 0.0, norms, 1.0)
-    normalized = gram / scale[None, :] / scale[:, None]
-    flags = normalized.max(axis=1) <= tol * 10.0
-    return norms, flags
 
 
 def singular_values(m: TruncatedMatrix, count: int) -> SingularSpectrum:
     """Top ``count`` singular values of the truncation.
 
-    The matrix is first reduced by a QR factorization of whichever
-    orientation is tall, leaving a square factor of the small dimension with
-    the same singular values; one-sided Jacobi then delivers the spectrum.
-    Each sigma_(N+1) is a certified lower bound for the (N+1)-th
-    approximation number of the full operator, because a truncation is a
-    compression.
+    LAPACK's divide-and-conquer SVD of whichever orientation is tall (the
+    wide one rounds differently deep in the spectrum); it raises
+    numpy.linalg.LinAlgError if it does not converge.  Each sigma_(N+1) is
+    a certified lower bound for the (N+1)-th approximation number of the
+    full operator, because a truncation is a compression.
     """
     limit = min(m.row_count, m.col_count)
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
@@ -352,21 +250,10 @@ def singular_values(m: TruncatedMatrix, count: int) -> SingularSpectrum:
         raise DomainError(f"count = {count} exceeds min(I+1, J) = {limit}")
 
     a = m.entries
-    if a.shape[0] <= a.shape[1]:
-        g = np.linalg.qr(a.conj().T, mode="r")
-    else:
-        g = np.linalg.qr(a, mode="r")
-    g = np.array(g, dtype=np.complex128)  # writable working copy
-
-    norms, flags = _one_sided_jacobi(g, _JACOBI_TOL, _JACOBI_MAX_SWEEPS)
-    order = np.argsort(-norms, kind="stable")
-    values = norms[order][:count].astype(np.float64)
-    converged = flags[order][:count].copy()
+    tall = a if a.shape[0] >= a.shape[1] else a.conj().T
+    values = np.linalg.svd(tall, compute_uv=False)[:count]
     values.flags.writeable = False
-    converged.flags.writeable = False
-    return SingularSpectrum(
-        values=values, truncation=(m.i_max, m.j_max), converged=converged
-    )
+    return SingularSpectrum(values=values, truncation=(m.i_max, m.j_max))
 
 
 @dataclass(frozen=True)
@@ -390,16 +277,6 @@ class SchurCertificate:
     row_tail: float
     verdict: bool
     implied_norm_bound: float | None
-
-
-def _logsumexp_axis(log_terms: np.ndarray, axis: int) -> np.ndarray:
-    top = np.max(log_terms, axis=axis)
-    safe = top > -math.inf
-    out = np.full(top.shape, -math.inf)
-    shifted = np.exp(log_terms - np.expand_dims(np.where(safe, top, 0.0), axis))
-    sums = np.sum(shifted, axis=axis)
-    out[safe] = top[safe] + np.log(sums[safe])
-    return out
 
 
 def schur_certificate(
@@ -434,15 +311,14 @@ def schur_certificate(
     beta_low = z.value - z.error_bound
     slack = 1000.0 * max(budget.abs_tol, budget.rel_tol)
 
-    log_fact = _log_factorials(i_max)
+    log_fact = log_factorials(i_max)
     i_idx = np.arange(i_max + 1, dtype=np.float64)
     log_r = math.log(r)
     log_c = math.log(c)
 
     # accumulated in log space across column chunks
     row_acc = np.full(i_max + 1, -math.inf)
-    max_column_residual = -math.inf  # column j = 1 is exact: residual 0
-    max_column_residual = max(max_column_residual, 0.0)
+    max_column_residual = 0.0  # column j = 1 is exact
     column_tail = 0.0
     for start in range(2, j_max + 1, _COLUMN_CHUNK):
         stop = min(start + _COLUMN_CHUNK - 1, j_max)
@@ -454,14 +330,16 @@ def schur_certificate(
         # column check: partial sum of e^x at x = r c log j, relative to e^x
         x = r * c * lj
         col_terms = core + i_idx[:, None] * log_r - x[None, :]
-        log_partial = _logsumexp_axis(col_terms, axis=0)
+        log_partial = logsumexp(col_terms, axis=0)
         # remainder of e^x relative to e^x: Taylor-Lagrange gives
         # x^(I+1)/(I+1)!; for x < I+2 the geometric majorant times e^-x
         # is sharper, and sharpness here is what lets a deep truncation
-        # certify at tight slack
+        # certify at tight slack; the log1p argument is zeroed where the
+        # branch is discarded, which keeps it inside log1p's domain
+        near = x < i_max + 2.0
         log_rem = (i_max + 1.0) * np.log(x) - math.lgamma(i_max + 2.0)
         log_rem += np.where(
-            x < i_max + 2.0, -np.log1p(-x / (i_max + 2.0)) - x, 0.0
+            near, -np.log1p(-np.where(near, x, 0.0) / (i_max + 2.0)) - x, 0.0
         )
         residuals = np.expm1(np.logaddexp(log_partial, log_rem))
         max_column_residual = max(max_column_residual, float(np.max(residuals)))
@@ -470,7 +348,7 @@ def schur_certificate(
 
         # row sums: (c log j)^i / i! * j^(r c - 2 sigma1)
         row_terms = core + (r * c - 2.0 * sigma1) * lj[None, :]
-        row_acc = np.logaddexp(row_acc, _logsumexp_axis(row_terms, axis=1))
+        row_acc = np.logaddexp(row_acc, logsumexp(row_terms, axis=1))
 
     row_acc[0] = np.logaddexp(row_acc[0], 0.0)  # j = 1 contributes to row 0 only
 
@@ -478,7 +356,7 @@ def schur_certificate(
     row_tail = 0.0
     log_beta_low = math.log(beta_low)
     for i in range(i_max + 1):
-        log_tail = i * log_c - log_fact[i] + _log_moment_tail(s, i, j_max)
+        log_tail = i * log_c - log_fact[i] + log_moment_tail(s, i, j_max)
         row_tail = max(row_tail, math.exp(log_tail))
         log_lhs = float(np.logaddexp(row_acc[i], log_tail))
         log_rhs = log_beta_low + i * log_r

@@ -16,6 +16,9 @@ Contents:
 * ``log_moment_sum(s, i)``: sum_{k>=1} (log k)^i k^(-s), by direct summation
   up to a cutoff plus an integral tail bracket expressed through the upper
   incomplete gamma function.
+* ``log_moment_tail(s, i, J)``: a certified upper bound on the tail
+  sum_{k>J} (log k)^i k^(-s), shared by the series and the matrix layer,
+  together with ``log_factorials`` and ``logsumexp``.
 * ``lower_bound_h``, ``lower_bound_g``, ``lower_bound_f``: closed-form
   comparison functions for zeta lower bounds,
 
@@ -93,14 +96,9 @@ class CertifiedValue:
 def zeta(s: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> CertifiedValue:
     """Certified zeta(s) for real s > 1.
 
-    Euler-Maclaurin with cutoff N:
-
-        zeta(s) = sum_{k<N} k^-s + N^(1-s)/(s-1) + N^-s/2 + s N^(-s-1)/12 + R
-
-    For completely monotone integrands the remainder R has the sign of, and
-    is smaller in magnitude than, the first omitted correction term, so
-
-        |R| <= s (s+1) (s+2) N^(-s-3) / 720.
+    The direct sum over k < N plus the Euler-Maclaurin tail from N, with N
+    chosen so that the remainder bound s (s+1) (s+2) N^(-s-3) / 720 meets
+    the budget.
     """
     s = float(s)
     if not s > 1.0:
@@ -108,8 +106,7 @@ def zeta(s: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> CertifiedValue:
 
     # zeta(s) >= max(1, 1/(s-1)) gives a safe pre-estimate for the relative target.
     target = max(budget.abs_tol, budget.rel_tol * max(1.0, 1.0 / (s - 1.0)))
-    coef = s * (s + 1.0) * (s + 2.0) / 720.0
-    need = (coef / target) ** (1.0 / (s + 3.0))
+    need = (_em_remainder_coef(s) / target) ** (1.0 / (s + 3.0))
     n = max(16, int(math.ceil(need)))
 
     exhausted = n > budget.max_terms
@@ -117,14 +114,9 @@ def zeta(s: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> CertifiedValue:
         n = budget.max_terms
 
     partial = math.fsum(k ** (-s) for k in range(1, n))
-    value = (
-        partial
-        + n ** (1.0 - s) / (s - 1.0)
-        + 0.5 * n ** (-s)
-        + s * n ** (-s - 1.0) / 12.0
-    )
+    value, remainder = _euler_maclaurin_tail(s, n, partial)
     # half-ulp floor: a certified bound must never claim exact representability
-    err = max(coef * n ** (-s - 3.0), 0.5 * float(np.spacing(abs(value))))
+    err = max(remainder, 0.5 * float(np.spacing(abs(value))))
 
     if exhausted and err > max(budget.abs_tol, budget.rel_tol * abs(value)):
         raise BudgetExhaustedError(
@@ -134,6 +126,38 @@ def zeta(s: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> CertifiedValue:
             achieved_error_bound=err,
         )
     return CertifiedValue(value, err)
+
+
+def _em_remainder_coef(s: float) -> float:
+    return s * (s + 1.0) * (s + 2.0) / 720.0
+
+
+def _euler_maclaurin_tail(s: float, n: float, head: float = 0.0) -> tuple[float, float]:
+    """head + sum_{k>=n} k^-s by Euler-Maclaurin, and a bound on the remainder.
+
+        sum_{k>=n} k^-s = n^(1-s)/(s-1) + n^-s/2 + s n^(-s-1)/12 + R,
+        |R| <= s (s+1) (s+2) n^(-s-3) / 720,
+
+    since for completely monotone summands R has the sign of, and is smaller
+    than, the first omitted Bernoulli term.  ``head`` is added first so that a
+    partial sum absorbs the tail terms in a fixed order.
+    """
+    value = head + n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** (-s) + s * n ** (-s - 1.0) / 12.0
+    return value, _em_remainder_coef(s) * n ** (-s - 3.0)
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """lgamma(i+1) = log(i!) for i = 0..n, each entry computed by math.lgamma."""
+    return np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+
+
+def logsumexp(log_terms: np.ndarray, axis: int | None = None):
+    """log(sum(exp(log_terms))) along ``axis``; -inf where every term is -inf."""
+    top = np.max(log_terms, axis=axis, keepdims=True)
+    top = np.where(top > -math.inf, top, 0.0)
+    with np.errstate(divide="ignore"):
+        sums = np.log(np.sum(np.exp(log_terms - top), axis=axis))
+    return np.squeeze(top, axis=axis) + sums
 
 
 def log_moment_tail_integral(s: float, i: int, x: float) -> float:
@@ -150,22 +174,34 @@ def log_moment_tail_integral(s: float, i: int, x: float) -> float:
     z = (s - 1.0) * math.log(x)
     m = np.arange(i + 1, dtype=np.float64)
     if z > 0.0:
-        log_terms = -z + m * math.log(z) - _lgamma_vec(m + 1.0)
+        log_terms = -z + m * math.log(z) - log_factorials(i)
     else:  # x == 1 would give z == 0; only the m = 0 term survives
         log_terms = np.where(m == 0, 0.0, -np.inf)
-    log_r = _logsumexp(log_terms)
+    log_r = float(logsumexp(log_terms))
     return math.lgamma(i + 1.0) + log_r - (i + 1.0) * math.log(s - 1.0)
 
 
-def _lgamma_vec(values: np.ndarray) -> np.ndarray:
-    return np.array([math.lgamma(v) for v in values], dtype=np.float64)
+def log_moment_tail(s: float, i: int, j_max: int) -> float:
+    """log of a certified upper bound on sum_{k>J} (log k)^i k^-s, s > 1, J >= 1.
+
+    For i = 0 this is the Euler-Maclaurin tail at n = J+1 plus its remainder
+    bound.  For i >= 1 it is the integral from J, which dominates the sum
+    wherever the summand decreases; while J sits left of the summand's peak
+    at k = e^(i/s), the peak value is added.
+    """
+    if i == 0:
+        tail, remainder = _euler_maclaurin_tail(s, float(j_max + 1))
+        tail += remainder
+        return math.log(tail) if tail > 0.0 else -math.inf
+    log_tail = log_moment_tail_integral(s, i, j_max)
+    if math.log(j_max) < i / s:
+        log_tail = float(np.logaddexp(log_tail, _log_summand_peak(s, i)))
+    return log_tail
 
 
-def _logsumexp(log_terms: np.ndarray) -> float:
-    top = float(np.max(log_terms))
-    if top == -math.inf:
-        return -math.inf
-    return top + math.log(float(np.sum(np.exp(log_terms - top))))
+def _log_summand_peak(s: float, i: int) -> float:
+    """log max_x (log x)^i x^-s = i (log(i/s) - 1), attained at x = e^(i/s)."""
+    return i * (math.log(i / s) - 1.0)
 
 
 def _log_moment_partial(s: float, i: int, cutoff: int) -> float:
@@ -198,19 +234,15 @@ def log_moment_sum(
     if i == 0:
         return zeta(s, budget)
 
-    log_peak_x = i / s
-    log_f_max = i * (math.log(i / s) - 1.0) if i >= 1 else -math.inf
-
     cutoff = min(budget.max_terms, 1024)
     while True:
         partial = _log_moment_partial(s, i, cutoff)
-        hi_tail = math.exp(log_moment_tail_integral(s, i, float(cutoff)))
+        hi_tail = math.exp(log_moment_tail(s, i, cutoff))
         lo_tail = math.exp(log_moment_tail_integral(s, i, float(cutoff + 1)))
-        if math.log(float(cutoff)) < log_peak_x:
-            # cutoff before the peak: pad the bracket by the peak value
-            f_max = math.exp(log_f_max)
-            hi_tail = hi_tail + f_max
-            lo_tail = max(0.0, lo_tail - 2.0 * f_max)
+        if math.log(float(cutoff)) < i / s:
+            # cutoff before the summand's peak: the lower end loses up to
+            # twice the peak value on the rising piece
+            lo_tail = max(0.0, lo_tail - 2.0 * math.exp(_log_summand_peak(s, i)))
         value = partial + 0.5 * (hi_tail + lo_tail)
         err = max(0.5 * (hi_tail - lo_tail), 0.5 * float(np.spacing(abs(value))))
 

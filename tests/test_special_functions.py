@@ -29,7 +29,10 @@ from dirichletops import (
 from dirichletops.special_functions import (
     MARGIN_FLOOR,
     CertifiedValue,
+    log_factorials,
+    log_moment_tail,
     log_moment_tail_integral,
+    logsumexp,
     verification_suite,
 )
 
@@ -144,6 +147,33 @@ def test_log_moment_tail_integral_vs_scipy():
             - (i + 1) * math.log(s - 1.0)
         )
         assert abs(mine - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_log_moment_tail_bounds_hurwitz_oracle():
+    # sum_{k>J} (log k)^i k^-s = (-1)^i d^i/ds^i zeta(s, J+1), at 30 digits;
+    # J = 3 sits left of the summand's peak for the larger orders.  Rounding
+    # is outside the module's error model, and at (1.1, 12, 10^5) the true
+    # margin (3e-15 relative) is below it, so the bound gets 1e-13 relative.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for s in (1.1, 2.0, 4.5):
+            for i in (0, 1, 4, 12):
+                for j_max in (3, 100, 10**5):
+                    exact = (-1) ** i * mpmath.zeta(s, j_max + 1, i)
+                    bound = mpmath.e ** log_moment_tail(s, i, j_max)
+                    assert exact <= bound * (1 + 1e-13), (s, i, j_max)
+                    if i == 0:  # over by at most twice the remainder bound
+                        slack = s * (s + 1) * (s + 2) / 360 * (j_max + 1.0) ** (-s - 3)
+                        assert bound <= exact * (1 + 1e-14) + slack, (s, j_max)
+
+
+def test_logsumexp_and_log_factorials():
+    assert log_factorials(4) == pytest.approx(np.log([1.0, 1.0, 2.0, 6.0, 24.0]), rel=1e-15)
+    terms = np.array([[0.0, -math.inf], [math.log(3.0), -math.inf]])
+    assert logsumexp(terms, axis=0) == pytest.approx([math.log(4.0), -math.inf])
+    assert logsumexp(terms, axis=1) == pytest.approx([0.0, math.log(3.0)])
+    assert float(logsumexp(terms)) == pytest.approx(math.log(4.0))
+    assert logsumexp(np.array([-math.inf, -math.inf])) == -math.inf
 
 
 def test_log_moment_factorial_zeta_bound_grid():
