@@ -5,17 +5,26 @@ side) the operator acts as the infinite matrix
 
     a[i][j] = j^(-c1) (-c2 log j)^i / i!,    i >= 0, j >= 1,
 
-which never references q.  This module builds dense truncations of that
-matrix, certifies the norm of the discarded rows and columns, estimates the
-largest singular value by power iteration, computes singular spectra with
-LAPACK, and checks the two-weight Schur inequalities numerically.
+which never references q.  With theta = arg(-c2) and tau = Im c1 it factors
+exactly as A = D_row B D_col, where D_row = diag(e^(i k theta)) and
+D_col = diag(j^(-i tau)) are unitary and
+
+    B[i][j] = j^(-sigma1) (|c2| log j)^i / i!  >= 0
+
+is real and nonnegative.  Norms, singular values and Schur data depend only
+on B, so this module builds, iterates and decomposes B; the phases are
+applied only when the complex entries are exported.  It also certifies the
+norm of the discarded rows and columns and checks the two-weight Schur
+inequalities numerically.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +32,7 @@ import numpy as np
 from .errors import DomainError, MatrixSizeError
 from .special_functions import (
     DEFAULT_BUDGET,
+    UNIT_ROUNDOFF,
     PrecisionBudget,
     log_factorials,
     log_moment_tail,
@@ -33,6 +43,7 @@ from .symbol import DirichletSymbol, SymbolClass, classify
 
 MAX_ENTRIES_ENV = "DIRICHLETOPS_MAX_MATRIX_ENTRIES"
 _DEFAULT_MAX_ENTRIES = 10**8
+_ENTRY_BYTES = np.dtype(np.float64).itemsize
 
 _COLUMN_CHUNK = 1 << 16
 
@@ -61,23 +72,37 @@ def _check_truncation(i_max: int, j_max: int) -> None:
 class TruncatedMatrix:
     """Dense (I+1) x J slice of the operator matrix.
 
+    ``magnitudes`` is the real nonnegative block B = |A|, read-only and safe
+    to share across threads.  ``entries`` is the phased complex block
+    A = D_row B D_col, computed on first access and cached read-only.
     ``tail_bound`` is a certified upper bound on the operator norm of the
     discarded part (rows > I and columns > J); it is infinite for boundary
-    symbols, whose row tails do not decay geometrically.  The entry array is
-    frozen after construction and safe to share across threads.
+    symbols, whose row tails do not decay geometrically.
     """
 
-    entries: np.ndarray
+    magnitudes: np.ndarray
     symbol: DirichletSymbol
     tail_bound: float
 
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Phased entries a[k][j] = e^(i k theta) B[k][j] j^(-i tau), k the row index."""
+        b = self.magnitudes
+        theta = cmath.phase(-self.symbol.c2)
+        row_phase = np.exp(1j * theta * np.arange(b.shape[0], dtype=np.float64))
+        lj = np.log(np.arange(1, b.shape[1] + 1, dtype=np.float64))
+        a = b * row_phase[:, None]
+        a *= np.exp(-1j * self.symbol.c1.imag * lj)
+        a.flags.writeable = False
+        return a
+
     @property
     def row_count(self) -> int:
-        return self.entries.shape[0]
+        return self.magnitudes.shape[0]
 
     @property
     def col_count(self) -> int:
-        return self.entries.shape[1]
+        return self.magnitudes.shape[1]
 
     @property
     def i_max(self) -> int:
@@ -89,46 +114,41 @@ class TruncatedMatrix:
 
 
 def build_matrix(sym: DirichletSymbol, i_max: int, j_max: int) -> TruncatedMatrix:
-    """Entries a[i][j] = j^(-c1) (-c2 log j)^i / i! for i <= I, j <= J.
+    """Magnitudes B[i][j] = j^(-sigma1) (|c2| log j)^i / i! for i <= I, j <= J.
 
-    Assembled column-blockwise in log space,
+    Assembled in place in real log space,
 
-        a[i][j] = exp(-c1 ln j + i log(-c2 ln j) - lgamma(i+1)),
+        B[i][j] = exp(i log(|c2| ln j) - lgamma(i+1) - sigma1 ln j),
 
-    with the principal branch of the complex logarithm, so large i cannot
-    overflow the factorial.  Column j = 1 is (1, 0, 0, ...) and a zero c2
-    collapses everything onto row 0.
+    so large i cannot overflow the factorial, and no entry exceeds 1 because
+    sigma1 >= |c2|.  Column j = 1 is (1, 0, 0, ...) and a zero c2 collapses
+    everything onto row 0.  The block takes 8 bytes per entry.
     """
     _check_truncation(i_max, j_max)
     total = (i_max + 1) * j_max
     cap = _max_entries()
     if total > cap:
         raise MatrixSizeError(
-            f"matrix would hold {total} entries, cap is {cap} (set {MAX_ENTRIES_ENV})"
+            f"matrix would hold {total} entries ({total * _ENTRY_BYTES} bytes at "
+            f"{_ENTRY_BYTES} B per entry), cap is {cap} entries ({cap * _ENTRY_BYTES} "
+            f"bytes); set {MAX_ENTRIES_ENV} to raise it"
         )
 
-    entries = np.zeros((i_max + 1, j_max), dtype=np.complex128)
-    entries[0, 0] = 1.0
+    b = np.zeros((i_max + 1, j_max))
+    b[0, 0] = 1.0
     if j_max >= 2:
-        log_fact = log_factorials(i_max)
-        i_idx = np.arange(i_max + 1, dtype=np.float64)
-        for start in range(2, j_max + 1, _COLUMN_CHUNK):
-            stop = min(start + _COLUMN_CHUNK - 1, j_max)
-            j = np.arange(start, stop + 1, dtype=np.float64)
-            lj = np.log(j)
-            if sym.c2 == 0:
-                entries[0, start - 1 : stop] = np.exp(-sym.c1 * lj)
-            else:
-                w = np.log(-sym.c2 * lj.astype(np.complex128))
-                expo = (
-                    i_idx[:, None] * w[None, :]
-                    - log_fact[:, None]
-                    - sym.c1 * lj[None, :]
-                )
-                entries[:, start - 1 : stop] = np.exp(expo)
-    entries.flags.writeable = False
+        lj = np.log(np.arange(2, j_max + 1, dtype=np.float64))
+        body = b[:, 1:]
+        if sym.c2 == 0:
+            np.exp(-sym.sigma1 * lj, out=body[0])
+        else:
+            np.multiply.outer(np.arange(i_max + 1.0), np.log(sym.c2_abs * lj), out=body)
+            body -= log_factorials(i_max)[:, None]
+            body -= sym.sigma1 * lj
+            np.exp(body, out=body)
+    b.flags.writeable = False
     tail = tail_bounds(sym, i_max, j_max)
-    return TruncatedMatrix(entries=entries, symbol=sym, tail_bound=tail)
+    return TruncatedMatrix(magnitudes=b, symbol=sym, tail_bound=tail)
 
 
 def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
@@ -184,26 +204,29 @@ def operator_norm_estimate(
 ) -> NormEstimate:
     """Largest singular value of the truncation, bracketing the operator norm.
 
-    Power iteration on the Gram operator x -> A*(A x) from the deterministic
-    all-ones start vector.  Every reported ``lower`` is a Rayleigh quotient
-    ||A x|| with ||x|| = 1, hence a true lower bound for the norm of the full
-    operator even before convergence; ``upper`` adds the certified tail bound
-    (infinite for boundary symbols).  Non-convergence after max_iter is
-    reported through the flag, not an exception.
+    Power iteration on the Gram operator x -> B^T (B x) of the real block
+    B = |A|, which has the singular values of A, from the all-ones start
+    vector.  B is nonnegative, so by Perron-Frobenius its top right singular
+    vector is nonnegative and the positive start meets it.  Every reported
+    ``lower`` is a Rayleigh quotient ||B x|| with ||x|| = 1, hence a true
+    lower bound for the norm of the full operator even before convergence;
+    ``upper`` adds the certified tail bound (infinite for boundary symbols).
+    Non-convergence after max_iter is reported through the flag, not an
+    exception.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
         raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
-    a = m.entries
-    x = np.ones(a.shape[1], dtype=np.complex128) / math.sqrt(a.shape[1])
+    b = m.magnitudes
+    x = np.full(b.shape[1], 1.0 / math.sqrt(b.shape[1]))
     sigma_prev = math.inf
     sigma = 0.0
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        y = a @ x
+        y = b @ x
         sigma = float(np.linalg.norm(y))
         if sigma == 0.0:
             converged = True  # start vector annihilated; norm estimate is 0
@@ -212,7 +235,7 @@ def operator_norm_estimate(
             converged = True
             break
         sigma_prev = sigma
-        z = a.conj().T @ y
+        z = y @ b
         nz = float(np.linalg.norm(z))
         if nz == 0.0:
             converged = True
@@ -228,20 +251,26 @@ def operator_norm_estimate(
 
 @dataclass(frozen=True, eq=False)
 class SingularSpectrum:
-    """Leading singular values of a truncation, largest first."""
+    """Leading singular values of a truncation, largest first.
+
+    ``resolution`` bounds the absolute error of every value against the
+    exact singular values of the truncation; values below it are rounding.
+    """
 
     values: np.ndarray
     truncation: tuple[int, int]
+    resolution: float
 
 
 def singular_values(m: TruncatedMatrix, count: int) -> SingularSpectrum:
     """Top ``count`` singular values of the truncation.
 
-    LAPACK's divide-and-conquer SVD of whichever orientation is tall (the
-    wide one rounds differently deep in the spectrum); it raises
-    numpy.linalg.LinAlgError if it does not converge.  Each sigma_(N+1) is
-    a certified lower bound for the (N+1)-th approximation number of the
-    full operator, because a truncation is a compression.
+    LAPACK's divide-and-conquer SVD of whichever orientation of the real
+    block B = |A| is tall (the wide one rounds differently deep in the
+    spectrum); it raises numpy.linalg.LinAlgError if it does not converge.
+    Each sigma_(N+1) is a certified lower bound for the (N+1)-th
+    approximation number of the full operator, because a truncation is a
+    compression.
     """
     limit = min(m.row_count, m.col_count)
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
@@ -249,11 +278,40 @@ def singular_values(m: TruncatedMatrix, count: int) -> SingularSpectrum:
     if count > limit:
         raise DomainError(f"count = {count} exceeds min(I+1, J) = {limit}")
 
-    a = m.entries
-    tall = a if a.shape[0] >= a.shape[1] else a.conj().T
+    b = m.magnitudes
+    tall = b if b.shape[0] >= b.shape[1] else b.T
     values = np.linalg.svd(tall, compute_uv=False)[:count]
     values.flags.writeable = False
-    return SingularSpectrum(values=values, truncation=(m.i_max, m.j_max))
+    return SingularSpectrum(
+        values=values,
+        truncation=(m.i_max, m.j_max),
+        resolution=_svd_resolution(m, float(values[0])),
+    )
+
+
+def _svd_resolution(m: TruncatedMatrix, sigma1: float) -> float:
+    """Weyl bound on |computed - exact| for each singular value of the block.
+
+    Two perturbations of the exact B, each relative to sigma1 = ||B||_2:
+
+    * LAPACK's SVD is backward stable: its values are exact for B + E with
+      ||E||_2 <= p(m, n) u ||B||_2 and p a modestly growing function
+      (LAPACK Users' Guide, sec. 4.9); p = max(m, n) is taken.
+    * The build rounds each entry to B (1 + theta) with |theta| <= eta.
+      The log-space exponent i log(|c2| ln j) - log i! - sigma1 ln j is a
+      few elementary steps on pieces of size at most
+      M = I (1 + max_j |log(|c2| ln j)|) + log I! + sigma1 ln J, each step
+      accurate to 2 ulps of its result, and exp adds one more: eta <= 4 u
+      (M + 2).  B >= 0, so ||B theta||_2 <= eta ||B||_2 by monotonicity of
+      the norm on nonnegative matrices.
+    """
+    i_max, j_max = m.i_max, m.j_max
+    sym = m.symbol
+    size = sym.sigma1 * math.log(j_max) + math.lgamma(i_max + 1.0)
+    if sym.c2 != 0 and j_max >= 2:
+        log_base = max(abs(math.log(sym.c2_abs * math.log(j))) for j in (2, j_max))
+        size += i_max * (1.0 + log_base)
+    return (max(m.row_count, m.col_count) + 4.0 * (size + 2.0)) * UNIT_ROUNDOFF * sigma1
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ CertifiedValue, a (value, error_bound) pair guaranteeing
     |value - exact| <= error_bound.
 
 Error bounds account for truncation only; floating-point rounding is assumed
-negligible at the supported tolerances (>= 1e-12 on binary64).
+negligible at the supported tolerances (>= 1e-12 on binary64).  The moment
+tails are the exception: they are assembled in log space, where rounding
+scales with the size of the logs, so ``log_moment_tail`` is rounded outward.
 
 Contents:
 
@@ -42,6 +44,7 @@ import numpy as np
 from .errors import BracketingError, BudgetExhaustedError, DomainError
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+UNIT_ROUNDOFF = 2.0**-53
 
 _CHUNK = 1 << 20
 
@@ -187,16 +190,49 @@ def log_moment_tail(s: float, i: int, j_max: int) -> float:
     For i = 0 this is the Euler-Maclaurin tail at n = J+1 plus its remainder
     bound.  For i >= 1 it is the integral from J, which dominates the sum
     wherever the summand decreases; while J sits left of the summand's peak
-    at k = e^(i/s), the peak value is added.
+    at k = e^(i/s), the peak value is added.  The result is rounded outward
+    by ``_log_tail_rounding``.
     """
     if i == 0:
-        tail, remainder = _euler_maclaurin_tail(s, float(j_max + 1))
+        x = float(j_max + 1)
+        tail, remainder = _euler_maclaurin_tail(s, x)
         tail += remainder
-        return math.log(tail) if tail > 0.0 else -math.inf
-    log_tail = log_moment_tail_integral(s, i, j_max)
-    if math.log(j_max) < i / s:
-        log_tail = float(np.logaddexp(log_tail, _log_summand_peak(s, i)))
-    return log_tail
+        if not tail > 0.0:
+            return -math.inf
+        log_tail = math.log(tail)
+    else:
+        x = float(j_max)
+        log_tail = log_moment_tail_integral(s, i, x)
+        if math.log(x) < i / s:
+            log_tail = float(np.logaddexp(log_tail, _log_summand_peak(s, i)))
+    return log_tail + _log_tail_rounding(s, i, x, log_tail)
+
+
+def _log_tail_rounding(s: float, i: int, x: float, log_tail: float) -> float:
+    """A-priori bound on the rounding error of a log-space moment tail at x.
+
+    The assembly adds pieces of size log i!, (i+1) |log(s-1)|, z = (s-1) log x
+    (and i |log z| inside the log-sum-exp of i+1 terms), and ends at
+    log_tail; for i = 0 the Euler-Maclaurin powers n^(1-s), n^-s carry the
+    rounding of their exponents, u |log_tail| relative.  Each elementary step
+    (log, lgamma, pow, product, sum) is accurate to a couple of ulps of its
+    own result, so 4 u per unit of total magnitude, plus one unit per summed
+    term and a few for the fixed steps, covers it; against 40-digit mpmath
+    the actual error stays below 1.1 u per unit over s in [1.001, 101],
+    i <= 400, x <= 10^7.
+    """
+    z = (s - 1.0) * math.log(x)
+    log_z = abs(math.log(z)) if z > 0.0 else 0.0
+    magnitude = (
+        math.lgamma(i + 1.0)
+        + (i + 1.0) * abs(math.log(s - 1.0))
+        + z
+        + i * log_z
+        + abs(log_tail)
+        + i
+        + 6.0
+    )
+    return 4.0 * UNIT_ROUNDOFF * magnitude
 
 
 def _log_summand_peak(s: float, i: int) -> float:
@@ -238,7 +274,8 @@ def log_moment_sum(
     while True:
         partial = _log_moment_partial(s, i, cutoff)
         hi_tail = math.exp(log_moment_tail(s, i, cutoff))
-        lo_tail = math.exp(log_moment_tail_integral(s, i, float(cutoff + 1)))
+        log_lo = log_moment_tail_integral(s, i, float(cutoff + 1))
+        lo_tail = math.exp(log_lo - _log_tail_rounding(s, i, float(cutoff + 1), log_lo))
         if math.log(float(cutoff)) < i / s:
             # cutoff before the summand's peak: the lower end loses up to
             # twice the peak value on the rising piece

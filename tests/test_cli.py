@@ -6,6 +6,7 @@ through `python -m` to cover the installed entry path.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -13,6 +14,8 @@ import sys
 
 import pytest
 
+from dirichletops import cli
+from dirichletops.bounds import approx_number_bound
 from dirichletops.cli import main
 from dirichletops.operator_matrix import MAX_ENTRIES_ENV, read_matrix
 from dirichletops.special_functions import zeta
@@ -167,6 +170,39 @@ class TestApproxNumbers:
         assert result["decay_ratio"] == pytest.approx(1.0 / 3.0, rel=1e-11)
         assert [row["N"] for row in result["table"]] == [1, 2, 3]
         assert all(row["ok"] for row in result["table"])
+
+    def test_row_at_ten_times_the_bound_fails(self, capsys, monkeypatch):
+        # at N = 25 the bound for (2, 0.5) is 1.4e-12, far below any fixed
+        # absolute slack; the check must still see a tenfold excess there
+        real = cli.singular_values
+
+        def inflated(matrix, count):
+            spectrum = real(matrix, count)
+            values = spectrum.values.copy()
+            values[25] = 10.0 * approx_number_bound(matrix.symbol).bound_at(25)
+            return dataclasses.replace(spectrum, values=values)
+
+        monkeypatch.setattr(cli, "singular_values", inflated)
+        argv = ["approx-numbers", "--c1-re", "2", "--c2-abs", "0.5", "--rows", "30",
+                "--n-max", "25", "--format", "csv"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert "1 singular value(s) exceed the proven bound" in err
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [row[4] for row in rows] == ["true"] * 24 + ["false"]
+
+    @pytest.mark.parametrize("c2_abs", [0.05, 1.0])
+    @pytest.mark.parametrize("gap", [0.3, 2.0])
+    @pytest.mark.parametrize("rows,cols", [(20, 500), (40, 2000), (20, 2000), (40, 500)])
+    def test_small_ratios_stay_ok(self, capsys, c2_abs, gap, rows, cols):
+        # at ratio 0.024 the bound at N = 10 is ~1e-16, below the rounding
+        # of sigma_1 itself; the resolution term must keep such rows ok
+        argv = ["approx-numbers", "--c1-re", repr(0.5 + c2_abs + gap), "--c1-im", "37",
+                "--c2-abs", repr(c2_abs), "--c2-arg", "2.5", "--q", "999983",
+                "--rows", str(rows), "--cols", str(cols), "--n-max", "10", "--format", "csv"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, err
+        assert all(line.endswith(",true") for line in out.strip().split("\n")[1:])
 
     def test_boundary_symbol_exits_2(self, capsys):
         code, out, err = run_cli(

@@ -52,6 +52,15 @@ def column_norm_sq_oracle(sym, j):
     return j ** (-2.0 * sym.sigma1) * total
 
 
+# Im c1 up to 100, arbitrary arg c2, large q
+PHASED_SYMBOLS = (
+    DirichletSymbol(2.0 - 100.0j, 0.5 * np.exp(2.9j), q=999983),
+    DirichletSymbol(1.3 + 57.5j, 0.7 * np.exp(-1.1j), q=10**6),
+    DirichletSymbol(3.0 + 0.25j, 2.2 * np.exp(0.4j), q=7),
+    DirichletSymbol(0.9 + 99.0j, 0.15 * np.exp(-3.0j), q=2),
+)
+
+
 class TestBuildMatrix:
     def test_reference_entries(self):
         m = build_matrix(DirichletSymbol(2.0, 0.5), 4, 4)
@@ -97,6 +106,30 @@ class TestBuildMatrix:
         m_rot = build_matrix(DirichletSymbol(2 + 5j, 0.5 * np.exp(2j)), 8, 30)
         assert np.allclose(np.abs(m_ref.entries), np.abs(m_rot.entries), rtol=1e-13)
 
+    def test_phased_entries_match_mpmath(self):
+        # independent of the B-and-phases construction: the textbook entry
+        # at 40 digits; the column phase j^(-i tau) carries about u |tau ln j|
+        # (7e-14 at tau = 100, j = 400), hence 1e-12 relative
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(8)
+        with mpmath.workdps(40):
+            for sym in PHASED_SYMBOLS:
+                m = build_matrix(sym, 30, 400)
+                c1, c2 = mpmath.mpc(sym.c1), mpmath.mpc(sym.c2)
+                for _ in range(25):
+                    i, j = int(rng.integers(0, 31)), int(rng.integers(2, 401))
+                    exact = mpmath.power(j, -c1) * (-c2 * mpmath.log(j)) ** i / mpmath.factorial(i)
+                    assert abs(mpmath.mpc(m.entries[i, j - 1]) - exact) <= 1e-12 * abs(exact), (sym, i, j)
+
+    def test_entries_are_cached_read_only(self):
+        m = build_matrix(PHASED_SYMBOLS[0], 6, 30)
+        first = m.entries
+        assert m.entries is first
+        assert not first.flags.writeable
+        assert not m.magnitudes.flags.writeable
+        assert m.magnitudes.dtype == np.float64
+        assert np.all(m.magnitudes >= 0.0)
+
     def test_truncation_validation(self):
         sym = DirichletSymbol(2.0, 0.5)
         with pytest.raises(DomainError):
@@ -109,8 +142,12 @@ class TestBuildMatrix:
     def test_memory_cap(self, monkeypatch):
         sym = DirichletSymbol(2.0, 0.5)
         monkeypatch.setenv(MAX_ENTRIES_ENV, "100")
-        with pytest.raises(MatrixSizeError):
+        with pytest.raises(MatrixSizeError) as excinfo:
             build_matrix(sym, 10, 100)
+        message = str(excinfo.value)
+        assert "1100 entries (8800 bytes at 8 B per entry)" in message
+        assert "cap is 100 entries (800 bytes)" in message
+        assert MAX_ENTRIES_ENV in message
         build_matrix(sym, 4, 20)  # 100 entries: exactly at the cap
         monkeypatch.setenv(MAX_ENTRIES_ENV, "not-a-number")
         with pytest.raises(MatrixSizeError):
@@ -223,13 +260,26 @@ class TestSingularValues:
         assert spec.truncation == (30, 120)
 
     def test_random_dense_oracle(self):
+        # the SVD reads the nonnegative block, so a random one is injected there
         rng = np.random.default_rng(42)
-        a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        a = rng.random((40, 40))
         m = build_matrix(DirichletSymbol(2.0, 0.5), 39, 40)
-        object.__setattr__(m, "entries", a)
+        object.__setattr__(m, "magnitudes", a)
         spec = singular_values(m, 40)
         oracle = mp_singular_values(a)
         assert np.max(np.abs(spec.values - oracle) / oracle) < 1e-10
+
+    def test_phased_block_matches_dense_svd(self):
+        # the norm and the spectrum come from B; the phased complex export
+        # must have the same ones, to within the spectrum's resolution
+        for sym in PHASED_SYMBOLS:
+            m = build_matrix(sym, 30, 400)
+            reference = np.linalg.svd(m.entries, compute_uv=False)
+            spec = singular_values(m, 31)
+            assert np.max(np.abs(spec.values - reference)) <= spec.resolution, sym
+            lower = operator_norm_estimate(m).lower
+            assert lower == pytest.approx(reference[0], rel=1e-10)
+            assert lower <= reference[0] * (1.0 + 1e-13)
 
     def test_sorted_and_nonnegative(self):
         spec = singular_values(build_matrix(DirichletSymbol(1.0, 0.5), 20, 300), 15)
