@@ -36,7 +36,6 @@ from .special_functions import (
     PrecisionBudget,
     log_factorials,
     log_moment_tail,
-    logsumexp,
 )
 from .special_functions import zeta as _certified_zeta
 from .symbol import DirichletSymbol, SymbolClass, classify
@@ -45,7 +44,10 @@ MAX_ENTRIES_ENV = "DIRICHLETOPS_MAX_MATRIX_ENTRIES"
 _DEFAULT_MAX_ENTRIES = 10**8
 _ENTRY_BYTES = np.dtype(np.float64).itemsize
 
-_COLUMN_CHUNK = 1 << 16
+# the Schur check streams through one reused block of (I+1) x width float64
+# entries, width = max(_SCHUR_MIN_WIDTH, _SCHUR_BLOCK_ENTRIES // (I+1))
+_SCHUR_BLOCK_ENTRIES = 1 << 19
+_SCHUR_MIN_WIDTH = 256
 
 
 def _max_entries() -> int:
@@ -353,6 +355,13 @@ def schur_certificate(
     row sum before comparison.  Everything is assembled in log space, so
     deep rows with astronomically small weights still produce finite
     relative residuals.
+
+    The columns stream through one reused block of about 4 MiB, so memory
+    does not grow with J.  Each check fills it with its log terms, shifts
+    every column (or row) by its largest term, known in closed form, and
+    takes one exp and one sum: no shifted term exceeds 1 beyond rounding
+    and every block sum is at least 1, so exp cannot overflow and log never
+    sees 0.
     """
     r = float(r)
     if not (0.0 < r <= 1.0) or not math.isfinite(r):
@@ -374,43 +383,69 @@ def schur_certificate(
     log_r = math.log(r)
     log_c = math.log(c)
 
-    # accumulated in log space across column chunks
+    width = max(_SCHUR_MIN_WIDTH, _SCHUR_BLOCK_ENTRIES // (i_max + 1))
+    store = np.empty((i_max + 1) * min(width, j_max - 1))
+    # row sums without the 1/i! factor, accumulated in log space across blocks
     row_acc = np.full(i_max + 1, -math.inf)
     max_column_residual = 0.0  # column j = 1 is exact
     column_tail = 0.0
-    for start in range(2, j_max + 1, _COLUMN_CHUNK):
-        stop = min(start + _COLUMN_CHUNK - 1, j_max)
-        j = np.arange(start, stop + 1, dtype=np.float64)
-        lj = np.log(j)
-        base = np.log(c * lj)  # real: c > 0, log j > 0
-        core = i_idx[:, None] * base[None, :] - log_fact[:, None]
+    for start in range(2, j_max + 1, width):
+        stop = min(start + width - 1, j_max)
+        n = stop - start + 1
+        block = store[: (i_max + 1) * n].reshape(i_max + 1, n)
+        lj = np.log(np.arange(start, stop + 1, dtype=np.float64))
 
-        # column check: partial sum of e^x at x = r c log j, relative to e^x
+        # column check: partial sum of e^x at x = r c log j, relative to e^x,
+        # from the log-Poisson terms i log x - log i! - x; each column is
+        # shifted by its value at the mode min(floor(x), I), where the
+        # shifted term is exactly 0, so the block sums are >= 1
         x = r * c * lj
-        col_terms = core + i_idx[:, None] * log_r - x[None, :]
-        log_partial = logsumexp(col_terms, axis=0)
+        log_x = np.log(x)
+        mode = np.minimum(np.floor(x), i_max)
+        col_peak = mode * log_x - log_fact[mode.astype(np.intp)]
+        np.multiply.outer(i_idx, log_x, out=block)
+        block -= log_fact[:, None]
+        block -= col_peak
+        np.exp(block, out=block)
+        log_partial = col_peak - x + np.log(np.sum(block, axis=0))
         # remainder of e^x relative to e^x: Taylor-Lagrange gives
         # x^(I+1)/(I+1)!; for x < I+2 the geometric majorant times e^-x
         # is sharper, and sharpness here is what lets a deep truncation
         # certify at tight slack; the log1p argument is zeroed where the
         # branch is discarded, which keeps it inside log1p's domain
         near = x < i_max + 2.0
-        log_rem = (i_max + 1.0) * np.log(x) - math.lgamma(i_max + 2.0)
+        log_rem = (i_max + 1.0) * log_x - math.lgamma(i_max + 2.0)
         log_rem += np.where(
             near, -np.log1p(-np.where(near, x, 0.0) / (i_max + 2.0)) - x, 0.0
         )
-        residuals = np.expm1(np.logaddexp(log_partial, log_rem))
+        with np.errstate(over="ignore"):  # a remainder past e^709 reads +inf
+            residuals = np.expm1(np.logaddexp(log_partial, log_rem))
+            abs_rem = np.exp(log_rem + (r * c - sigma1) * lj)
         max_column_residual = max(max_column_residual, float(np.max(residuals)))
-        abs_rem = np.exp(log_rem + (r * c - sigma1) * lj)
         column_tail = max(column_tail, float(np.max(abs_rem)))
 
-        # row sums: (c log j)^i / i! * j^(r c - 2 sigma1)
-        row_terms = core + (r * c - 2.0 * sigma1) * lj[None, :]
-        row_acc = np.logaddexp(row_acc, logsumexp(row_terms, axis=1))
+        # row sums: (c log j)^i / i! * j^-s; i log(c ln j) - s ln j is
+        # concave in ln j with its maximum at ln j = i/s, so each row is
+        # shifted by the larger of its two columns around j = e^(i/s),
+        # clamped to this block, where the shifted term is exactly 0
+        log_base = np.log(c * lj)  # real: c > 0, log j > 0
+        decay = s * lj
+        peak = np.floor(np.exp(np.clip(i_idx / s, lj[0], lj[-1])))
+        k_lo = np.clip(peak - start, 0, n - 1).astype(np.intp)
+        k_hi = np.minimum(k_lo + 1, n - 1)
+        row_peak = np.maximum(
+            i_idx * log_base[k_lo] - decay[k_lo], i_idx * log_base[k_hi] - decay[k_hi]
+        )
+        np.multiply.outer(i_idx, log_base, out=block)
+        block -= decay
+        block -= row_peak[:, None]
+        np.exp(block, out=block)
+        row_acc = np.logaddexp(row_acc, row_peak + np.log(np.sum(block, axis=1)))
 
+    row_acc -= log_fact
     row_acc[0] = np.logaddexp(row_acc[0], 0.0)  # j = 1 contributes to row 0 only
 
-    max_row_residual = -math.inf
+    worst_log_ratio = -math.inf
     row_tail = 0.0
     log_beta_low = math.log(beta_low)
     for i in range(i_max + 1):
@@ -418,7 +453,9 @@ def schur_certificate(
         row_tail = max(row_tail, math.exp(log_tail))
         log_lhs = float(np.logaddexp(row_acc[i], log_tail))
         log_rhs = log_beta_low + i * log_r
-        max_row_residual = max(max_row_residual, math.expm1(log_lhs - log_rhs))
+        worst_log_ratio = max(worst_log_ratio, log_lhs - log_rhs)
+    with np.errstate(over="ignore"):  # a ratio past e^709 reads +inf
+        max_row_residual = float(np.expm1(worst_log_ratio))
 
     verdict = max_column_residual <= slack and max_row_residual <= slack
     implied = math.sqrt(z.value + z.error_bound) if verdict else None

@@ -5,16 +5,18 @@ CertifiedValue, a (value, error_bound) pair guaranteeing
 
     |value - exact| <= error_bound.
 
-Error bounds account for truncation only; floating-point rounding is assumed
-negligible at the supported tolerances (>= 1e-12 on binary64).  The moment
-tails are the exception: they are assembled in log space, where rounding
-scales with the size of the logs, so ``log_moment_tail`` is rounded outward.
+Error bounds account for truncation.  Two also account for rounding:
+``zeta`` feeds the Schur certificate and the norm brackets, so its bound
+adds an a-priori rounding term, and the moment tails are assembled in log
+space, where rounding scales with the size of the logs, so
+``log_moment_tail`` is rounded outward.  Elsewhere rounding is assumed
+negligible at the supported tolerances (>= 1e-12 on binary64).
 
 Contents:
 
 * ``zeta(s)``: Riemann zeta for real s > 1 by Euler-Maclaurin summation with
   the B2 correction term.  The remainder is bounded by the magnitude of the
-  first omitted Bernoulli term.
+  first omitted Bernoulli term, plus a bound on the rounding.
 * ``log_moment_sum(s, i)``: sum_{k>=1} (log k)^i k^(-s), by direct summation
   up to a cutoff plus an integral tail bracket expressed through the upper
   incomplete gamma function.
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -101,7 +104,9 @@ def zeta(s: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> CertifiedValue:
 
     The direct sum over k < N plus the Euler-Maclaurin tail from N, with N
     chosen so that the remainder bound s (s+1) (s+2) N^(-s-3) / 720 meets
-    the budget.
+    the budget.  The error bound is that remainder plus the a-priori
+    rounding bound of ``_zeta_rounding``; where the two together exceed the
+    tolerance, N is raised for what the rounding leaves of it.
     """
     s = float(s)
     if not s > 1.0:
@@ -110,25 +115,54 @@ def zeta(s: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> CertifiedValue:
     # zeta(s) >= max(1, 1/(s-1)) gives a safe pre-estimate for the relative target.
     target = max(budget.abs_tol, budget.rel_tol * max(1.0, 1.0 / (s - 1.0)))
     need = (_em_remainder_coef(s) / target) ** (1.0 / (s + 3.0))
-    n = max(16, int(math.ceil(need)))
+    n = min(max(16, int(math.ceil(need))), budget.max_terms)
+    while True:
+        partial = math.fsum(map(pow, range(1, n), repeat(-s, n - 1)))
+        value, remainder = _euler_maclaurin_tail(s, n, partial)
+        rounding = _zeta_rounding(s, n, partial, value)
+        tol = max(budget.abs_tol, budget.rel_tol * abs(value))
+        room = tol - rounding
+        if remainder <= room or room <= 0.0 or n >= budget.max_terms:
+            break
+        need = (_em_remainder_coef(s) / room) ** (1.0 / (s + 3.0))
+        n = min(max(n + 1, int(math.ceil(need))), budget.max_terms)
 
-    exhausted = n > budget.max_terms
-    if exhausted:
-        n = budget.max_terms
-
-    partial = math.fsum(k ** (-s) for k in range(1, n))
-    value, remainder = _euler_maclaurin_tail(s, n, partial)
-    # half-ulp floor: a certified bound must never claim exact representability
-    err = max(remainder, 0.5 * float(np.spacing(abs(value))))
-
-    if exhausted and err > max(budget.abs_tol, budget.rel_tol * abs(value)):
+    err = remainder + rounding
+    if err > tol:
         raise BudgetExhaustedError(
-            f"zeta({s}) needs {int(math.ceil(need))} terms for the requested "
-            f"tolerance but max_terms = {budget.max_terms}; achieved error "
-            f"bound {err:.3e}",
+            f"zeta({s}) misses the requested tolerance {tol:.3e} with {n} terms "
+            f"(max_terms = {budget.max_terms}); achieved error bound {err:.3e}, "
+            f"of which {rounding:.3e} is rounding",
             achieved_error_bound=err,
         )
     return CertifiedValue(value, err)
+
+
+def _zeta_rounding(s: float, n: int, partial: float, value: float) -> float:
+    """A-priori bound on the rounding error of zeta's ``value``.
+
+    With u = 2^-53 and T = value - partial the Euler-Maclaurin tail:
+
+    * each k^-s of the head is within one ulp (2u relative) of exact, and
+      math.fsum rounds their sum once, so the head is off by at most
+      3u partial;
+    * the tail terms n^(1-s)/(s-1), n^-s/2 and s n^(-s-1)/12 carry one ulp
+      from pow (2u), at most two roundings of divisions and products, and
+      the rounding of their exponents 1-s and -s-1 (relative u |e|), which
+      n^e turns into a relative error u |e| ln n: at most (4 + (s+1) ln n) u T
+      in all;
+    * the three additions that fold the tail terms into the head are each
+      off by at most u times a partial sum no larger than value: 3u value.
+
+    Raising the head's 3u to 4u and the tail's 4 to 5 covers the
+    second-order terms, and subnormal powers cost less than u value because
+    value >= 1.  The bound is never 0, so no enclosure claims that zeta(s)
+    is exactly representable.
+    """
+    tail = value - partial
+    return UNIT_ROUNDOFF * (
+        4.0 * partial + 3.0 * value + (5.0 + (s + 1.0) * math.log(n)) * tail
+    )
 
 
 def _em_remainder_coef(s: float) -> float:

@@ -1,16 +1,21 @@
 """Tests for the truncated-matrix module.
 
-Two independent oracles keep the implementation honest: a brute-force
-series summation for column norms, and an 80-digit mpmath eigendecomposition
-of the Gram matrix for singular spectra (the module itself calls LAPACK).
+Independent oracles keep the implementation honest: a brute-force series
+summation for column norms, an 80-digit mpmath eigendecomposition of the
+Gram matrix for singular spectra (the module itself calls LAPACK), scipy's
+incomplete gamma and 40-digit row sums for the Schur residuals, and a dense
+log-space reference for the streamed Schur kernel.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
+from dirichletops import operator_matrix
 from dirichletops.bounds import norm_bounds, schur_radius
 from dirichletops.errors import DomainError, MatrixSizeError
 from dirichletops.operator_matrix import (
@@ -23,7 +28,7 @@ from dirichletops.operator_matrix import (
     tail_bounds,
     write_matrix,
 )
-from dirichletops.special_functions import zeta
+from dirichletops.special_functions import log_moment_tail, zeta
 from dirichletops.symbol import DirichletSymbol
 
 
@@ -50,6 +55,46 @@ def column_norm_sq_oracle(sym, j):
         i += 1
         term *= x_sq / (i * i)
     return j ** (-2.0 * sym.sigma1) * total
+
+
+def log_column_remainder(x, i_max):
+    """log of the certified series remainder sum_{i>I} x^i/i! relative to e^x:
+    the Lagrange form x^(I+1)/(I+1)!, times the geometric majorant
+    e^-x / (1 - x/(I+2)) where x < I+2."""
+    log_rem = (i_max + 1) * np.log(x) - math.lgamma(i_max + 2.0)
+    near = x < i_max + 2.0
+    return log_rem + np.where(near, -np.log1p(-np.where(near, x, 0.0) / (i_max + 2.0)) - x, 0.0)
+
+
+def log_row_tails(sym, s, i_max, j_max):
+    return np.array(
+        [
+            i * math.log(sym.c2_abs) - math.lgamma(i + 1.0) + log_moment_tail(s, i, j_max)
+            for i in range(i_max + 1)
+        ]
+    )
+
+
+def dense_schur_residuals(sym, r, i_max, j_max):
+    """Worst column and row residuals of the Schur check, from the whole
+    (I+1) x (J-1) log-space block at once, each sum a np.logaddexp.reduce."""
+    c = sym.c2_abs
+    s = 2.0 * sym.sigma1 - r * c
+    i = np.arange(i_max + 1.0)[:, None]
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(i_max + 1)])
+    lj = np.log(np.arange(2, j_max + 1.0))
+    x = r * c * lj
+    log_partial = np.logaddexp.reduce(i * np.log(x) - log_fact[:, None] - x, axis=0)
+    with np.errstate(over="ignore"):
+        col = np.expm1(np.logaddexp(log_partial, log_column_remainder(x, i_max)))
+    log_rows = np.logaddexp.reduce(i * np.log(c * lj) - log_fact[:, None] - s * lj, axis=1)
+    log_rows[0] = np.logaddexp(log_rows[0], 0.0)  # column j = 1
+    z = zeta(s)
+    log_rhs = math.log(z.value - z.error_bound) + i[:, 0] * math.log(r)
+    log_lhs = np.logaddexp(log_rows, log_row_tails(sym, s, i_max, j_max))
+    with np.errstate(over="ignore"):
+        row = np.expm1(np.max(log_lhs - log_rhs))
+    return max(0.0, float(np.max(col))), float(row)
 
 
 # Im c1 up to 100, arbitrary arg c2, large q
@@ -370,6 +415,86 @@ class TestSchurCertificate:
             warnings.simplefilter("error")
             cert = schur_certificate(DirichletSymbol(51, 50), schur_radius(51, 50), 60, 1000)
         assert math.isfinite(cert.max_column_residual)
+
+    def test_residuals_match_independent_oracle(self):
+        # columns: e^-x sum_{i<=I} x^i/i! is the regularized Q(I+1, x), so
+        # each residual is Q + remainder - 1; rows: 40-digit sums over
+        # j <= J plus the library's certified tail, against beta_low r^i.
+        # Column residuals agree absolutely, rows relatively in the ratio
+        # left side / right side = 1 + residual.
+        mpmath = pytest.importorskip("mpmath")
+        i_max, j_max = 12, 400
+        cases = [
+            (DirichletSymbol(2.0, 0.5), schur_radius(2.0, 0.5)),
+            (DirichletSymbol(2.0, 0.5), 0.1),
+            (DirichletSymbol(1.0, 0.5), 1.0),
+        ]
+        for sym, r in cases:
+            cert = schur_certificate(sym, r, i_max, j_max)
+            c = sym.c2_abs
+            s = 2.0 * sym.sigma1 - r * c
+            x = r * c * np.log(np.arange(2, j_max + 1.0))
+            col = gammaincc(i_max + 1, x) + np.exp(log_column_remainder(x, i_max)) - 1.0
+            assert abs(cert.max_column_residual - max(0.0, float(np.max(col)))) <= 1e-13
+
+            z = zeta(s)
+            tails = np.exp(log_row_tails(sym, s, i_max, j_max))
+            with mpmath.workdps(40):
+                base = [c * mpmath.log(j) for j in range(1, j_max + 1)]
+                decay = [mpmath.mpf(j) ** -s for j in range(1, j_max + 1)]
+                ratio = max(
+                    (
+                        mpmath.fsum(b**i * d for b, d in zip(base, decay)) / mpmath.factorial(i)
+                        + tails[i]
+                    )
+                    / ((mpmath.mpf(z.value) - z.error_bound) * mpmath.mpf(r) ** i)
+                    for i in range(i_max + 1)
+                )
+                assert abs(1 + cert.max_row_residual - ratio) <= 1e-13 * ratio, (sym, r)
+
+    @pytest.mark.parametrize(
+        "sigma1, c, i_max, j_max",
+        [
+            (51.0, 50.0, 60, 20000),  # remainders past e^170 in most columns
+            (2.0, 0.5, 400, 2000),
+            (2.0, 0.5, 1000, 2000),
+            (200.0, 150.0, 60, 5000),
+            (200.0, 1.0, 40, 3000),
+            (2.0, 0.5, 40, 2),
+            (2.0, 0.5, 40, 3),
+            # one column past a full block: the last block has one column
+            (2.0, 0.5, 40, operator_matrix._SCHUR_BLOCK_ENTRIES // 41 + 2),
+        ],
+    )
+    def test_streamed_matches_dense_reference(self, sigma1, c, i_max, j_max):
+        sym = DirichletSymbol(sigma1, c)
+        r = schur_radius(sigma1, c)
+        cert = schur_certificate(sym, r, i_max, j_max)
+        col, row = dense_schur_residuals(sym, r, i_max, j_max)
+        assert math.isfinite(cert.max_column_residual) and math.isfinite(cert.max_row_residual)
+        assert abs(cert.max_column_residual - col) <= 1e-12 * max(1.0, abs(col))
+        assert abs(cert.max_row_residual - row) <= 1e-12 * max(1.0, abs(row))
+
+    def test_overflowing_residuals_read_infinite(self):
+        # r^i below e^-709 on deep rows, and a column remainder past e^709:
+        # the residuals are +inf and the verdict false, without an exception
+        rows = schur_certificate(DirichletSymbol(51.0, 50.0), 0.1, 1000, 400)
+        assert rows.max_row_residual == math.inf and not rows.verdict
+        cols = schur_certificate(DirichletSymbol(200.0, 150.0), 1.0, 400, 400)
+        assert cols.max_column_residual == math.inf and not cols.verdict
+        assert cols.implied_norm_bound is None
+
+    def test_streamed_memory_is_bounded(self):
+        # one reused block of about 4 MiB, whatever J; the dense block of
+        # this check would take 156 MiB
+        sym = DirichletSymbol(2.5, 0.8)
+        tracemalloc.start()
+        try:
+            schur_certificate(sym, schur_radius(2.5, 0.8), 40, 5 * 10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_tails_are_recorded(self):
         cert = schur_certificate(DirichletSymbol(2.0, 0.5), 0.5, 20, 200)

@@ -112,6 +112,29 @@ def test_zeta_budget_exhausted_reports_achieved_bound():
     assert info.value.achieved_error_bound > 1e-12
 
 
+def test_zeta_enclosure_mpmath_oracle():
+    # the enclosure [value - error_bound, value + error_bound] must hold the
+    # 40-digit zeta(s): the remainder bound is nearly sharp below s ~ 5, and
+    # near s ~ 10 the rounding of the summed powers exceeds a half ulp, so
+    # only the rounding term keeps these points inside
+    mpmath = pytest.importorskip("mpmath")
+    loose = PrecisionBudget(abs_tol=1e-8, rel_tol=1e-8, max_terms=10**6)
+    with mpmath.workdps(40):
+        for s in np.geomspace(1.001, 100.0, 400):
+            s = float(s)
+            exact = mpmath.zeta(s)
+            for budget in (PrecisionBudget(), loose):
+                z = zeta(s, budget)
+                assert abs(mpmath.mpf(z.value) - exact) <= z.error_bound, (s, budget)
+                assert z.error_bound <= max(budget.abs_tol, budget.rel_tol * z.value)
+
+
+def test_zeta_tolerance_below_rounding_raises():
+    with pytest.raises(BudgetExhaustedError) as info:
+        zeta(1.5, PrecisionBudget(abs_tol=1e-17, rel_tol=1e-17))
+    assert info.value.achieved_error_bound > 1e-17
+
+
 def test_log_moment_order_zero_is_zeta():
     a = log_moment_sum(2.0, 0)
     b = zeta(2.0)
