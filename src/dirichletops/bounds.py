@@ -17,16 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
 
 from .errors import DomainError, NonCompactError
-from .special_functions import DEFAULT_BUDGET, PrecisionBudget, zeta
+from .special_functions import DEFAULT_BUDGET, PrecisionBudget, geomspace, zeta
 from .symbol import EQ_TOL, DirichletSymbol, SymbolClass, classify
 
-_KERNEL_GRID_LO = 0.5 + 1e-6
-_KERNEL_GRID_HI = 60.0
-_KERNEL_GRID_POINTS = 512
+_KERNEL_GRID = tuple(geomspace(0.5 + 1e-6, 60.0, 512))
 _KERNEL_REFINE_WIDTH = 1e-10
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -80,6 +77,12 @@ class NormBoundReport:
     kernel_lower_sq: float
 
 
+@lru_cache(maxsize=16)
+def _kernel_denominators(budget: PrecisionBudget) -> tuple[float, ...]:
+    """zeta(2x) on the kernel grid; it does not depend on the symbol."""
+    return tuple(zeta(2.0 * x, budget).value for x in _KERNEL_GRID)
+
+
 def kernel_lower_bound(
     sym: DirichletSymbol, budget: PrecisionBudget = DEFAULT_BUDGET
 ) -> float:
@@ -98,19 +101,18 @@ def kernel_lower_bound(
 
     log_q = math.log(sym.q)
 
-    def ratio(x: float) -> float:
-        num = zeta(2.0 * sigma1 - 2.0 * c * math.exp(-x * log_q), budget).value
-        den = zeta(2.0 * x, budget).value
-        return num / den
+    def numerator(x: float) -> float:
+        return zeta(2.0 * sigma1 - 2.0 * c * math.exp(-x * log_q), budget).value
 
-    grid = np.geomspace(_KERNEL_GRID_LO, _KERNEL_GRID_HI, _KERNEL_GRID_POINTS)
-    values = [ratio(float(x)) for x in grid]
-    k = int(np.argmax(values))
+    def ratio(x: float) -> float:
+        return numerator(x) / zeta(2.0 * x, budget).value
+
+    grid = _KERNEL_GRID
+    values = [numerator(x) / den for x, den in zip(grid, _kernel_denominators(budget))]
+    k = max(range(len(values)), key=values.__getitem__)  # the first maximum
     best = values[k]
 
-    lo = float(grid[max(k - 1, 0)])
-    hi = float(grid[min(k + 1, len(grid) - 1)])
-    a, b = lo, hi
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = ratio(x1), ratio(x2)

@@ -30,8 +30,6 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bounds import approx_number_bound, norm_bounds
 from .errors import (
@@ -41,8 +39,8 @@ from .errors import (
     MatrixSizeError,
     NonCompactError,
 )
-from .operator_matrix import build_matrix, operator_norm_estimate, singular_values, write_matrix
-from .special_functions import PrecisionBudget, crossing_root, lower_bound_f, lower_bound_g, verification_suite, zeta
+from .special_functions import PrecisionBudget, crossing_root, linspace, lower_bound_f
+from .special_functions import lower_bound_g, verification_suite, zeta
 from .symbol import DirichletSymbol
 
 _FIGURE_RANGE = (0.1, 10.0)
@@ -223,6 +221,13 @@ def _json_document(command: str, cfg: RunConfig, result: dict) -> str:
     return json.dumps(_round_floats(doc), indent=2) + "\n"
 
 
+def _record_document(command: str, cfg: RunConfig, code: int, result: dict) -> tuple[int, str]:
+    """A one-record result as a one-row CSV table or a JSON document."""
+    if cfg.format == "csv":
+        return code, _csv_document(list(result), [list(result.values())])
+    return code, _json_document(command, cfg, result)
+
+
 def _emit(text: str, cfg: RunConfig) -> None:
     if cfg.output:
         with open(cfg.output, "w", newline="") as handle:
@@ -248,21 +253,18 @@ def cmd_bounds(cfg: RunConfig) -> tuple[int, str]:
         approx = approx_number_bound(sym)
         result["approx_prefactor"] = approx.prefactor
         result["approx_ratio"] = approx.ratio
-    if cfg.format == "csv":
-        header = list(result)
-        return 0, _csv_document(header, [[result[key] for key in header]])
-    return 0, _json_document("bounds", cfg, result)
+    return _record_document("bounds", cfg, 0, result)
 
 
 def cmd_matrix_norm(cfg: RunConfig) -> tuple[int, str]:
     """Power-iteration norm of the truncation, checked against the bracket."""
+    from . import operator_matrix  # numpy loads only for the matrix commands
     sym = cfg.symbol()
-    budget = cfg.budget()
-    matrix = build_matrix(sym, cfg.rows, cfg.cols)
+    matrix = operator_matrix.build_matrix(sym, cfg.rows, cfg.cols)
     if cfg.dump_matrix:
-        write_matrix(matrix, cfg.dump_matrix)
-    estimate = operator_norm_estimate(matrix, tol=cfg.rel_tol)
-    theory = norm_bounds(sym, budget)
+        operator_matrix.write_matrix(matrix, cfg.dump_matrix)
+    estimate = operator_matrix.operator_norm_estimate(matrix, tol=cfg.rel_tol)
+    theory = norm_bounds(sym, cfg.budget())
 
     certified = math.isfinite(estimate.upper)
     slack = 1e-6 * (1.0 + theory.lower_sq)
@@ -291,24 +293,22 @@ def cmd_matrix_norm(cfg: RunConfig) -> tuple[int, str]:
             f"{theory.upper_sq!r}]); this signals a bug",
             file=sys.stderr,
         )
-    if cfg.format == "csv":
-        header = list(result)
-        return code, _csv_document(header, [[result[key] for key in header]])
-    return code, _json_document("matrix-norm", cfg, result)
+    return _record_document("matrix-norm", cfg, code, result)
 
 
 def cmd_approx_numbers(cfg: RunConfig) -> tuple[int, str]:
     """Table of singular values sigma_{N+1} against the proven decay bound."""
+    from . import operator_matrix
     sym = cfg.symbol()
     law = approx_number_bound(sym)  # rejects non-compact symbols
     header = ["N", "computed", "bound", "ratio", "ok"]
     rows: list[list] = []
     failures = 0
     if cfg.n_max > 0:
-        matrix = build_matrix(sym, cfg.rows, cfg.cols)
+        matrix = operator_matrix.build_matrix(sym, cfg.rows, cfg.cols)
         available = min(matrix.row_count, matrix.col_count)
         count = min(cfg.n_max + 1, available)
-        spectrum = singular_values(matrix, count)
+        spectrum = operator_matrix.singular_values(matrix, count)
         for n in range(1, count):
             computed = float(spectrum.values[n])
             bound = law.bound_at(n)
@@ -375,8 +375,7 @@ def cmd_figure(cfg: RunConfig) -> tuple[int, str]:
     budget = cfg.budget()
     lo, hi = _FIGURE_RANGE
     rows: list[list] = []
-    for x in np.linspace(lo, hi, cfg.points):
-        x = float(x)
+    for x in linspace(lo, hi, cfg.points):
         rows.append(
             [
                 x,

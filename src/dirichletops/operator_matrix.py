@@ -30,13 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, MatrixSizeError
-from .special_functions import (
-    DEFAULT_BUDGET,
-    UNIT_ROUNDOFF,
-    PrecisionBudget,
-    log_factorials,
-    log_moment_tail,
-)
+from .special_functions import DEFAULT_BUDGET, UNIT_ROUNDOFF, PrecisionBudget, log_moment_tail
 from .special_functions import zeta as _certified_zeta
 from .symbol import DirichletSymbol, SymbolClass, classify
 
@@ -61,6 +55,11 @@ def _max_entries() -> int:
     if cap <= 0:
         raise MatrixSizeError(f"{MAX_ENTRIES_ENV} must be positive, got {cap}")
     return cap
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """lgamma(i+1) = log(i!) for i = 0..n, each entry computed by math.lgamma."""
+    return np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
 
 
 def _check_truncation(i_max: int, j_max: int) -> None:

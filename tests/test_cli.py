@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from dirichletops import cli
+from dirichletops import operator_matrix
 from dirichletops.bounds import approx_number_bound
 from dirichletops.cli import main
 from dirichletops.operator_matrix import MAX_ENTRIES_ENV, read_matrix
@@ -174,7 +174,7 @@ class TestApproxNumbers:
     def test_row_at_ten_times_the_bound_fails(self, capsys, monkeypatch):
         # at N = 25 the bound for (2, 0.5) is 1.4e-12, far below any fixed
         # absolute slack; the check must still see a tenfold excess there
-        real = cli.singular_values
+        real = operator_matrix.singular_values
 
         def inflated(matrix, count):
             spectrum = real(matrix, count)
@@ -182,7 +182,7 @@ class TestApproxNumbers:
             values[25] = 10.0 * approx_number_bound(matrix.symbol).bound_at(25)
             return dataclasses.replace(spectrum, values=values)
 
-        monkeypatch.setattr(cli, "singular_values", inflated)
+        monkeypatch.setattr(operator_matrix, "singular_values", inflated)
         argv = ["approx-numbers", "--c1-re", "2", "--c2-abs", "0.5", "--rows", "30",
                 "--n-max", "25", "--format", "csv"]
         code, out, err = run_cli(capsys, argv)
@@ -373,3 +373,38 @@ class TestPlumbing:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["result"]["symbol_class"] == "compact"
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["bounds"], ["figure", "--points", "5"], ["verify-lemmas"]], ids=repr
+    )
+    def test_scalar_commands_never_load_numpy(self, argv):
+        # a fresh interpreter imports the CLI or runs `python -m dirichletops`
+        # in process, then checks that numpy never loaded
+        probe = (
+            "import runpy, sys\n"
+            "if sys.argv[1:]:\n"
+            "    try:\n"
+            "        runpy.run_module('dirichletops', run_name='__main__')\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, exc.code\n"
+            "else:\n"
+            "    import dirichletops.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout if argv else not proc.stdout
+
+    def test_matrix_names_load_numpy_on_first_use(self):
+        probe = (
+            "import sys\n"
+            "import dirichletops\n"
+            "assert 'numpy' not in sys.modules\n"
+            "from dirichletops import build_matrix\n"
+            "assert 'numpy' in sys.modules\n"
+            "assert dirichletops.build_matrix is build_matrix\n"
+            "assert build_matrix(dirichletops.DirichletSymbol(2, 0.5), 3, 10).row_count == 4\n"
+            "assert not hasattr(dirichletops, 'no_such_name')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -21,6 +21,7 @@ from dirichletops.errors import DomainError, MatrixSizeError
 from dirichletops.operator_matrix import (
     MAX_ENTRIES_ENV,
     build_matrix,
+    log_factorials,
     operator_norm_estimate,
     read_matrix,
     schur_certificate,
@@ -116,6 +117,9 @@ class TestBuildMatrix:
         assert m.entries[2, 2] == pytest.approx(
             (0.5 * math.log(3)) ** 2 / 2.0 * 3.0**-2.0, rel=1e-14
         )
+
+    def test_log_factorials(self):
+        assert log_factorials(4) == pytest.approx(np.log([1.0, 1.0, 2.0, 6.0, 24.0]), rel=1e-15)
 
     def test_row_and_column_counts(self):
         m = build_matrix(DirichletSymbol(1.5, 0.25), 7, 12)
