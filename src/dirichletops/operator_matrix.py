@@ -14,8 +14,8 @@ D_col = diag(j^(-i tau)) are unitary and
 is real and nonnegative.  Norms, singular values and Schur data depend only
 on B, so this module builds, iterates and decomposes B; the phases are
 applied only when the complex entries are exported.  It also certifies the
-norm of the discarded rows and columns and checks the two-weight Schur
-inequalities numerically.
+norm of the discarded rows and columns and checks the row inequalities of
+the two-weight Schur test, the only ones that are not exact identities.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ MAX_ENTRIES_ENV = "DIRICHLETOPS_MAX_MATRIX_ENTRIES"
 _DEFAULT_MAX_ENTRIES = 10**8
 _ENTRY_BYTES = np.dtype(np.float64).itemsize
 
-# the Schur check streams through one reused block of (I+1) x width float64
+# the Schur check streams through one reused block of I x width float64
 # entries, width = max(_SCHUR_MIN_WIDTH, _SCHUR_BLOCK_ENTRIES // (I+1))
 _SCHUR_BLOCK_ENTRIES = 1 << 19
 _SCHUR_MIN_WIDTH = 256
@@ -320,19 +320,22 @@ class SchurCertificate:
     """Numerical record of the two-weight Schur test at parameter r.
 
     With weights p_j = j^(r|c2| - sigma1), q_i = r^i the column sums must
-    stay below alpha p_j (alpha = 1, an exact analytic identity) and the row
-    sums below beta q_i (beta = zeta(2 sigma1 - r|c2|)).  Residuals are
-    relative, with the certified truncation tails already added to the left
-    sides; a true verdict implies the operator norm is at most
-    sqrt(alpha beta), recorded in ``implied_norm_bound``.
+    stay below alpha p_j and the row sums below beta q_i, where
+    beta = zeta(s) and s = 2 sigma1 - r|c2|.  Two families hold exactly:
+    column j sums to j^(-sigma1) times the exponential series of
+    r|c2| ln j, which is p_j, so alpha = 1; and row 0 is
+    sum_j j^-s = beta.  Only rows 1..I are checked: ``max_row_residual`` is
+    the worst relative residual over them, each with its certified column
+    tail (at most ``row_tail``) added to the left side, and over row 0's
+    exact 0, so it never reads below 0.  A true verdict (no positive
+    residual) implies the operator norm is at most sqrt(alpha beta), taken
+    at beta's certified upper end in ``implied_norm_bound``.
     """
 
     r: float
     alpha: float
     beta: float
-    max_column_residual: float
     max_row_residual: float
-    column_tail: float
     row_tail: float
     verdict: bool
     implied_norm_bound: float | None
@@ -345,22 +348,22 @@ def schur_certificate(
     j_max: int,
     budget: PrecisionBudget = DEFAULT_BUDGET,
 ) -> SchurCertificate:
-    """Check the Schur-test inequalities for the given weight parameter.
+    """Check the Schur-test inequalities that can fail: rows i = 1..I.
 
-    Columns j <= J are exact exponential-series identities, so their
-    residuals measure rounding plus the certified series remainder for
-    i > I.  Rows i <= I carry genuine analytic slack away from the critical
-    parameter; the incomplete-gamma tail for columns j > J is added to each
-    row sum before comparison.  Everything is assembled in log space, so
-    deep rows with astronomically small weights still produce finite
-    relative residuals.
+    The column family and row 0 are exact identities (see SchurCertificate)
+    and are not recomputed.  Rows i >= 1 carry genuine analytic slack away
+    from the critical parameter; the incomplete-gamma tail for columns
+    j > J is added to each row sum before it is compared with
+    beta_low r^i.  Everything is assembled in log space, so deep rows with
+    astronomically small weights still produce finite relative residuals.
 
-    The columns stream through one reused block of about 4 MiB, so memory
-    does not grow with J.  Each check fills it with its log terms, shifts
-    every column (or row) by its largest term, known in closed form, and
-    takes one exp and one sum: no shifted term exceeds 1 beyond rounding
-    and every block sum is at least 1, so exp cannot overflow and log never
-    sees 0.
+    The columns j >= 2 stream through one reused block of about 4 MiB, so
+    memory does not grow with J; column j = 1 adds nothing to rows i >= 1,
+    and with I = 0 nothing is streamed.  Each block is filled with its log
+    terms, every row is shifted by its largest term, known in closed form,
+    and one exp and one sum follow: no shifted term exceeds 1 beyond
+    rounding and every block sum is at least 1, so exp cannot overflow and
+    log never sees 0.
     """
     r = float(r)
     if not (0.0 < r <= 1.0) or not math.isfinite(r):
@@ -369,64 +372,26 @@ def schur_certificate(
     if classify(sym) is SymbolClass.CONSTANT:
         raise DomainError("Schur certificate requires a non-constant symbol")
 
-    sigma1 = sym.sigma1
     c = sym.c2_abs
-    s = 2.0 * sigma1 - r * c  # zeta argument; > 1 for every valid symbol
+    s = 2.0 * sym.sigma1 - r * c  # zeta argument; > 1 for every valid symbol
     z = _certified_zeta(s, budget)
-    beta = z.value
-    beta_low = z.value - z.error_bound
-    slack = 1000.0 * max(budget.abs_tol, budget.rel_tol)
 
     log_fact = log_factorials(i_max)
-    i_idx = np.arange(i_max + 1, dtype=np.float64)
-    log_r = math.log(r)
-    log_c = math.log(c)
-
+    i_idx = np.arange(1, i_max + 1, dtype=np.float64)
     width = max(_SCHUR_MIN_WIDTH, _SCHUR_BLOCK_ENTRIES // (i_max + 1))
-    store = np.empty((i_max + 1) * min(width, j_max - 1))
+    store = np.empty(i_max * min(width, j_max - 1))
     # row sums without the 1/i! factor, accumulated in log space across blocks
-    row_acc = np.full(i_max + 1, -math.inf)
-    max_column_residual = 0.0  # column j = 1 is exact
-    column_tail = 0.0
-    for start in range(2, j_max + 1, width):
+    row_acc = np.full(i_max, -math.inf)
+    for start in range(2, j_max + 1 if i_max else 2, width):
         stop = min(start + width - 1, j_max)
         n = stop - start + 1
-        block = store[: (i_max + 1) * n].reshape(i_max + 1, n)
+        block = store[: i_max * n].reshape(i_max, n)
         lj = np.log(np.arange(start, stop + 1, dtype=np.float64))
 
-        # column check: partial sum of e^x at x = r c log j, relative to e^x,
-        # from the log-Poisson terms i log x - log i! - x; each column is
-        # shifted by its value at the mode min(floor(x), I), where the
-        # shifted term is exactly 0, so the block sums are >= 1
-        x = r * c * lj
-        log_x = np.log(x)
-        mode = np.minimum(np.floor(x), i_max)
-        col_peak = mode * log_x - log_fact[mode.astype(np.intp)]
-        np.multiply.outer(i_idx, log_x, out=block)
-        block -= log_fact[:, None]
-        block -= col_peak
-        np.exp(block, out=block)
-        log_partial = col_peak - x + np.log(np.sum(block, axis=0))
-        # remainder of e^x relative to e^x: Taylor-Lagrange gives
-        # x^(I+1)/(I+1)!; for x < I+2 the geometric majorant times e^-x
-        # is sharper, and sharpness here is what lets a deep truncation
-        # certify at tight slack; the log1p argument is zeroed where the
-        # branch is discarded, which keeps it inside log1p's domain
-        near = x < i_max + 2.0
-        log_rem = (i_max + 1.0) * log_x - math.lgamma(i_max + 2.0)
-        log_rem += np.where(
-            near, -np.log1p(-np.where(near, x, 0.0) / (i_max + 2.0)) - x, 0.0
-        )
-        with np.errstate(over="ignore"):  # a remainder past e^709 reads +inf
-            residuals = np.expm1(np.logaddexp(log_partial, log_rem))
-            abs_rem = np.exp(log_rem + (r * c - sigma1) * lj)
-        max_column_residual = max(max_column_residual, float(np.max(residuals)))
-        column_tail = max(column_tail, float(np.max(abs_rem)))
-
-        # row sums: (c log j)^i / i! * j^-s; i log(c ln j) - s ln j is
-        # concave in ln j with its maximum at ln j = i/s, so each row is
-        # shifted by the larger of its two columns around j = e^(i/s),
-        # clamped to this block, where the shifted term is exactly 0
+        # (c log j)^i / i! * j^-s; i log(c ln j) - s ln j is concave in
+        # ln j with its maximum at ln j = i/s, so each row is shifted by the
+        # larger of its two columns around j = e^(i/s), clamped to this
+        # block, where the shifted term is exactly 0
         log_base = np.log(c * lj)  # real: c > 0, log j > 0
         decay = s * lj
         peak = np.floor(np.exp(np.clip(i_idx / s, lj[0], lj[-1])))
@@ -441,33 +406,28 @@ def schur_certificate(
         np.exp(block, out=block)
         row_acc = np.logaddexp(row_acc, row_peak + np.log(np.sum(block, axis=1)))
 
-    row_acc -= log_fact
-    row_acc[0] = np.logaddexp(row_acc[0], 0.0)  # j = 1 contributes to row 0 only
-
-    worst_log_ratio = -math.inf
+    worst_log_ratio = 0.0  # row 0 is exact
     row_tail = 0.0
-    log_beta_low = math.log(beta_low)
-    for i in range(i_max + 1):
+    log_beta_low = math.log(z.lower)
+    log_r = math.log(r)
+    log_c = math.log(c)
+    for i, log_row in enumerate(row_acc - log_fact[1:], start=1):
         log_tail = i * log_c - log_fact[i] + log_moment_tail(s, i, j_max)
         row_tail = max(row_tail, math.exp(log_tail))
-        log_lhs = float(np.logaddexp(row_acc[i], log_tail))
-        log_rhs = log_beta_low + i * log_r
-        worst_log_ratio = max(worst_log_ratio, log_lhs - log_rhs)
+        log_lhs = float(np.logaddexp(log_row, log_tail))
+        worst_log_ratio = max(worst_log_ratio, log_lhs - log_beta_low - i * log_r)
     with np.errstate(over="ignore"):  # a ratio past e^709 reads +inf
         max_row_residual = float(np.expm1(worst_log_ratio))
 
-    verdict = max_column_residual <= slack and max_row_residual <= slack
-    implied = math.sqrt(z.value + z.error_bound) if verdict else None
+    verdict = max_row_residual <= 0.0
     return SchurCertificate(
         r=r,
         alpha=1.0,
-        beta=beta,
-        max_column_residual=max_column_residual,
+        beta=z.value,
         max_row_residual=max_row_residual,
-        column_tail=column_tail,
         row_tail=row_tail,
         verdict=verdict,
-        implied_norm_bound=implied,
+        implied_norm_bound=math.sqrt(z.upper) if verdict else None,
     )
 
 
@@ -480,13 +440,17 @@ def write_matrix(m: TruncatedMatrix, path) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Inverse of write_matrix; returns the dense complex entry array."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise DomainError(f"malformed matrix header in {path}")
-        i_max, j_max = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, ndmin=2)
+    """Inverse of write_matrix; returns the dense complex entry array.
+
+    Every malformed dump raises DomainError.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            i_max, j_max = (int(token) for token in fh.readline().split())
+            _check_truncation(i_max, j_max)
+            data = np.loadtxt(fh, ndmin=2)
+    except ValueError as exc:  # a bad header or body token, or a non-ASCII byte
+        raise DomainError(f"malformed matrix dump {path}: {exc}") from exc
     expected = (i_max + 1) * j_max
     if data.shape != (expected, 2):
         raise DomainError(

@@ -2,18 +2,16 @@
 
 Independent oracles keep the implementation honest: a brute-force series
 summation for column norms, an 80-digit mpmath eigendecomposition of the
-Gram matrix for singular spectra (the module itself calls LAPACK), scipy's
-incomplete gamma and 40-digit row sums for the Schur residuals, and a dense
-log-space reference for the streamed Schur kernel.
+Gram matrix for singular spectra (the module itself calls LAPACK), 40-digit
+row sums for the Schur residuals, and a dense log-space reference for the
+streamed Schur kernel.
 """
 
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gammaincc
 
 from dirichletops import operator_matrix
 from dirichletops.bounds import norm_bounds, schur_radius
@@ -58,44 +56,29 @@ def column_norm_sq_oracle(sym, j):
     return j ** (-2.0 * sym.sigma1) * total
 
 
-def log_column_remainder(x, i_max):
-    """log of the certified series remainder sum_{i>I} x^i/i! relative to e^x:
-    the Lagrange form x^(I+1)/(I+1)!, times the geometric majorant
-    e^-x / (1 - x/(I+2)) where x < I+2."""
-    log_rem = (i_max + 1) * np.log(x) - math.lgamma(i_max + 2.0)
-    near = x < i_max + 2.0
-    return log_rem + np.where(near, -np.log1p(-np.where(near, x, 0.0) / (i_max + 2.0)) - x, 0.0)
-
-
 def log_row_tails(sym, s, i_max, j_max):
     return np.array(
         [
             i * math.log(sym.c2_abs) - math.lgamma(i + 1.0) + log_moment_tail(s, i, j_max)
-            for i in range(i_max + 1)
+            for i in range(1, i_max + 1)
         ]
     )
 
 
-def dense_schur_residuals(sym, r, i_max, j_max):
-    """Worst column and row residuals of the Schur check, from the whole
-    (I+1) x (J-1) log-space block at once, each sum a np.logaddexp.reduce."""
+def dense_schur_residual(sym, r, i_max, j_max):
+    """Worst residual over rows 1..I of the Schur check, and row 0's exact 0,
+    from the whole I x (J-1) log-space block at once, each row sum a
+    np.logaddexp.reduce."""
     c = sym.c2_abs
     s = 2.0 * sym.sigma1 - r * c
-    i = np.arange(i_max + 1.0)[:, None]
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(i_max + 1)])
+    i = np.arange(1, i_max + 1.0)[:, None]
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(1, i_max + 1)])
     lj = np.log(np.arange(2, j_max + 1.0))
-    x = r * c * lj
-    log_partial = np.logaddexp.reduce(i * np.log(x) - log_fact[:, None] - x, axis=0)
-    with np.errstate(over="ignore"):
-        col = np.expm1(np.logaddexp(log_partial, log_column_remainder(x, i_max)))
     log_rows = np.logaddexp.reduce(i * np.log(c * lj) - log_fact[:, None] - s * lj, axis=1)
-    log_rows[0] = np.logaddexp(log_rows[0], 0.0)  # column j = 1
-    z = zeta(s)
-    log_rhs = math.log(z.value - z.error_bound) + i[:, 0] * math.log(r)
+    log_rhs = math.log(zeta(s).lower) + i[:, 0] * math.log(r)
     log_lhs = np.logaddexp(log_rows, log_row_tails(sym, s, i_max, j_max))
     with np.errstate(over="ignore"):
-        row = np.expm1(np.max(log_lhs - log_rhs))
-    return max(0.0, float(np.max(col))), float(row)
+        return max(0.0, float(np.expm1(np.max(log_lhs - log_rhs))))
 
 
 # Im c1 up to 100, arbitrary arg c2, large q
@@ -374,9 +357,25 @@ class TestSchurCertificate:
         assert cert.verdict
         assert cert.alpha == 1.0
         assert cert.beta == pytest.approx(zeta(4.0 - r * 0.5).value, rel=1e-14)
-        assert abs(cert.max_column_residual) < 1e-12
         assert abs(cert.max_row_residual) < 1e-12
         assert cert.implied_norm_bound == pytest.approx(math.sqrt(cert.beta), rel=1e-12)
+
+    def test_row_zero_is_exact(self):
+        # row 0 is sum_j j^-s = beta itself: it is not recomputed, so it
+        # reads exactly 0 and the verdict rests on rows 1..I alone
+        sym = DirichletSymbol(2.0, 0.5)
+        r = schur_radius(2.0, 0.5)
+        assert schur_certificate(sym, r, 60, 5000).max_row_residual == 0.0
+        cert = schur_certificate(sym, r, 0, 5000)
+        assert cert.max_row_residual == 0.0 and cert.row_tail == 0.0 and cert.verdict
+
+    def test_deep_columns_do_not_fail_the_verdict(self):
+        # r |c2| ln j reaches 900 here, far past I: a checked column series
+        # would read a remainder past e^709, but the column sums are the
+        # exponential series exactly, and every row holds
+        cert = schur_certificate(DirichletSymbol(200.0, 150.0), 1.0, 400, 400)
+        assert cert.verdict
+        assert cert.implied_norm_bound == math.sqrt(zeta(250.0).upper)
 
     def test_implied_bound_dominates_computed_norm(self):
         sym = DirichletSymbol(2.0, 0.5)
@@ -390,8 +389,6 @@ class TestSchurCertificate:
         assert not cert.verdict
         assert cert.max_row_residual > 1.0
         assert cert.implied_norm_bound is None
-        # the column identities hold for every r regardless of the verdict
-        assert abs(cert.max_column_residual) < 1e-12
 
     def test_boundary_symbol_at_r_one(self):
         cert = schur_certificate(DirichletSymbol(1.0, 0.5), 1.0, 60, 5000)
@@ -400,32 +397,22 @@ class TestSchurCertificate:
         assert abs(cert.max_row_residual) < 1e-10
 
     def test_random_compact_symbols_accept_their_radius(self):
+        # |c2| from 0.05 to 50, gaps sigma1 - 1/2 - |c2| from 1e-6 to 2.5,
+        # each at a shallow and a deep row truncation
         rng = np.random.default_rng(17)
         for _ in range(100):
-            margin = float(rng.uniform(0.1, 2.5))
-            sigma1 = 0.5 + margin
-            c = float(rng.uniform(0.05, 0.95)) * margin
-            sym = DirichletSymbol(sigma1, c)
-            r = schur_radius(sigma1, c)
-            # r*|c2|*log(400) can exceed 10, so the exponential-series
-            # columns need a deep truncation to resolve below the slack
-            cert = schur_certificate(sym, r, 64, 400)
-            assert cert.verdict, (sigma1, c, cert)
-
-    def test_no_warning_past_the_geometric_majorant(self):
-        # r |c2| log j exceeds I + 2 for most columns here; the discarded
-        # log1p branch must not be evaluated out of its domain
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cert = schur_certificate(DirichletSymbol(51, 50), schur_radius(51, 50), 60, 1000)
-        assert math.isfinite(cert.max_column_residual)
+            c = float(10.0 ** rng.uniform(math.log10(0.05), math.log10(50.0)))
+            gap = float(10.0 ** rng.uniform(-6.0, math.log10(2.5)))
+            sym = DirichletSymbol(0.5 + c + gap, c)
+            r = schur_radius(sym.sigma1, c)
+            for i_max in (8, 64):
+                cert = schur_certificate(sym, r, i_max, 400)
+                assert cert.verdict, (sym.sigma1, c, i_max, cert)
 
     def test_residuals_match_independent_oracle(self):
-        # columns: e^-x sum_{i<=I} x^i/i! is the regularized Q(I+1, x), so
-        # each residual is Q + remainder - 1; rows: 40-digit sums over
-        # j <= J plus the library's certified tail, against beta_low r^i.
-        # Column residuals agree absolutely, rows relatively in the ratio
-        # left side / right side = 1 + residual.
+        # 40-digit sums over j <= J plus the library's certified tail,
+        # against beta_low r^i, for rows 1..I; row 0 is exact, so the ratio
+        # left side / right side = 1 + residual reads at least 1
         mpmath = pytest.importorskip("mpmath")
         i_max, j_max = 12, 400
         cases = [
@@ -437,11 +424,7 @@ class TestSchurCertificate:
             cert = schur_certificate(sym, r, i_max, j_max)
             c = sym.c2_abs
             s = 2.0 * sym.sigma1 - r * c
-            x = r * c * np.log(np.arange(2, j_max + 1.0))
-            col = gammaincc(i_max + 1, x) + np.exp(log_column_remainder(x, i_max)) - 1.0
-            assert abs(cert.max_column_residual - max(0.0, float(np.max(col)))) <= 1e-13
-
-            z = zeta(s)
+            beta_low = zeta(s).lower
             tails = np.exp(log_row_tails(sym, s, i_max, j_max))
             with mpmath.workdps(40):
                 base = [c * mpmath.log(j) for j in range(1, j_max + 1)]
@@ -449,17 +432,18 @@ class TestSchurCertificate:
                 ratio = max(
                     (
                         mpmath.fsum(b**i * d for b, d in zip(base, decay)) / mpmath.factorial(i)
-                        + tails[i]
+                        + tails[i - 1]
                     )
-                    / ((mpmath.mpf(z.value) - z.error_bound) * mpmath.mpf(r) ** i)
-                    for i in range(i_max + 1)
+                    / (mpmath.mpf(beta_low) * mpmath.mpf(r) ** i)
+                    for i in range(1, i_max + 1)
                 )
+                ratio = max(ratio, 1)
                 assert abs(1 + cert.max_row_residual - ratio) <= 1e-13 * ratio, (sym, r)
 
     @pytest.mark.parametrize(
         "sigma1, c, i_max, j_max",
         [
-            (51.0, 50.0, 60, 20000),  # remainders past e^170 in most columns
+            (51.0, 50.0, 60, 20000),  # every row peaks at j <= 2, the left edge
             (2.0, 0.5, 400, 2000),
             (2.0, 0.5, 1000, 2000),
             (200.0, 150.0, 60, 5000),
@@ -474,19 +458,16 @@ class TestSchurCertificate:
         sym = DirichletSymbol(sigma1, c)
         r = schur_radius(sigma1, c)
         cert = schur_certificate(sym, r, i_max, j_max)
-        col, row = dense_schur_residuals(sym, r, i_max, j_max)
-        assert math.isfinite(cert.max_column_residual) and math.isfinite(cert.max_row_residual)
-        assert abs(cert.max_column_residual - col) <= 1e-12 * max(1.0, abs(col))
+        row = dense_schur_residual(sym, r, i_max, j_max)
+        assert math.isfinite(cert.max_row_residual)
         assert abs(cert.max_row_residual - row) <= 1e-12 * max(1.0, abs(row))
 
     def test_overflowing_residuals_read_infinite(self):
-        # r^i below e^-709 on deep rows, and a column remainder past e^709:
-        # the residuals are +inf and the verdict false, without an exception
+        # r^i below e^-709 on deep rows: the residual is +inf and the
+        # verdict false, without an exception
         rows = schur_certificate(DirichletSymbol(51.0, 50.0), 0.1, 1000, 400)
         assert rows.max_row_residual == math.inf and not rows.verdict
-        cols = schur_certificate(DirichletSymbol(200.0, 150.0), 1.0, 400, 400)
-        assert cols.max_column_residual == math.inf and not cols.verdict
-        assert cols.implied_norm_bound is None
+        assert rows.implied_norm_bound is None
 
     def test_streamed_memory_is_bounded(self):
         # one reused block of about 4 MiB, whatever J; the dense block of
@@ -502,7 +483,6 @@ class TestSchurCertificate:
 
     def test_tails_are_recorded(self):
         cert = schur_certificate(DirichletSymbol(2.0, 0.5), 0.5, 20, 200)
-        assert cert.column_tail >= 0.0
         assert cert.row_tail > 0.0
 
     def test_parameter_validation(self):
@@ -525,6 +505,12 @@ class TestMatrixDump:
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("only-one-token\n")
-        with pytest.raises(DomainError):
-            read_matrix(path)
+        for text in (
+            "only-one-token\n",
+            "a b\n",  # non-integer header
+            "0 1\nzz 0\n",  # non-numeric body cell
+            "-3 1\n",  # header outside the truncation domain
+        ):
+            path.write_text(text)
+            with pytest.raises(DomainError):
+                read_matrix(path)
