@@ -257,19 +257,34 @@ def cmd_bounds(cfg: RunConfig) -> tuple[int, str]:
 
 
 def cmd_matrix_norm(cfg: RunConfig) -> tuple[int, str]:
-    """Power-iteration norm of the truncation, checked against the bracket."""
+    """Certified norm bracket of the truncation, checked against the theorem's.
+
+    ``lower`` and ``upper`` come from ``operator_norm_estimate``: a proven
+    lower bound on the norm of the truncation, hence of the operator, and
+    a proven upper bound on the operator norm (the truncation's
+    Collatz-Wielandt bound plus the certified tail), both with their
+    rounding.  ``within_theorem_bracket`` holds when lower^2 is at most the
+    theorem's upper end and upper^2 at least its lower end, each end
+    widened only by the certified error of its zeta value, which the
+    budget's tolerance bounds.  ``converged`` reports whether the bracket
+    reached the relative tolerance, ``iterations`` how many steps that
+    took.
+    """
     from . import operator_matrix  # numpy loads only for the matrix commands
     sym = cfg.symbol()
     matrix = operator_matrix.build_matrix(sym, cfg.rows, cfg.cols)
     if cfg.dump_matrix:
         operator_matrix.write_matrix(matrix, cfg.dump_matrix)
     estimate = operator_matrix.operator_norm_estimate(matrix, tol=cfg.rel_tol)
-    theory = norm_bounds(sym, cfg.budget())
+    budget = cfg.budget()
+    theory = norm_bounds(sym, budget)
+
+    def zeta_error(value: float) -> float:
+        return max(budget.abs_tol, budget.rel_tol * value)
 
     certified = math.isfinite(estimate.upper)
-    slack = 1e-6 * (1.0 + theory.lower_sq)
-    within = estimate.lower**2 <= theory.upper_sq + slack
-    within = within and estimate.upper**2 >= theory.lower_sq - slack
+    within = estimate.lower**2 <= theory.upper_sq + zeta_error(theory.upper_sq)
+    within = within and estimate.upper**2 >= theory.lower_sq - zeta_error(theory.lower_sq)
     result = {
         "rows": matrix.row_count,
         "cols": matrix.col_count,

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import mmap
 import os
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -43,6 +45,18 @@ _ENTRY_BYTES = np.dtype(np.float64).itemsize
 _SCHUR_BLOCK_ENTRIES = 1 << 19
 _SCHUR_MIN_WIDTH = 256
 
+# blocks from this size on get their own memory mapping (see _zeros); it is
+# numpy's own threshold for asking for transparent huge pages
+_MAPPED_MIN_BYTES = 1 << 22
+
+# rows whose closed-form bound sqrt(J) max_j B[i][j] falls below this are
+# left out of the Gram matrix that picks the power iteration's start: they
+# cannot move it, and their underflowing products slow the row products and
+# eigh
+_GRAM_FLOOR = 1e-30
+# every iterate is scaled to x_1 = 1 and raised to at least this floor
+_X_FLOOR = 2.0**-900
+
 
 def _max_entries() -> int:
     raw = os.environ.get(MAX_ENTRIES_ENV)
@@ -55,6 +69,28 @@ def _max_entries() -> int:
     if cap <= 0:
         raise MatrixSizeError(f"{MAX_ENTRIES_ENV} must be positive, got {cap}")
     return cap
+
+
+def _zeros(shape: tuple[int, int], dtype) -> np.ndarray:
+    """A zeroed array; from _MAPPED_MIN_BYTES on, in its own anonymous mapping.
+
+    Blocks of tens of MiB allocated by malloc can land on the brk heap once
+    its dynamic mmap threshold has risen, where small objects allocated
+    after them pin the freed space, so a loop that builds block after block
+    grows its resident set.  A private mapping is returned to the system
+    as soon as the last view of the array goes.  Like numpy's own large
+    allocations it asks for transparent huge pages where the platform has
+    them, without which the first write to the block takes several ms
+    longer.  Smaller blocks stay on the heap, where reuse costs no page
+    faults.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes < _MAPPED_MIN_BYTES:
+        return np.zeros(shape, dtype)
+    buffer = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buffer.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buffer, dtype=dtype).reshape(shape)
 
 
 def log_factorials(n: int) -> np.ndarray:
@@ -92,7 +128,8 @@ class TruncatedMatrix:
         theta = cmath.phase(-self.symbol.c2)
         row_phase = np.exp(1j * theta * np.arange(b.shape[0], dtype=np.float64))
         lj = np.log(np.arange(1, b.shape[1] + 1, dtype=np.float64))
-        a = b * row_phase[:, None]
+        a = _zeros(b.shape, np.complex128)
+        np.multiply(b, row_phase[:, None], out=a)
         a *= np.exp(-1j * self.symbol.c1.imag * lj)
         a.flags.writeable = False
         return a
@@ -123,7 +160,8 @@ def build_matrix(sym: DirichletSymbol, i_max: int, j_max: int) -> TruncatedMatri
 
     so large i cannot overflow the factorial, and no entry exceeds 1 because
     sigma1 >= |c2|.  Column j = 1 is (1, 0, 0, ...) and a zero c2 collapses
-    everything onto row 0.  The block takes 8 bytes per entry.
+    everything onto row 0.  The block takes 8 bytes per entry; a large one
+    sits in its own memory mapping (see _zeros).
     """
     _check_truncation(i_max, j_max)
     total = (i_max + 1) * j_max
@@ -135,7 +173,7 @@ def build_matrix(sym: DirichletSymbol, i_max: int, j_max: int) -> TruncatedMatri
             f"bytes); set {MAX_ENTRIES_ENV} to raise it"
         )
 
-    b = np.zeros((i_max + 1, j_max))
+    b = _zeros((i_max + 1, j_max), np.float64)
     b[0, 0] = 1.0
     if j_max >= 2:
         lj = np.log(np.arange(2, j_max + 1, dtype=np.float64))
@@ -200,20 +238,79 @@ class NormEstimate(NamedTuple):
     converged: bool
 
 
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u) (Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 3): a sum of n nonnegative products, added in any
+    order, is off by at most gamma_n of its value."""
+    nu = n * UNIT_ROUNDOFF
+    return nu / (1.0 - nu)
+
+
+def _gram_rows(sym: DirichletSymbol, i_max: int, j_max: int) -> int:
+    """Row count k of the start's Gram matrix: one past the last row whose
+    closed-form bound sqrt(J) max_j B[i][j] reaches _GRAM_FLOOR.
+
+    i log(|c2| t) - sigma1 t is concave in t = ln j with its peak at
+    t = i / sigma1, so its value there, clamped to [ln 2, ln J], bounds
+    row i.  Rows i >= 1 are zero when c2 = 0 or J = 1.
+    """
+    if sym.c2 == 0 or j_max == 1 or i_max == 0:
+        return 1
+    i = np.arange(1.0, i_max + 1.0)
+    t = np.clip(i / sym.sigma1, math.log(2.0), math.log(j_max))
+    log_peak = i * np.log(sym.c2_abs * t) - sym.sigma1 * t - log_factorials(i_max)[1:]
+    kept = np.flatnonzero(log_peak + 0.5 * math.log(j_max) >= math.log(_GRAM_FLOOR))
+    return 2 + int(kept[-1]) if kept.size else 1
+
+
+def _perron_start(rows: np.ndarray) -> np.ndarray:
+    """x = |v| @ rows, v the top eigenvector of the Gram rows rows^T, x_1 = 1.
+
+    Row i of B is (|c2| ln j)^i / i! j^-sigma1, so
+    (B B^T)[i][l] = |c2|^(i+l) / (i! l!) h_(i+l) with
+    h_n = sum_j (ln j)^n j^(-2 sigma1), a Hankel matrix up to the
+    factorials.  The 2k - 1 row products d_n = B[a] . B[b], a = floor(n/2),
+    b = ceil(n/2), give every h_n, hence
+    (B B^T)[i][l] = a! b! / (i! l!) d_(i+l): one pass over the rows in place
+    of a k x k x J product.  The factor is at most 1, since a, b are the
+    most balanced split of i + l.
+    """
+    k = rows.shape[0]
+    d = np.empty(2 * k - 1)
+    for i in range(k):  # d_2i and d_2i+1 while row i is in cache
+        d[2 * i : 2 * i + 2] = rows[i : i + 2] @ rows[i]
+    log_fact = log_factorials(k)
+    n = np.arange(2 * k - 1)
+    log_split = log_fact[n // 2] + log_fact[(n + 1) // 2]
+    idx = np.add.outer(np.arange(k), np.arange(k))
+    gram = d[idx] * np.exp(log_split[idx] - log_fact[:k, None] - log_fact[:k])
+    x = np.abs(np.linalg.eigh(gram)[1][:, -1]) @ rows
+    return x / x[0]
+
+
 def operator_norm_estimate(
     m: TruncatedMatrix, tol: float = 1e-12, max_iter: int = 1000
 ) -> NormEstimate:
-    """Largest singular value of the truncation, bracketing the operator norm.
+    """Certified bracket [lower, upper] on the operator norm from the truncation.
 
-    Power iteration on the Gram operator x -> B^T (B x) of the real block
-    B = |A|, which has the singular values of A, from the all-ones start
-    vector.  B is nonnegative, so by Perron-Frobenius its top right singular
-    vector is nonnegative and the positive start meets it.  Every reported
-    ``lower`` is a Rayleigh quotient ||B x|| with ||x|| = 1, hence a true
-    lower bound for the norm of the full operator even before convergence;
-    ``upper`` adds the certified tail bound (infinite for boundary symbols).
-    Non-convergence after max_iter is reported through the flag, not an
-    exception.
+    Power iteration on the real block B = |A|, which has the singular
+    values of A.  The start vector comes from the Perron vector of the Gram
+    matrix of B's leading rows (see _perron_start); it meets the top
+    singular vector so closely that one step usually certifies.  Each step
+    computes y = B x and z = y B on the full block and brackets ||B||:
+
+    * lower^2 = ||z||^2 / ||y||^2 = ||B^T y||^2 / ||y||^2, a Rayleigh
+      quotient of B^T, never below ||y||^2 / ||x||^2;
+    * upper^2 = max_j z_j / x_j, the Collatz-Wielandt bound on the top
+      eigenvalue of B^T B (Horn & Johnson, Matrix Analysis, 2nd ed.,
+      ch. 8), valid for every x > 0 because B >= 0.
+
+    The loop stops when upper^2 - lower^2 <= tol lower^2, so ``converged``
+    means the bracket is that tight.  Both ends carry derived rounding
+    terms and outward-rounded square roots: whether or not the loop
+    converged, [lower, upper - tail_bound] holds the norm of the truncation
+    and [lower, upper] that of the full operator (upper is infinite for
+    boundary symbols).
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
@@ -221,30 +318,40 @@ def operator_norm_estimate(
         raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
     b = m.magnitudes
-    x = np.full(b.shape[1], 1.0 / math.sqrt(b.shape[1]))
-    sigma_prev = math.inf
-    sigma = 0.0
+    n_rows, n_cols = b.shape
+    x = _perron_start(b[: _gram_rows(m.symbol, m.i_max, m.j_max)])
     converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
+        np.maximum(x, _X_FLOOR, out=x)  # x > 0, and no z_j / x_j overflows
         y = b @ x
-        sigma = float(np.linalg.norm(y))
-        if sigma == 0.0:
-            converged = True  # start vector annihilated; norm estimate is 0
-            break
-        if abs(sigma - sigma_prev) <= tol * max(1.0, sigma):
-            converged = True
-            break
-        sigma_prev = sigma
         z = y @ b
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
+        z_sq = float(z @ z)
+        lower_sq = z_sq / float(y @ y)
+        upper_sq = float(np.max(z / x))
+        if upper_sq - lower_sq <= tol * lower_sq:
             converged = True
             break
-        x = z / nz
+        x = z / z[0]
+
+    # Rounding (Higham 2002, ch. 3).  A computed sum of n nonnegative
+    # products, added in any order, is within gamma_n of its value plus
+    # n 2^-1075 from products that underflow.  x_1 = 1 and column 1 of B is
+    # (1, 0, ..., 0), so the computed y_1 = z_1 >= 1, and ||y||^2, ||z||^2 and
+    # max_j z_j / x_j are all at least 1.  With B <= 1 (see build_matrix),
+    # x >= _X_FLOOR and (I+1)(J+1) < 2^60, every absolute term is below
+    # 2^-60 u of them: one u covers all of them on each end, and one more
+    # the rounding of gamma itself.
+    # lower: the computed y is a vector like any other, so z (I+1 terms
+    # each) enters squared, ||z||^2 adds J terms and ||y||^2 I+1; the
+    # quotient, 1 - gamma and the product round once each.
+    lower_sq *= 1.0 - _gamma(n_cols + 3 * n_rows + 5)
+    # upper: y's error (J terms) passes into z (I+1 terms); the quotient,
+    # 1 + gamma and the product round once each.
+    upper_sq *= 1.0 + _gamma(n_cols + n_rows + 5)
+    upper = math.nextafter(math.sqrt(upper_sq), math.inf)
     return NormEstimate(
-        lower=sigma,
-        upper=sigma + m.tail_bound,
+        lower=math.nextafter(math.sqrt(lower_sq), 0.0),
+        upper=math.nextafter(upper + m.tail_bound, math.inf),
         iterations=iterations,
         converged=converged,
     )
@@ -448,7 +555,10 @@ def read_matrix(path) -> np.ndarray:
         with open(path, "r", encoding="ascii") as fh:
             i_max, j_max = (int(token) for token in fh.readline().split())
             _check_truncation(i_max, j_max)
-            data = np.loadtxt(fh, ndmin=2)
+            with warnings.catch_warnings():
+                # an empty body is reported by the entry count below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, ndmin=2)
     except ValueError as exc:  # a bad header or body token, or a non-ASCII byte
         raise DomainError(f"malformed matrix dump {path}: {exc}") from exc
     expected = (i_max + 1) * j_max

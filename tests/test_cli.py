@@ -15,10 +15,11 @@ import sys
 import pytest
 
 from dirichletops import operator_matrix
-from dirichletops.bounds import approx_number_bound
+from dirichletops.bounds import approx_number_bound, norm_bounds
 from dirichletops.cli import main
 from dirichletops.operator_matrix import MAX_ENTRIES_ENV, read_matrix
 from dirichletops.special_functions import zeta
+from dirichletops.symbol import DirichletSymbol
 
 ZETA_15 = zeta(1.5).value
 ZETA_2 = zeta(2.0).value
@@ -133,6 +134,24 @@ class TestMatrixNorm:
         cells = dict(zip(header.split(","), row.split(",")))
         assert cells["upper"] == ""
         assert cells["within_theorem_bracket"] == "true"
+
+    def test_estimate_just_above_the_bracket_fails(self, capsys, monkeypatch):
+        # the only slack is the certified error of the zeta values, at most
+        # 1e-12 relative here: 1e-9 above the theorem's upper end must fail
+        upper_sq = norm_bounds(DirichletSymbol(2.0, 0.5)).upper_sq
+
+        def above(matrix, tol):
+            lower = math.sqrt(upper_sq * (1.0 + 1e-9))
+            return operator_matrix.NormEstimate(lower, lower + matrix.tail_bound, 1, True)
+
+        monkeypatch.setattr(operator_matrix, "operator_norm_estimate", above)
+        code, doc, err = run_json(
+            capsys,
+            ["matrix-norm", "--c1-re", "2", "--c2-abs", "0.5", "--rows", "20", "--cols", "500"],
+        )
+        assert code == 1
+        assert doc["result"]["within_theorem_bracket"] is False
+        assert "escapes the proven bracket" in err
 
     def test_entry_cap_exits_3(self, capsys, monkeypatch):
         monkeypatch.setenv(MAX_ENTRIES_ENV, "100")

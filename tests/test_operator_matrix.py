@@ -8,7 +8,11 @@ streamed Schur kernel.
 """
 
 import math
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +31,7 @@ from dirichletops.operator_matrix import (
     tail_bounds,
     write_matrix,
 )
-from dirichletops.special_functions import log_moment_tail, zeta
+from dirichletops.special_functions import UNIT_ROUNDOFF, log_moment_tail, zeta
 from dirichletops.symbol import DirichletSymbol
 
 
@@ -162,6 +166,28 @@ class TestBuildMatrix:
         assert m.magnitudes.dtype == np.float64
         assert np.all(m.magnitudes >= 0.0)
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS")
+    def test_large_blocks_return_their_memory(self):
+        # a fresh process builds six 31 MiB blocks and their 62 MiB complex
+        # exports, keeping a small record after each; heap-allocated blocks
+        # leave 32 MiB resident once all are freed
+        probe = (
+            "from dirichletops.operator_matrix import build_matrix, operator_norm_estimate\n"
+            "from dirichletops.symbol import DirichletSymbol\n"
+            "def rss():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(l.split()[1]) for l in fh if l.startswith('VmRSS')) / 1024\n"
+            "before, kept = rss(), []\n"
+            "for r in range(6):\n"
+            "    m = build_matrix(DirichletSymbol(complex(2.0, r), 0.5), 200, 20000)\n"
+            "    kept.append((operator_norm_estimate(m).lower, complex(m.entries[1, 2])))\n"
+            "    del m\n"
+            "print(rss() - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 8.0
+
     def test_truncation_validation(self):
         sym = DirichletSymbol(2.0, 0.5)
         with pytest.raises(DomainError):
@@ -226,11 +252,35 @@ class TestTailBounds:
         assert discarded <= tail_bounds(sym, i_max, j_max)
 
 
+def mp_top_singular_value(block, dps=60):
+    """Largest singular value of a float block, from the top eigenvalue of
+    its smaller Gram matrix in dps-digit arithmetic, as an mpf."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mp.workdps(dps):
+        m = mp.matrix(block.tolist())
+        gram = m * m.T if block.shape[0] <= block.shape[1] else m.T * m
+        return mp.sqrt(max(mp.eigsy(gram, eigvals_only=True)))
+
+
+def tied_block(gap):
+    """A block like build_matrix's (B <= 1, column j = 1 is (1, 0, 0)) whose
+    top singular values 1 and 1 - gap belong to rows 0 and 2.  Its Gram
+    matrix is not Hankel, so the start vector mixes the two."""
+    b = np.zeros((3, 4))
+    b[0, 0] = 1.0
+    b[1, 1:3] = 0.1
+    b[2, 3] = 1.0 - gap
+    return b
+
+
 class TestOperatorNormEstimate:
     def test_one_by_one(self):
-        est = operator_norm_estimate(build_matrix(DirichletSymbol(2.0, 0.5), 0, 1))
+        m = build_matrix(DirichletSymbol(2.0, 0.5), 0, 1)
+        est = operator_norm_estimate(m)
         assert est.lower == pytest.approx(1.0, abs=1e-15)
-        assert est.converged
+        assert est.lower <= 1.0 <= est.upper - m.tail_bound
+        assert est.converged and est.iterations == 1
 
     def test_result_unpacks_as_tuple(self):
         lower, upper, iterations, converged = operator_norm_estimate(
@@ -244,7 +294,12 @@ class TestOperatorNormEstimate:
         est = operator_norm_estimate(m)
         partial = float(np.sum(np.arange(1.0, j_max + 1.0) ** -1.5))
         assert est.lower**2 == pytest.approx(partial, rel=1e-12)
-        assert est.converged
+        assert est.lower**2 <= partial * (1.0 + 1e-15)
+        assert est.converged and est.iterations == 1
+        # zero rows below row 0 change nothing but the rounding terms
+        deep = operator_norm_estimate(build_matrix(DirichletSymbol(0.75, 0.0), 5, j_max))
+        assert deep.converged and deep.iterations == 1
+        assert deep.lower == pytest.approx(est.lower, rel=1e-14)
 
     def test_bracket_containment(self):
         # truncated norm^2 must land inside the certified zeta bracket
@@ -254,7 +309,11 @@ class TestOperatorNormEstimate:
         rep = norm_bounds(sym)
         assert m.tail_bound < 0.01
         assert rep.lower_sq - 5e-3 <= est.lower**2 <= rep.upper_sq + 5e-3
-        assert est.upper == est.lower + m.tail_bound
+        # the gap reached tol; rounding terms of about (2J + 4(I+1)) u widen
+        # the two ends, and the outward square roots a few ulps more
+        rounding = (2 * 5000 + 4 * 61 + 20) * UNIT_ROUNDOFF
+        assert est.lower + m.tail_bound <= est.upper
+        assert est.upper <= est.lower * (1.0 + 1e-12 + rounding) + m.tail_bound
         assert est.converged
 
     def test_monotone_in_truncation(self):
@@ -266,11 +325,51 @@ class TestOperatorNormEstimate:
         assert lo_small <= lo_cols + 1e-14
 
     def test_non_convergence_is_flagged(self):
-        m = build_matrix(DirichletSymbol(1.0, 0.5), 20, 200)
-        est = operator_norm_estimate(m, tol=1e-15, max_iter=1)
+        # top pair 1 and 1 - 1e-4: the weight of the second vector falls by
+        # (1 - 1e-4)^2 a step, far too slowly for three steps
+        m = build_matrix(DirichletSymbol(2.0, 0.5), 2, 4)
+        object.__setattr__(m, "magnitudes", tied_block(1e-4))
+        est = operator_norm_estimate(m, max_iter=3)
         assert not est.converged
-        assert est.iterations == 1
-        assert est.lower > 0.0  # still a valid lower bound
+        assert est.iterations == 3
+        # the bracket is still proven
+        assert 0.99 < est.lower <= 1.0 <= est.upper - m.tail_bound
+        assert est.upper - m.tail_bound < 1.0 + 1e-14
+
+    def test_rounding_terms_against_mpmath(self):
+        # the bracket holds the block's exact norm; the plain Rayleigh
+        # quotient of (2, 0.5) at 21 x 500 sits 4e-16 above it
+        m = build_matrix(DirichletSymbol(2.0, 0.5), 20, 500)
+        est = operator_norm_estimate(m)
+        exact = mp_top_singular_value(m.magnitudes)
+        assert est.lower <= exact <= est.upper - exact.context.mpf(m.tail_bound)
+        assert est.upper - m.tail_bound <= exact * (1.0 + 1e-12)
+        assert est.converged and est.iterations == 1
+
+    @pytest.mark.parametrize("sigma1, c", [(1.0, 0.5), (3.0, 2.5), (4.0, 3.5)])
+    def test_boundary_symbols_certify_in_two_steps(self, sigma1, c):
+        m = build_matrix(DirichletSymbol(sigma1, c), 200, 20000)
+        est = operator_norm_estimate(m)
+        assert est.converged and est.iterations <= 2
+        assert est.upper == math.inf
+        top = float(np.linalg.svd(m.magnitudes, compute_uv=False)[0])
+        assert est.lower == pytest.approx(top, rel=1e-11)
+
+    @pytest.mark.parametrize("sigma1, c", [(80.0, 79.5), (400.0, 0.1)])
+    def test_underflowing_rows(self, sigma1, c):
+        # row 0 leaves the normal range at j = 7000 for (80, 79.5) and at
+        # j = 6 for (400, 0.1), whose columns past j = 6 are exactly zero:
+        # the iterate is floored there, and no 0/0 or overflow warns
+        m = build_matrix(DirichletSymbol(sigma1, c), 40, 20000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = operator_norm_estimate(m)
+        assert est.converged
+        top = float(np.linalg.svd(m.magnitudes, compute_uv=False)[0])
+        assert est.lower == pytest.approx(top, rel=1e-11)
+        assert est.lower <= top
+        # (80, 79.5) is a boundary symbol: no tail bound, so no finite upper
+        assert est.upper == math.inf if sigma1 == 80.0 else top <= est.upper - m.tail_bound
 
     def test_parameter_validation(self):
         m = build_matrix(DirichletSymbol(2.0, 0.5), 2, 5)
@@ -510,7 +609,10 @@ class TestMatrixDump:
             "a b\n",  # non-integer header
             "0 1\nzz 0\n",  # non-numeric body cell
             "-3 1\n",  # header outside the truncation domain
+            "0 1\n",  # a valid header and no body
         ):
             path.write_text(text)
-            with pytest.raises(DomainError):
-                read_matrix(path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError):
+                    read_matrix(path)
