@@ -40,10 +40,11 @@ MAX_ENTRIES_ENV = "DIRICHLETOPS_MAX_MATRIX_ENTRIES"
 _DEFAULT_MAX_ENTRIES = 10**8
 _ENTRY_BYTES = np.dtype(np.float64).itemsize
 
-# the Schur check streams through one reused block of I x width float64
-# entries, width = max(_SCHUR_MIN_WIDTH, _SCHUR_BLOCK_ENTRIES // (I+1))
-_SCHUR_BLOCK_ENTRIES = 1 << 19
-_SCHUR_MIN_WIDTH = 256
+# the Schur check runs its row recurrence over column chunks of this many
+# float64 entries (256 KiB, which stays in L2) and recomputes every
+# _SCHUR_RESTART-th row exactly (see schur_certificate)
+_SCHUR_CHUNK = 1 << 15
+_SCHUR_RESTART = 8
 
 # blocks from this size on get their own memory mapping (see _zeros); it is
 # numpy's own threshold for asking for transparent huge pages
@@ -306,7 +307,11 @@ def operator_norm_estimate(
       ch. 8), valid for every x > 0 because B >= 0.
 
     The loop stops when upper^2 - lower^2 <= tol lower^2, so ``converged``
-    means the bracket is that tight.  Both ends carry derived rounding
+    means the bracket is that tight.  In exact arithmetic the
+    Collatz-Wielandt bound never increases and the Rayleigh quotient never
+    decreases from step to step, so a gap that fails to shrink means
+    rounding has taken over: the loop stops there too, with ``converged``
+    false, instead of running to ``max_iter``.  Both ends carry derived rounding
     terms and outward-rounded square roots: whether or not the loop
     converged, [lower, upper - tail_bound] holds the norm of the truncation
     and [lower, upper] that of the full operator (upper is infinite for
@@ -321,6 +326,7 @@ def operator_norm_estimate(
     n_rows, n_cols = b.shape
     x = _perron_start(b[: _gram_rows(m.symbol, m.i_max, m.j_max)])
     converged = False
+    last_gap = math.inf
     for iterations in range(1, max_iter + 1):
         np.maximum(x, _X_FLOOR, out=x)  # x > 0, and no z_j / x_j overflows
         y = b @ x
@@ -328,9 +334,13 @@ def operator_norm_estimate(
         z_sq = float(z @ z)
         lower_sq = z_sq / float(y @ y)
         upper_sq = float(np.max(z / x))
-        if upper_sq - lower_sq <= tol * lower_sq:
+        gap = upper_sq - lower_sq
+        if gap <= tol * lower_sq:
             converged = True
             break
+        if gap >= last_gap:  # in exact arithmetic the gap never grows
+            break
+        last_gap = gap
         x = z / z[0]
 
     # Rounding (Higham 2002, ch. 3).  A computed sum of n nonnegative
@@ -433,10 +443,11 @@ class SchurCertificate:
     r|c2| ln j, which is p_j, so alpha = 1; and row 0 is
     sum_j j^-s = beta.  Only rows 1..I are checked: ``max_row_residual`` is
     the worst relative residual over them, each with its certified column
-    tail (at most ``row_tail``) added to the left side, and over row 0's
+    tail (at most ``row_tail``) and its rounding bound (at most
+    ``row_rounding``, relative) added to the left side, and over row 0's
     exact 0, so it never reads below 0.  A true verdict (no positive
     residual) implies the operator norm is at most sqrt(alpha beta), taken
-    at beta's certified upper end in ``implied_norm_bound``.
+    at beta's certified upper end and rounded up in ``implied_norm_bound``.
     """
 
     r: float
@@ -444,6 +455,7 @@ class SchurCertificate:
     beta: float
     max_row_residual: float
     row_tail: float
+    row_rounding: float
     verdict: bool
     implied_norm_bound: float | None
 
@@ -460,17 +472,26 @@ def schur_certificate(
     The column family and row 0 are exact identities (see SchurCertificate)
     and are not recomputed.  Rows i >= 1 carry genuine analytic slack away
     from the critical parameter; the incomplete-gamma tail for columns
-    j > J is added to each row sum before it is compared with
-    beta_low r^i.  Everything is assembled in log space, so deep rows with
-    astronomically small weights still produce finite relative residuals.
+    j > J and the rounding bound of _schur_rounding are added to each row
+    sum before it is compared with beta_low r^i.  Everything is assembled
+    in log space, so deep rows with astronomically small weights still
+    produce finite relative residuals.
 
-    The columns j >= 2 stream through one reused block of about 4 MiB, so
-    memory does not grow with J; column j = 1 adds nothing to rows i >= 1,
-    and with I = 0 nothing is streamed.  Each block is filled with its log
-    terms, every row is shifted by its largest term, known in closed form,
-    and one exp and one sum follow: no shifted term exceeds 1 beyond
-    rounding and every block sum is at least 1, so exp cannot overflow and
-    log never sees 0.
+    The columns j >= 2 stream through chunks of _SCHUR_CHUNK entries, one
+    row at a time, so memory does not grow with I or J; column j = 1 adds
+    nothing to rows i >= 1, and with I = 0 nothing is streamed.  Within a
+    chunk, row i's terms (c ln j)^i j^-s are shifted by their largest
+    value e^(P_i), known in closed form, so the shifted terms
+    T_i = e^(i log(c ln j) - s ln j - P_i) are at most 1 beyond rounding
+    and every chunk sum is at least 1: exp cannot overflow and log never
+    sees 0.  Row i follows from row i-1 by two products,
+
+        T_i = T_(i-1) (c ln j) e^(P_(i-1) - P_i),
+
+    and every _SCHUR_RESTART-th row, from row 1 on, is computed afresh by
+    exp in log space.  The restarts bound how far a term that underflowed
+    can grow in later rows: without them, row 1's terms at small j read 0
+    and so, wrongly, would those of deep rows that peak there.
     """
     r = float(r)
     if not (0.0 < r <= 1.0) or not math.isfinite(r):
@@ -485,57 +506,152 @@ def schur_certificate(
 
     log_fact = log_factorials(i_max)
     i_idx = np.arange(1, i_max + 1, dtype=np.float64)
-    width = max(_SCHUR_MIN_WIDTH, _SCHUR_BLOCK_ENTRIES // (i_max + 1))
-    store = np.empty(i_max * min(width, j_max - 1))
-    # row sums without the 1/i! factor, accumulated in log space across blocks
+    terms = np.empty(min(_SCHUR_CHUNK, j_max - 1))
+    chunk_sums = np.empty(i_max)
+    # row sums without the 1/i! factor, accumulated in log space across chunks
     row_acc = np.full(i_max, -math.inf)
-    for start in range(2, j_max + 1 if i_max else 2, width):
-        stop = min(start + width - 1, j_max)
-        n = stop - start + 1
-        block = store[: i_max * n].reshape(i_max, n)
-        lj = np.log(np.arange(start, stop + 1, dtype=np.float64))
-
-        # (c log j)^i / i! * j^-s; i log(c ln j) - s ln j is concave in
-        # ln j with its maximum at ln j = i/s, so each row is shifted by the
-        # larger of its two columns around j = e^(i/s), clamped to this
-        # block, where the shifted term is exactly 0
-        log_base = np.log(c * lj)  # real: c > 0, log j > 0
+    for start in range(2, j_max + 1 if i_max else 2, _SCHUR_CHUNK):
+        stop = min(start + _SCHUR_CHUNK - 1, j_max)
+        t = terms[: stop - start + 1]
+        # ln j goes into the terms buffer, which the rows overwrite after it
+        lj = np.log(np.arange(start, stop + 1, dtype=np.float64), out=t)
+        base = c * lj  # > 0: c > 0, log j > 0
+        log_base = np.log(base)
         decay = s * lj
+
+        # i log(c ln j) - s ln j is concave in ln j with its maximum at
+        # ln j = i/s, so each row's peak is the larger of its two columns
+        # around j = e^(i/s), clamped to this chunk, where the shifted term
+        # is exactly 1
         peak = np.floor(np.exp(np.clip(i_idx / s, lj[0], lj[-1])))
-        k_lo = np.clip(peak - start, 0, n - 1).astype(np.intp)
-        k_hi = np.minimum(k_lo + 1, n - 1)
+        k_lo = np.clip(peak - start, 0, t.size - 1).astype(np.intp)
+        k_hi = np.minimum(k_lo + 1, t.size - 1)
         row_peak = np.maximum(
             i_idx * log_base[k_lo] - decay[k_lo], i_idx * log_base[k_hi] - decay[k_hi]
         )
-        np.multiply.outer(i_idx, log_base, out=block)
-        block -= decay
-        block -= row_peak[:, None]
-        np.exp(block, out=block)
-        row_acc = np.logaddexp(row_acc, row_peak + np.log(np.sum(block, axis=1)))
+        step = np.exp(row_peak[:-1] - row_peak[1:])
+        for i in range(i_max):  # row i + 1
+            if i % _SCHUR_RESTART:
+                t *= base
+                t *= step[i - 1]
+            else:
+                np.multiply(log_base, i + 1.0, out=t)
+                t -= decay
+                t -= row_peak[i]
+                np.exp(t, out=t)
+            chunk_sums[i] = t.sum()
+        row_acc = np.logaddexp(row_acc, row_peak + np.log(chunk_sums))
 
-    worst_log_ratio = 0.0  # row 0 is exact
-    row_tail = 0.0
     log_beta_low = math.log(z.lower)
-    log_r = math.log(r)
-    log_c = math.log(c)
-    for i, log_row in enumerate(row_acc - log_fact[1:], start=1):
-        log_tail = i * log_c - log_fact[i] + log_moment_tail(s, i, j_max)
-        row_tail = max(row_tail, math.exp(log_tail))
-        log_lhs = float(np.logaddexp(log_row, log_tail))
-        worst_log_ratio = max(worst_log_ratio, log_lhs - log_beta_low - i * log_r)
+    log_moments = np.array([log_moment_tail(s, i, j_max) for i in range(1, i_max + 1)])
+    log_tails = i_idx * math.log(c) - log_fact[1:] + log_moments
+    log_lhs = np.logaddexp(row_acc - log_fact[1:], log_tails)
+    rounding = _schur_rounding(c, r, s, j_max, log_beta_low, log_moments, log_lhs)
+    log_ratios = log_lhs + rounding - log_beta_low - i_idx * math.log(r)
+    worst_log_ratio = log_ratios.max(initial=0.0)  # row 0 is exact
     with np.errstate(over="ignore"):  # a ratio past e^709 reads +inf
         max_row_residual = float(np.expm1(worst_log_ratio))
 
     verdict = max_row_residual <= 0.0
+    implied = math.nextafter(math.sqrt(z.upper), math.inf)
     return SchurCertificate(
         r=r,
         alpha=1.0,
         beta=z.value,
         max_row_residual=max_row_residual,
-        row_tail=row_tail,
+        row_tail=math.exp(log_tails.max(initial=-math.inf)),
+        row_rounding=float(rounding.max(initial=0.0)),
         verdict=verdict,
-        implied_norm_bound=math.sqrt(z.upper) if verdict else None,
+        implied_norm_bound=implied if verdict else None,
     )
+
+
+def _schur_rounding(
+    c: float,
+    r: float,
+    s: float,
+    j_max: int,
+    log_beta_low: float,
+    log_moments: np.ndarray,
+    log_lhs: np.ndarray,
+) -> np.ndarray:
+    """A-priori bound on the rounding error of each row's log ratio
+    log(left side) - log(beta_low r^i) in schur_certificate.
+
+    The model is Higham's (Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 3): each arithmetic operation rounds once, by at most
+    u = 2^-53 relative, and each log, exp, log1p, expm1 and lgamma, numpy's
+    or libm's, is taken accurate to 2 ulps (4u) of its result, as in
+    _svd_resolution.  Row i's log terms x_j = i log(c ln j) - s ln j and
+    its chunk peaks P_i are at most m_i = i (1 + Lambda) + s ln J in
+    magnitude, Lambda = max_j |log(c ln j)| (at j = 2 or J).  An absolute
+    error d in a logarithm is a relative error of at most d/(1 - d) in its
+    value, so every error below is counted in units of u, of the log or
+    relatively, and the sum N_i of the counts gives the bound
+    gamma_(N_i) = N_i u / (1 - N_i u), which also covers their products:
+
+    * a restart row's argument x_j - P_i: ln j and c ln j are within 5u
+      relatively, which log turns into 5u absolutely, and log adds 4u of
+      its result; with the product by i, s ln j (5u relatively) and two
+      subtractions (u of results of at most m_i and 2 m_i) this is at most
+      8 m_i + 1 units; then the exp, 4 units;
+    * each recurrence step since the last restart (k_i of them, at most
+      _SCHUR_RESTART - 1): the factor c ln j (5), the step factor
+      e^(P_(i-1) - P_i) (the subtraction, at most 2 m_i, and exp, 4) and the
+      two products (2): 11 + 2 m_i units;
+    * the sum of a chunk's n <= _SCHUR_CHUNK nonnegative terms, added in
+      any order, is within gamma_(n-1) of its value: n units; the sum lies
+      in [1/2, 2n] (the term at P_i's own column is 1 up to the rounding
+      above), so its log adds 4 (ln n + 1) and the add of P_i
+      m_i + ln n + 1;
+    * the log-space adds over the C chunks, each 1-Lipschitz in its
+      inputs: exp, log1p and the final add of a result of at most
+      m_i + ln J + 1 in magnitude, m_i + ln J + 8 units each;
+    * the assembly: subtracting lgamma(i+1) (5 lgamma + m_i + ln J + 1),
+      the tail's log i log c - lgamma(i+1) + log_moment_tail, whose last
+      term is rounded outward already (8 (i |log c| + lgamma + |log tail|)),
+      the log-space add of row and tail (8 + |log lhs|), log beta_low
+      (4 |log beta_low| + 1), i log r (5 i |log r|), the add of this
+      bound and the two subtractions (3 |log lhs| + 2 |log beta_low| +
+      i |log r|) and expm1 (5);
+    * the weights: s = fl(2 sigma1 - fl(r c)) equals 2 sigma1 - r' c
+      exactly for an r' within (2 + s/(r c)) u of r relatively, and the
+      column identity holds at r', so the rows are checked against
+      r'^i: i (2 + s/(r c)) + 1 units.
+
+    Terms below the normal range carry an absolute error instead, at most
+    2^-1075 per product and 2^-1073 per exp.  A later step multiplies it
+    by (c ln j) e^(P_(k-1) - P_k); over the m steps from row k this is
+    (c ln j)^m e^(P_k - P_(k+m)) <= (ln j / ln j*)^m <= (ln J / ln 2)^m,
+    j* the column of P_k, because P_(k+m) is at least row k+m's log term
+    at j*, P_k + m log(c ln j*), all up to rounding.  With m <= K - 1,
+    K = _SCHUR_RESTART, an entry carries at most
+    (K + 1) 2^-1074 (ln J / ln 2)^(K-1), which against a chunk sum of at
+    least 1/2 adds 2 n (K + 1) 2^-1074 (ln J / ln 2)^(K-1) to every row.
+    Without the restarts m, and this term, would grow with I.
+    """
+    i_max = log_lhs.size
+    i = np.arange(1.0, i_max + 1.0)
+    lgam = log_factorials(i_max)[1:]
+    ln_j = math.log(j_max)
+    lam = max(abs(math.log(c * math.log(j))) for j in (2, max(j_max, 2)))
+    m = i * (1.0 + lam) + s * ln_j
+    k = (i - 1.0) % _SCHUR_RESTART
+    n = min(_SCHUR_CHUNK, max(j_max - 1, 1))
+    chunks = -(-(j_max - 1) // _SCHUR_CHUNK)
+    log_r = abs(math.log(r))
+    units = (
+        (8.0 + 2.0 * k) * m + 11.0 * k + 5.0  # entries
+        + n + 5.0 * math.log(n) + m + 5.0  # chunk sum, its log, the shift
+        + chunks * (m + ln_j + 8.0)  # log-space adds over chunks
+        + 5.0 * lgam + m + ln_j + 1.0  # the 1/i! factor
+        + 8.0 * (i * abs(math.log(c)) + lgam + np.abs(log_moments))  # the tail
+        + 4.0 * np.abs(log_lhs) + 6.0 * abs(log_beta_low) + 6.0 * i * log_r + 14.0
+        + i * (2.0 + s / (r * c)) + 1.0  # the weights
+    )
+    growth = (ln_j / math.log(2.0)) ** (_SCHUR_RESTART - 1)
+    underflow = 2.0 * n * (_SCHUR_RESTART + 1) * growth * 2.0**-1074
+    return _gamma(units) + underflow
 
 
 def write_matrix(m: TruncatedMatrix, path) -> None:

@@ -71,18 +71,34 @@ def log_row_tails(sym, s, i_max, j_max):
 
 def dense_schur_residual(sym, r, i_max, j_max):
     """Worst residual over rows 1..I of the Schur check, and row 0's exact 0,
-    from the whole I x (J-1) log-space block at once, each row sum a
-    np.logaddexp.reduce."""
+    from the whole I x (J-1) log-space block at once, each row shifted by its
+    largest term as np.max finds it, then one exp and one sum.  (A
+    sequential np.logaddexp.reduce drops every increment below half an ulp
+    of its running total and reads up to about J u low.)"""
     c = sym.c2_abs
     s = 2.0 * sym.sigma1 - r * c
     i = np.arange(1, i_max + 1.0)[:, None]
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(1, i_max + 1)])
     lj = np.log(np.arange(2, j_max + 1.0))
-    log_rows = np.logaddexp.reduce(i * np.log(c * lj) - log_fact[:, None] - s * lj, axis=1)
+    log_terms = i * np.log(c * lj) - log_fact[:, None] - s * lj
+    peak = log_terms.max(axis=1)
+    log_rows = peak + np.log(np.exp(log_terms - peak[:, None]).sum(axis=1))
     log_rhs = math.log(zeta(s).lower) + i[:, 0] * math.log(r)
     log_lhs = np.logaddexp(log_rows, log_row_tails(sym, s, i_max, j_max))
     with np.errstate(over="ignore"):
         return max(0.0, float(np.expm1(np.max(log_lhs - log_rhs))))
+
+
+def assert_matches_dense(sym, r, i_max, j_max):
+    """The streamed residual equals the dense one, raised by at most the
+    certificate's own rounding bound."""
+    cert = schur_certificate(sym, r, i_max, j_max)
+    row = dense_schur_residual(sym, r, i_max, j_max)
+    if row == math.inf:
+        assert cert.max_row_residual == math.inf
+        return
+    excess = cert.max_row_residual - row
+    assert -1e-12 * max(1.0, row) <= excess <= (1e-12 + cert.row_rounding) * (1.0 + row)
 
 
 # Im c1 up to 100, arbitrary arg c2, large q
@@ -346,6 +362,23 @@ class TestOperatorNormEstimate:
         assert est.upper - m.tail_bound <= exact * (1.0 + 1e-12)
         assert est.converged and est.iterations == 1
 
+    @pytest.mark.parametrize("tol", [1e-15, 1e-16])
+    def test_tolerance_below_rounding_stops_early(self, tol):
+        # the computed gap stops shrinking at about 1e-15: the loop stops
+        # there, unconverged, instead of running all max_iter steps
+        m = build_matrix(DirichletSymbol(2.0, 0.5), 40, 2000)
+        est = operator_norm_estimate(m, tol=tol)
+        assert not est.converged and est.iterations <= 5
+        top = float(np.linalg.svd(m.magnitudes, compute_uv=False)[0])
+        assert est.lower <= top <= est.upper - m.tail_bound
+
+    def test_slowly_shrinking_gap_still_converges(self):
+        # the gap falls about tenfold per step here (14 steps); a shrinking
+        # gap must not stop the loop
+        m = build_matrix(DirichletSymbol(50.5 + 1e-12, 50.0), 200, 20000)
+        est = operator_norm_estimate(m)
+        assert est.converged and est.iterations >= 10
+
     @pytest.mark.parametrize("sigma1, c", [(1.0, 0.5), (3.0, 2.5), (4.0, 3.5)])
     def test_boundary_symbols_certify_in_two_steps(self, sigma1, c):
         m = build_matrix(DirichletSymbol(sigma1, c), 200, 20000)
@@ -474,7 +507,7 @@ class TestSchurCertificate:
         # exponential series exactly, and every row holds
         cert = schur_certificate(DirichletSymbol(200.0, 150.0), 1.0, 400, 400)
         assert cert.verdict
-        assert cert.implied_norm_bound == math.sqrt(zeta(250.0).upper)
+        assert cert.implied_norm_bound == math.nextafter(math.sqrt(zeta(250.0).upper), math.inf)
 
     def test_implied_bound_dominates_computed_norm(self):
         sym = DirichletSymbol(2.0, 0.5)
@@ -511,15 +544,20 @@ class TestSchurCertificate:
     def test_residuals_match_independent_oracle(self):
         # 40-digit sums over j <= J plus the library's certified tail,
         # against beta_low r^i, for rows 1..I; row 0 is exact, so the ratio
-        # left side / right side = 1 + residual reads at least 1
+        # left side / right side = 1 + residual reads at least 1.  The
+        # certificate adds its rounding bound to every left side: it never
+        # reads below the ratio, and above it by at most that bound
         mpmath = pytest.importorskip("mpmath")
-        i_max, j_max = 12, 400
         cases = [
-            (DirichletSymbol(2.0, 0.5), schur_radius(2.0, 0.5)),
-            (DirichletSymbol(2.0, 0.5), 0.1),
-            (DirichletSymbol(1.0, 0.5), 1.0),
+            (DirichletSymbol(2.0, 0.5), schur_radius(2.0, 0.5), 12, 400),
+            (DirichletSymbol(2.0, 0.5), 0.1, 12, 400),
+            (DirichletSymbol(1.0, 0.5), 1.0, 12, 400),
+            # without the rounding bound these two read 1.3e-14 and 3.8e-15
+            # below the ratio
+            (DirichletSymbol(2.0, 0.5), 0.1, 40, 300),
+            (DirichletSymbol(3.0, 2.0), 0.3, 40, 300),
         ]
-        for sym, r in cases:
+        for sym, r, i_max, j_max in cases:
             cert = schur_certificate(sym, r, i_max, j_max)
             c = sym.c2_abs
             s = 2.0 * sym.sigma1 - r * c
@@ -537,7 +575,8 @@ class TestSchurCertificate:
                     for i in range(1, i_max + 1)
                 )
                 ratio = max(ratio, 1)
-                assert abs(1 + cert.max_row_residual - ratio) <= 1e-13 * ratio, (sym, r)
+                excess = 1 + mpmath.mpf(cert.max_row_residual) - ratio
+                assert 0 <= excess <= (1e-13 + cert.row_rounding) * ratio, (sym, r)
 
     @pytest.mark.parametrize(
         "sigma1, c, i_max, j_max",
@@ -549,17 +588,50 @@ class TestSchurCertificate:
             (200.0, 1.0, 40, 3000),
             (2.0, 0.5, 40, 2),
             (2.0, 0.5, 40, 3),
-            # one column past a full block: the last block has one column
-            (2.0, 0.5, 40, operator_matrix._SCHUR_BLOCK_ENTRIES // 41 + 2),
+            # row 1's terms at small j underflow, and deep rows peak there
+            (200.0, 150.0, 1000, 5000),
+            # columns 2..J fill one chunk and one column of the next
+            (2.0, 0.5, 40, operator_matrix._SCHUR_CHUNK + 2),
         ],
     )
     def test_streamed_matches_dense_reference(self, sigma1, c, i_max, j_max):
+        # at the Schur radius every row holds and both read 0; at 0.9 times
+        # it deep rows fail, so the residual reads their sums
         sym = DirichletSymbol(sigma1, c)
-        r = schur_radius(sigma1, c)
-        cert = schur_certificate(sym, r, i_max, j_max)
-        row = dense_schur_residual(sym, r, i_max, j_max)
-        assert math.isfinite(cert.max_row_residual)
-        assert abs(cert.max_row_residual - row) <= 1e-12 * max(1.0, abs(row))
+        for r in (schur_radius(sigma1, c), 0.9 * schur_radius(sigma1, c)):
+            assert_matches_dense(sym, r, i_max, j_max)
+
+    def test_hostile_symbols_match_dense_reference(self):
+        # |c2| in [0.05, 200], gaps in [1e-6, 10], up to 1000 rows and 2e4
+        # columns but at most 2e6 dense entries; r from half the Schur radius,
+        # where deep rows fail, to the radius, where every row holds
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def truncations(draw):
+            i_max = draw(st.integers(1, 1000))
+            return i_max, draw(st.integers(2, min(20000, 2 * 10**6 // i_max)))
+
+        @hypothesis.settings(
+            max_examples=40,
+            deadline=None,
+            derandomize=True,
+            database=None,
+            suppress_health_check=[hypothesis.HealthCheck.too_slow],
+        )
+        @hypothesis.given(
+            st.floats(math.log(0.05), math.log(200.0)),
+            st.floats(math.log(1e-6), math.log(10.0)),
+            st.floats(0.5, 1.0),
+            truncations(),
+        )
+        def check(log_c, log_gap, scale, truncation):
+            c = math.exp(log_c)
+            sym = DirichletSymbol(0.5 + c + math.exp(log_gap), c)
+            assert_matches_dense(sym, scale * schur_radius(sym.sigma1, c), *truncation)
+
+        check()
 
     def test_overflowing_residuals_read_infinite(self):
         # r^i below e^-709 on deep rows: the residual is +inf and the
@@ -569,8 +641,8 @@ class TestSchurCertificate:
         assert rows.implied_norm_bound is None
 
     def test_streamed_memory_is_bounded(self):
-        # one reused block of about 4 MiB, whatever J; the dense block of
-        # this check would take 156 MiB
+        # a few vectors of one 256 KiB chunk each, whatever I and J; the
+        # dense block of this check would take 156 MiB
         sym = DirichletSymbol(2.5, 0.8)
         tracemalloc.start()
         try:
@@ -578,7 +650,7 @@ class TestSchurCertificate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 2 * 2**20
 
     def test_tails_are_recorded(self):
         cert = schur_certificate(DirichletSymbol(2.0, 0.5), 0.5, 20, 200)
