@@ -239,12 +239,15 @@ class NormEstimate(NamedTuple):
     converged: bool
 
 
-def _gamma(n: int) -> float:
+def _gamma(n):
     """Higham's gamma_n = n u / (1 - n u) (Accuracy and Stability of Numerical
     Algorithms, 2002, ch. 3): a sum of n nonnegative products, added in any
-    order, is off by at most gamma_n of its value."""
-    nu = n * UNIT_ROUNDOFF
-    return nu / (1.0 - nu)
+    order, is off by at most gamma_n of its value.  The bound holds only
+    while n u < 1; past that it is +inf.  n may be a scalar or an array."""
+    nu = np.asarray(n, dtype=np.float64) * UNIT_ROUNDOFF
+    out = np.full_like(nu, math.inf)
+    np.divide(nu, 1.0 - nu, out=out, where=nu < 1.0)
+    return out if out.ndim else float(out)
 
 
 def _gram_rows(sym: DirichletSymbol, i_max: int, j_max: int) -> int:
@@ -624,11 +627,19 @@ def _schur_rounding(
     by (c ln j) e^(P_(k-1) - P_k); over the m steps from row k this is
     (c ln j)^m e^(P_k - P_(k+m)) <= (ln j / ln j*)^m <= (ln J / ln 2)^m,
     j* the column of P_k, because P_(k+m) is at least row k+m's log term
-    at j*, P_k + m log(c ln j*), all up to rounding.  With m <= K - 1,
-    K = _SCHUR_RESTART, an entry carries at most
-    (K + 1) 2^-1074 (ln J / ln 2)^(K-1), which against a chunk sum of at
-    least 1/2 adds 2 n (K + 1) 2^-1074 (ln J / ln 2)^(K-1) to every row.
+    at j*, P_k + m log(c ln j*), all up to rounding.  The first product of
+    a step, t (c ln j), can underflow too; its error is then multiplied by
+    the step factor e^(P_(k-1) - P_k) <= 1/(c ln j*) <= 1/(c ln 2) before
+    the later steps' growth, so a step adds at most
+    2^-1075 (1 + f) <= 2^-1074 f, f = max(1, 1/(c ln 2)).  With
+    m <= K - 1, K = _SCHUR_RESTART, an entry carries at most
+    (K + 1) f 2^-1074 (ln J / ln 2)^(K-1), which against a chunk sum of at
+    least 1/2 adds 2 n (K + 1) f 2^-1074 (ln J / ln 2)^(K-1) to every row.
     Without the restarts m, and this term, would grow with I.
+
+    A count N_i with N_i u >= 1 gives no bound: that row's rounding, and
+    so its residual, reads +inf and the verdict fails.  This happens when
+    r c is so small that s no longer determines r, i (2 + s/(r c)) u >= 1.
     """
     i_max = log_lhs.size
     i = np.arange(1.0, i_max + 1.0)
@@ -650,7 +661,8 @@ def _schur_rounding(
         + i * (2.0 + s / (r * c)) + 1.0  # the weights
     )
     growth = (ln_j / math.log(2.0)) ** (_SCHUR_RESTART - 1)
-    underflow = 2.0 * n * (_SCHUR_RESTART + 1) * growth * 2.0**-1074
+    f = max(1.0, 1.0 / (c * math.log(2.0)))
+    underflow = 2.0 * n * (_SCHUR_RESTART + 1) * f * growth * 2.0**-1074
     return _gamma(units) + underflow
 
 

@@ -522,6 +522,22 @@ class TestSchurCertificate:
         assert cert.max_row_residual > 1.0
         assert cert.implied_norm_bound is None
 
+    @pytest.mark.parametrize("r", [8.7e-16, 1e-300])
+    def test_rounding_past_its_model_fails_the_verdict(self, r):
+        # r |c2| is so small that s = 2 sigma1 - r |c2| no longer determines
+        # r: the rounding count passes 1/u, where gamma gives no bound, and
+        # row 1 (log ratio about +34 at 8.7e-16) must still fail; read as
+        # n u / (1 - n u) there, the count came out near -34 and passed it
+        cert = schur_certificate(DirichletSymbol(2.0, 0.5), r, 1, 400)
+        assert not cert.verdict
+        assert cert.max_row_residual == math.inf and cert.row_rounding == math.inf
+        assert cert.implied_norm_bound is None
+
+    def test_gamma_is_infinite_past_its_model(self):
+        assert operator_matrix._gamma(5) == 5 * UNIT_ROUNDOFF / (1.0 - 5 * UNIT_ROUNDOFF)
+        assert operator_matrix._gamma(2**53) == math.inf
+        assert operator_matrix._gamma(np.array([2.0**60]))[0] == math.inf
+
     def test_boundary_symbol_at_r_one(self):
         cert = schur_certificate(DirichletSymbol(1.0, 0.5), 1.0, 60, 5000)
         assert cert.verdict
