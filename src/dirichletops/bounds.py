@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, NonCompactError
-from .special_functions import DEFAULT_BUDGET, PrecisionBudget, geomspace, zeta
+from .special_functions import DEFAULT_BUDGET, UNIT_ROUNDOFF, PrecisionBudget, geomspace, zeta
 from .symbol import EQ_TOL, DirichletSymbol, SymbolClass, classify
 
 _KERNEL_GRID = tuple(geomspace(0.5 + 1e-6, 60.0, 512))
@@ -30,7 +30,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def schur_radius(sigma1: float, c2_abs: float) -> float:
-    """Smallest positive root of P(r) = c r^2 + (1 - 2 sigma1) r + c.
+    """Smallest positive root of P(r) = c r^2 + (1 - 2 sigma1) r + c, rounded up.
 
     Evaluated in the subtraction-free form
 
@@ -38,7 +38,14 @@ def schur_radius(sigma1: float, c2_abs: float) -> float:
 
     which is stable as the discriminant approaches zero.  The two roots have
     product 1, so r <= 1 always, with r = 1 exactly on the boundary line
-    sigma1 = 1/2 + c.
+    sigma1 = 1/2 + c.  The float root can land below the exact one, where
+    P(r) > 0 and the Schur test fails in its deep rows, so the result is a
+    float r <= 1 with P(r) <= 0 exactly at c rounded up one ulp, which
+    covers the modulus of a complex c2 that abs rounds: the float root where
+    it qualifies, else the least float above an upper bound on the exact
+    root from one isqrt of the scaled integer discriminant.  Where no float
+    r <= 1 qualifies (boundary symbols within an ulp) the float root is
+    returned, and the Schur certificate reads False there.
     """
     sigma1 = float(sigma1)
     c = float(c2_abs)
@@ -58,8 +65,70 @@ def schur_radius(sigma1: float, c2_abs: float) -> float:
         raise DomainError(
             f"negative discriminant {disc} for sigma1 = {sigma1}, |c2| = {c}"
         )
-    r = 2.0 * c / (b + math.sqrt(disc))
-    return min(r, 1.0)
+    r = min(2.0 * c / (b + math.sqrt(disc)), 1.0)
+    c = math.nextafter(c, math.inf)
+    if schur_polynomial_nonpositive(sigma1, c, r):
+        return r
+    # with b = B / d and 2c = C / d over one denominator d, the root is
+    # C / (B + sqrt(B^2 - C^2)); a floor square root, 64 bits past the
+    # point, bounds it from above
+    n1, nc, d = _integers(sigma1, c)
+    big_b, big_c = 2 * n1 - d, 2 * nc
+    k = big_b * big_b - big_c * big_c
+    if big_b <= 0 or k < 0:
+        return r
+    up = min(_ceil_quotient(big_c << 64, (big_b << 64) + math.isqrt(k << 128)), 1.0)
+    return up if schur_polynomial_nonpositive(sigma1, c, up) else r
+
+
+def _integers(*values: float) -> tuple[int, ...]:
+    """The floats as integers n_k over one power-of-two denominator d: (n_1, ..., d)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = max(q for _, q in ratios)
+    return (*(p * (d // q) for p, q in ratios), d)
+
+
+def _ceil_quotient(num: int, den: int) -> float:
+    """The least float >= num / den, for positive integers."""
+    value = num / den  # correctly rounded
+    p, q = value.as_integer_ratio()
+    return math.nextafter(value, math.inf) if p * den < num * q else value
+
+
+def schur_polynomial_nonpositive(sigma1: float, c2_abs: float, r: float) -> bool:
+    """P(r) = c r^2 + (1 - 2 sigma1) r + c <= 0, decided exactly on the floats.
+
+    Over one denominator d, d^3 P = n_c (n_r^2 + d^2) + (d - 2 n_1) n_r d
+    is an integer with the sign of P.
+    """
+    n1, nc, nr, d = _integers(sigma1, c2_abs, r)
+    return nc * (nr * nr + d * d) + (d - 2 * n1) * nr * d <= 0
+
+
+def c2_abs_upper(sym: DirichletSymbol) -> float:
+    """A float at or above the exact |c2| of the symbol's float components.
+
+    abs is exact when either component is zero and within one ulp
+    otherwise, so the next float up bounds it.
+    """
+    c2 = sym.c2
+    if c2.real == 0.0 or c2.imag == 0.0:
+        return sym.c2_abs
+    return math.nextafter(sym.c2_abs, math.inf)
+
+
+def schur_exponent(sym: DirichletSymbol, r: float) -> float:
+    """s = 2 sigma1 - r |c2|, rounded down, with |c2| from c2_abs_upper.
+
+    zeta(s) and every row sum of the Schur test fall as s grows, so values
+    at this s bound those at the exact one from above.
+    """
+    sigma1, c = sym.sigma1, c2_abs_upper(sym)
+    s = 2.0 * sigma1 - r * c
+    ns, n1, nr, nc, d = _integers(s, sigma1, r, c)
+    if ns * d > 2 * n1 * d - nr * nc:  # the two roundings move s by at most an ulp
+        s = math.nextafter(s, -math.inf)
+    return s
 
 
 @dataclass(frozen=True)
@@ -158,9 +227,25 @@ class ApproxNumberBound:
     ratio: float
 
     def bound_at(self, n: int) -> float:
+        """prefactor * ratio^n, rounded up.
+
+        With u = 2^-53 and Higham's gamma_m = m u / (1 - m u) (Accuracy
+        and Stability of Numerical Algorithms, 2002, ch. 3): ratio^n is
+        within gamma_(n+4) of its value whether libm's pow is taken
+        accurate to 2 ulps (4u) or as the n - 1 products of repeated
+        multiplication.  The product by prefactor, 1 - m u and the division
+        by it add three roundings, so the factor 1 + gamma_(n+8) =
+        1 / (1 - (n+8) u) covers them all; past m u >= 1 the bound is +inf.
+        A power below the normal range is raised to 2^-1021, which covers
+        its absolute error.  n = 0 is exact.
+        """
         if n < 0:
             raise DomainError(f"approximation-number index must be >= 0, got {n}")
-        return self.prefactor * self.ratio**n
+        if n == 0:
+            return self.prefactor
+        m = (n + 8) * UNIT_ROUNDOFF
+        power = max(self.ratio**n, 2.0**-1021)
+        return self.prefactor * power / (1.0 - m) if m < 1.0 else math.inf
 
 
 def approx_number_bound(sym: DirichletSymbol) -> ApproxNumberBound:
@@ -170,16 +255,22 @@ def approx_number_bound(sym: DirichletSymbol) -> ApproxNumberBound:
                    * (2 |c2| / (2 sigma1 - 1))^N
 
     Boundary symbols are rejected by ``classify``, with its EQ_TOL, because
-    rounding can leave the raw gap positive on the boundary line.
+    rounding can leave the raw gap positive on the boundary line.  Both
+    numbers grow with |c2| and are rounded up: they are exact rationals at
+    c2_abs_upper, rounded to the next float up, and the prefactor's
+    correctly rounded square root is raised by one ulp.
     """
     sigma1 = sym.sigma1
-    c = sym.c2_abs
-    gap = 2.0 * sigma1 - 2.0 * c - 1.0
+    gap = 2.0 * sigma1 - 2.0 * sym.c2_abs - 1.0
     if gap <= 0.0 or classify(sym) is SymbolClass.BOUNDARY:
         raise NonCompactError(
             f"approximation-number bound needs 2 Re c1 - 2 |c2| - 1 > 0, got {gap}"
         )
-    b = 2.0 * sigma1 - 1.0
-    prefactor = math.sqrt(b * 2.0 * sigma1 / (b * b - 4.0 * c * c))
-    ratio = 2.0 * c / b
-    return ApproxNumberBound(prefactor, ratio)
+    # over one denominator d: 2 sigma1 = 2 n_1 / d, 2 sigma1 - 1 = B / d, 2 |c2| = C / d
+    n1, nc, d = _integers(sigma1, c2_abs_upper(sym))
+    big_b, big_c = 2 * n1 - d, 2 * nc
+    den = big_b * big_b - big_c * big_c
+    if den <= 0:
+        raise NonCompactError(f"2 Re c1 - 2 |c2| - 1 = {gap} is within rounding of 0")
+    prefactor = math.nextafter(math.sqrt(_ceil_quotient(big_b * 2 * n1, den)), math.inf)
+    return ApproxNumberBound(prefactor, _ceil_quotient(big_c, big_b))

@@ -44,12 +44,6 @@ from .special_functions import lower_bound_g, verification_suite, zeta
 from .symbol import DirichletSymbol
 
 _FIGURE_RANGE = (0.1, 10.0)
-# a row passes when computed <= bound (1 + _APPROX_REL_SLACK) + resolution;
-# the relative slack covers the rounding of prefactor * ratio^N (a few ulps
-# per factor, so below 1e-12 for N < 1000, and past that the bound sits
-# under the resolution), and the spectrum's resolution, proportional to
-# sigma_1, covers LAPACK's backward error and the build's entry rounding
-_APPROX_REL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -327,7 +321,9 @@ def cmd_approx_numbers(cfg: RunConfig) -> tuple[int, str]:
         for n in range(1, count):
             computed = float(spectrum.values[n])
             bound = law.bound_at(n)
-            ok = computed <= bound * (1.0 + _APPROX_REL_SLACK) + spectrum.resolution
+            # bound_at is rounded up, and the spectrum's resolution covers
+            # LAPACK's backward error and the build's entry rounding
+            ok = computed <= bound + spectrum.resolution
             failures += 0 if ok else 1
             rows.append([n, computed, bound, computed / bound, ok])
     code = 0 if failures == 0 else 1

@@ -14,8 +14,8 @@ D_col = diag(j^(-i tau)) are unitary and
 is real and nonnegative.  Norms, singular values and Schur data depend only
 on B, so this module builds, iterates and decomposes B; the phases are
 applied only when the complex entries are exported.  It also certifies the
-norm of the discarded rows and columns and checks the row inequalities of
-the two-weight Schur test, the only ones that are not exact identities.
+norm of the discarded rows and columns and proves the two-weight Schur test
+in closed form.
 """
 
 from __future__ import annotations
@@ -31,20 +31,16 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bounds import c2_abs_upper, schur_exponent, schur_polynomial_nonpositive
 from .errors import DomainError, MatrixSizeError
 from .special_functions import DEFAULT_BUDGET, UNIT_ROUNDOFF, PrecisionBudget, log_moment_tail
+from .special_functions import lower_bound_h
 from .special_functions import zeta as _certified_zeta
 from .symbol import DirichletSymbol, SymbolClass, classify
 
 MAX_ENTRIES_ENV = "DIRICHLETOPS_MAX_MATRIX_ENTRIES"
 _DEFAULT_MAX_ENTRIES = 10**8
 _ENTRY_BYTES = np.dtype(np.float64).itemsize
-
-# the Schur check runs its row recurrence over column chunks of this many
-# float64 entries (256 KiB, which stays in L2) and recomputes every
-# _SCHUR_RESTART-th row exactly (see schur_certificate)
-_SCHUR_CHUNK = 1 << 15
-_SCHUR_RESTART = 8
 
 # blocks from this size on get their own memory mapping (see _zeros); it is
 # numpy's own threshold for asking for transparent huge pages
@@ -437,28 +433,25 @@ def _svd_resolution(m: TruncatedMatrix, sigma1: float) -> float:
 
 @dataclass(frozen=True)
 class SchurCertificate:
-    """Numerical record of the two-weight Schur test at parameter r.
+    """The two-weight Schur test at parameter r, proven for every row.
 
     With weights p_j = j^(r|c2| - sigma1), q_i = r^i the column sums must
-    stay below alpha p_j and the row sums below beta q_i, where
-    beta = zeta(s) and s = 2 sigma1 - r|c2|.  Two families hold exactly:
-    column j sums to j^(-sigma1) times the exponential series of
-    r|c2| ln j, which is p_j, so alpha = 1; and row 0 is
-    sum_j j^-s = beta.  Only rows 1..I are checked: ``max_row_residual`` is
-    the worst relative residual over them, each with its certified column
-    tail (at most ``row_tail``) and its rounding bound (at most
-    ``row_rounding``, relative) added to the left side, and over row 0's
-    exact 0, so it never reads below 0.  A true verdict (no positive
-    residual) implies the operator norm is at most sqrt(alpha beta), taken
-    at beta's certified upper end and rounded up in ``implied_norm_bound``.
+    stay below alpha p_j and the row sums below beta q_i, beta >= zeta(s),
+    s = 2 sigma1 - r|c2|.  Column j sums to j^(-sigma1) times the
+    exponential series of r|c2| ln j, which is p_j, so alpha = 1; row 0 is
+    zeta(s).  ``row_bound`` bounds every row's ratio to beta r^i at once
+    (see schur_certificate), and ``max_row_residual`` is the proven
+    supremum of the relative residuals over all rows: 0.0 when
+    row_bound <= 1, +inf when P(r) > 0.  A true verdict implies the
+    operator norm is at most sqrt(beta), taken at beta's certified upper
+    end and rounded up in ``implied_norm_bound``.
     """
 
     r: float
     alpha: float
     beta: float
     max_row_residual: float
-    row_tail: float
-    row_rounding: float
+    row_bound: float
     verdict: bool
     implied_norm_bound: float | None
 
@@ -470,31 +463,32 @@ def schur_certificate(
     j_max: int,
     budget: PrecisionBudget = DEFAULT_BUDGET,
 ) -> SchurCertificate:
-    """Check the Schur-test inequalities that can fail: rows i = 1..I.
+    """The Schur test at weight ratio r, in closed form for all rows.
 
-    The column family and row 0 are exact identities (see SchurCertificate)
-    and are not recomputed.  Rows i >= 1 carry genuine analytic slack away
-    from the critical parameter; the incomplete-gamma tail for columns
-    j > J and the rounding bound of _schur_rounding are added to each row
-    sum before it is compared with beta_low r^i.  Everything is assembled
-    in log space, so deep rows with astronomically small weights still
-    produce finite relative residuals.
+    Row i >= 1 sums to |c2|^i / i! M_i(s), M_i(s) = sum_j (ln j)^i j^-s.
+    Its summand f(x) = (ln x)^i x^-s is unimodal with f(1) = 0, so
+    M_i(s) <= integral_1^inf f + max f = i!/(s-1)^(i+1) + (i/(s e))^i.
+    With q = |c2| / ((s-1) r) and Stirling's i! >= sqrt(2 pi i) (i/e)^i,
+    row i's ratio to zeta(s) r^i is at most
 
-    The columns j >= 2 stream through chunks of _SCHUR_CHUNK entries, one
-    row at a time, so memory does not grow with I or J; column j = 1 adds
-    nothing to rows i >= 1, and with I = 0 nothing is streamed.  Within a
-    chunk, row i's terms (c ln j)^i j^-s are shifted by their largest
-    value e^(P_i), known in closed form, so the shifted terms
-    T_i = e^(i log(c ln j) - s ln j - P_i) are at most 1 beyond rounding
-    and every chunk sum is at least 1: exp cannot overflow and log never
-    sees 0.  Row i follows from row i-1 by two products,
+        (q^i / (s-1) + (q (s-1)/s)^i / sqrt(2 pi i)) / zeta(s),
 
-        T_i = T_(i-1) (c ln j) e^(P_(i-1) - P_i),
+    which for q <= 1 falls with i, so row 1 bounds every row by
+    h(s) / zeta(s), h = lower_bound_h.  q <= 1 is exactly
+    P(r) = |c2| r^2 + (1 - 2 sigma1) r + |c2| <= 0; where P(r) > 0 the
+    ratios grow like q^i and the test fails in deep rows.  The verdict is
+    therefore P(r) <= 0, decided exactly on the floats, and h(s) <= zeta(s),
+    O(1) work.  i_max and j_max are validated and kept for call
+    compatibility only: no row or column is summed, and they do not affect
+    the result.
 
-    and every _SCHUR_RESTART-th row, from row 1 on, is computed afresh by
-    exp in log space.  The restarts bound how far a term that underflowed
-    can grow in later rows: without them, row 1's terms at small j read 0
-    and so, wrongly, would those of deep rows that peak there.
+    Rounding: P is decided at an upper bound on the exact |c2| of the
+    symbol's float components (P grows with |c2|); s is 2 sigma1 - r |c2|
+    at that bound, rounded down, and lies below the exact s, where zeta and
+    h are both larger, so beta = zeta(s).upper still bounds row 0.  Each
+    term of h(s) takes at most six roundings (s - 1, three divisions,
+    sqrt(2 pi) and the sum), gamma_6 < 8u, and h is rounded up by that, and
+    zeta(s).lower and the quotient outward by an ulp each.
     """
     r = float(r)
     if not (0.0 < r <= 1.0) or not math.isfinite(r):
@@ -503,167 +497,23 @@ def schur_certificate(
     if classify(sym) is SymbolClass.CONSTANT:
         raise DomainError("Schur certificate requires a non-constant symbol")
 
-    c = sym.c2_abs
-    s = 2.0 * sym.sigma1 - r * c  # zeta argument; > 1 for every valid symbol
+    s = schur_exponent(sym, r)
     z = _certified_zeta(s, budget)
-
-    log_fact = log_factorials(i_max)
-    i_idx = np.arange(1, i_max + 1, dtype=np.float64)
-    terms = np.empty(min(_SCHUR_CHUNK, j_max - 1))
-    chunk_sums = np.empty(i_max)
-    # row sums without the 1/i! factor, accumulated in log space across chunks
-    row_acc = np.full(i_max, -math.inf)
-    for start in range(2, j_max + 1 if i_max else 2, _SCHUR_CHUNK):
-        stop = min(start + _SCHUR_CHUNK - 1, j_max)
-        t = terms[: stop - start + 1]
-        # ln j goes into the terms buffer, which the rows overwrite after it
-        lj = np.log(np.arange(start, stop + 1, dtype=np.float64), out=t)
-        base = c * lj  # > 0: c > 0, log j > 0
-        log_base = np.log(base)
-        decay = s * lj
-
-        # i log(c ln j) - s ln j is concave in ln j with its maximum at
-        # ln j = i/s, so each row's peak is the larger of its two columns
-        # around j = e^(i/s), clamped to this chunk, where the shifted term
-        # is exactly 1
-        peak = np.floor(np.exp(np.clip(i_idx / s, lj[0], lj[-1])))
-        k_lo = np.clip(peak - start, 0, t.size - 1).astype(np.intp)
-        k_hi = np.minimum(k_lo + 1, t.size - 1)
-        row_peak = np.maximum(
-            i_idx * log_base[k_lo] - decay[k_lo], i_idx * log_base[k_hi] - decay[k_hi]
-        )
-        step = np.exp(row_peak[:-1] - row_peak[1:])
-        for i in range(i_max):  # row i + 1
-            if i % _SCHUR_RESTART:
-                t *= base
-                t *= step[i - 1]
-            else:
-                np.multiply(log_base, i + 1.0, out=t)
-                t -= decay
-                t -= row_peak[i]
-                np.exp(t, out=t)
-            chunk_sums[i] = t.sum()
-        row_acc = np.logaddexp(row_acc, row_peak + np.log(chunk_sums))
-
-    log_beta_low = math.log(z.lower)
-    log_moments = np.array([log_moment_tail(s, i, j_max) for i in range(1, i_max + 1)])
-    log_tails = i_idx * math.log(c) - log_fact[1:] + log_moments
-    log_lhs = np.logaddexp(row_acc - log_fact[1:], log_tails)
-    rounding = _schur_rounding(c, r, s, j_max, log_beta_low, log_moments, log_lhs)
-    log_ratios = log_lhs + rounding - log_beta_low - i_idx * math.log(r)
-    worst_log_ratio = log_ratios.max(initial=0.0)  # row 0 is exact
-    with np.errstate(over="ignore"):  # a ratio past e^709 reads +inf
-        max_row_residual = float(np.expm1(worst_log_ratio))
-
-    verdict = max_row_residual <= 0.0
+    row_bound = math.inf
+    if schur_polynomial_nonpositive(sym.sigma1, c2_abs_upper(sym), r):
+        h = math.nextafter(lower_bound_h(s) * (1.0 + 8.0 * UNIT_ROUNDOFF), math.inf)
+        row_bound = math.nextafter(h / math.nextafter(z.lower, 0.0), math.inf)
+    verdict = row_bound <= 1.0
     implied = math.nextafter(math.sqrt(z.upper), math.inf)
     return SchurCertificate(
         r=r,
         alpha=1.0,
         beta=z.value,
-        max_row_residual=max_row_residual,
-        row_tail=math.exp(log_tails.max(initial=-math.inf)),
-        row_rounding=float(rounding.max(initial=0.0)),
+        max_row_residual=max(row_bound - 1.0, 0.0),
+        row_bound=row_bound,
         verdict=verdict,
         implied_norm_bound=implied if verdict else None,
     )
-
-
-def _schur_rounding(
-    c: float,
-    r: float,
-    s: float,
-    j_max: int,
-    log_beta_low: float,
-    log_moments: np.ndarray,
-    log_lhs: np.ndarray,
-) -> np.ndarray:
-    """A-priori bound on the rounding error of each row's log ratio
-    log(left side) - log(beta_low r^i) in schur_certificate.
-
-    The model is Higham's (Accuracy and Stability of Numerical Algorithms,
-    2002, ch. 3): each arithmetic operation rounds once, by at most
-    u = 2^-53 relative, and each log, exp, log1p, expm1 and lgamma, numpy's
-    or libm's, is taken accurate to 2 ulps (4u) of its result, as in
-    _svd_resolution.  Row i's log terms x_j = i log(c ln j) - s ln j and
-    its chunk peaks P_i are at most m_i = i (1 + Lambda) + s ln J in
-    magnitude, Lambda = max_j |log(c ln j)| (at j = 2 or J).  An absolute
-    error d in a logarithm is a relative error of at most d/(1 - d) in its
-    value, so every error below is counted in units of u, of the log or
-    relatively, and the sum N_i of the counts gives the bound
-    gamma_(N_i) = N_i u / (1 - N_i u), which also covers their products:
-
-    * a restart row's argument x_j - P_i: ln j and c ln j are within 5u
-      relatively, which log turns into 5u absolutely, and log adds 4u of
-      its result; with the product by i, s ln j (5u relatively) and two
-      subtractions (u of results of at most m_i and 2 m_i) this is at most
-      8 m_i + 1 units; then the exp, 4 units;
-    * each recurrence step since the last restart (k_i of them, at most
-      _SCHUR_RESTART - 1): the factor c ln j (5), the step factor
-      e^(P_(i-1) - P_i) (the subtraction, at most 2 m_i, and exp, 4) and the
-      two products (2): 11 + 2 m_i units;
-    * the sum of a chunk's n <= _SCHUR_CHUNK nonnegative terms, added in
-      any order, is within gamma_(n-1) of its value: n units; the sum lies
-      in [1/2, 2n] (the term at P_i's own column is 1 up to the rounding
-      above), so its log adds 4 (ln n + 1) and the add of P_i
-      m_i + ln n + 1;
-    * the log-space adds over the C chunks, each 1-Lipschitz in its
-      inputs: exp, log1p and the final add of a result of at most
-      m_i + ln J + 1 in magnitude, m_i + ln J + 8 units each;
-    * the assembly: subtracting lgamma(i+1) (5 lgamma + m_i + ln J + 1),
-      the tail's log i log c - lgamma(i+1) + log_moment_tail, whose last
-      term is rounded outward already (8 (i |log c| + lgamma + |log tail|)),
-      the log-space add of row and tail (8 + |log lhs|), log beta_low
-      (4 |log beta_low| + 1), i log r (5 i |log r|), the add of this
-      bound and the two subtractions (3 |log lhs| + 2 |log beta_low| +
-      i |log r|) and expm1 (5);
-    * the weights: s = fl(2 sigma1 - fl(r c)) equals 2 sigma1 - r' c
-      exactly for an r' within (2 + s/(r c)) u of r relatively, and the
-      column identity holds at r', so the rows are checked against
-      r'^i: i (2 + s/(r c)) + 1 units.
-
-    Terms below the normal range carry an absolute error instead, at most
-    2^-1075 per product and 2^-1073 per exp.  A later step multiplies it
-    by (c ln j) e^(P_(k-1) - P_k); over the m steps from row k this is
-    (c ln j)^m e^(P_k - P_(k+m)) <= (ln j / ln j*)^m <= (ln J / ln 2)^m,
-    j* the column of P_k, because P_(k+m) is at least row k+m's log term
-    at j*, P_k + m log(c ln j*), all up to rounding.  The first product of
-    a step, t (c ln j), can underflow too; its error is then multiplied by
-    the step factor e^(P_(k-1) - P_k) <= 1/(c ln j*) <= 1/(c ln 2) before
-    the later steps' growth, so a step adds at most
-    2^-1075 (1 + f) <= 2^-1074 f, f = max(1, 1/(c ln 2)).  With
-    m <= K - 1, K = _SCHUR_RESTART, an entry carries at most
-    (K + 1) f 2^-1074 (ln J / ln 2)^(K-1), which against a chunk sum of at
-    least 1/2 adds 2 n (K + 1) f 2^-1074 (ln J / ln 2)^(K-1) to every row.
-    Without the restarts m, and this term, would grow with I.
-
-    A count N_i with N_i u >= 1 gives no bound: that row's rounding, and
-    so its residual, reads +inf and the verdict fails.  This happens when
-    r c is so small that s no longer determines r, i (2 + s/(r c)) u >= 1.
-    """
-    i_max = log_lhs.size
-    i = np.arange(1.0, i_max + 1.0)
-    lgam = log_factorials(i_max)[1:]
-    ln_j = math.log(j_max)
-    lam = max(abs(math.log(c * math.log(j))) for j in (2, max(j_max, 2)))
-    m = i * (1.0 + lam) + s * ln_j
-    k = (i - 1.0) % _SCHUR_RESTART
-    n = min(_SCHUR_CHUNK, max(j_max - 1, 1))
-    chunks = -(-(j_max - 1) // _SCHUR_CHUNK)
-    log_r = abs(math.log(r))
-    units = (
-        (8.0 + 2.0 * k) * m + 11.0 * k + 5.0  # entries
-        + n + 5.0 * math.log(n) + m + 5.0  # chunk sum, its log, the shift
-        + chunks * (m + ln_j + 8.0)  # log-space adds over chunks
-        + 5.0 * lgam + m + ln_j + 1.0  # the 1/i! factor
-        + 8.0 * (i * abs(math.log(c)) + lgam + np.abs(log_moments))  # the tail
-        + 4.0 * np.abs(log_lhs) + 6.0 * abs(log_beta_low) + 6.0 * i * log_r + 14.0
-        + i * (2.0 + s / (r * c)) + 1.0  # the weights
-    )
-    growth = (ln_j / math.log(2.0)) ** (_SCHUR_RESTART - 1)
-    f = max(1.0, 1.0 / (c * math.log(2.0)))
-    underflow = 2.0 * n * (_SCHUR_RESTART + 1) * f * growth * 2.0**-1074
-    return _gamma(units) + underflow
 
 
 def write_matrix(m: TruncatedMatrix, path) -> None:

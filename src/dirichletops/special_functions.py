@@ -192,14 +192,14 @@ def _euler_maclaurin_tail(
         return value, _em_remainder_coef(s) * n ** (-s - 3.0), _zeta_rounding(s, n, head, value)
     polys = _log_polynomials(s, i)
     d0, d1, d3 = (_moment_derivative(s, i, m, polys[m], n) for m in (0, 1, 3))
-    log_integral = log_moment_tail_integral(s, i, n)
-    value = head + math.exp(log_integral) + 0.5 * d0 - d1 / 12.0 + d3 / 720.0
+    integral, integral_rounding = _moment_tail_integral(s, i, n)
+    value = head + integral + 0.5 * d0 - d1 / 12.0 + d3 / 720.0
     remainder = abs(d3) / 720.0
     if math.log(n) <= _moment_root_bound(polys[4]):
         remainder += math.exp(_log_summand_peak(s, i)) + abs(d1) / 12.0
     size = sum(_moment_derivative(s, i, m, [abs(c) for c in polys[m]], n) / w
                for m, w in ((0, 2.0), (1, 12.0), (3, 720.0)))
-    return value, remainder, _moment_rounding(s, i, n, head, log_integral, size)
+    return value, remainder, _moment_rounding(s, i, n, head, integral, integral_rounding, size)
 
 
 def _log_polynomials(s: float, i: int) -> list[list[float]]:
@@ -237,7 +237,8 @@ def _moment_root_bound(q: list[float]) -> float:
 
 
 def _moment_rounding(
-    s: float, i: int, n: int, head: float, log_integral: float, size: float
+    s: float, i: int, n: int, head: float, integral: float, integral_rounding: float,
+    size: float,
 ) -> float:
     """A-priori bound on the rounding error of a log-moment value, i >= 1.
 
@@ -247,8 +248,7 @@ def _moment_rounding(
     * each head term (ln k)^i k^-s: ln k within one ulp (2u relative), so
       its i-th power within (2i + 2)u, k^-s within 2u and the product u;
       math.fsum rounds the sum once: (2i + 6)u head;
-    * the integral is exp (one ulp) of a log off by at most rho, the
-      ``_log_tail_rounding``: (expm1(rho) + 2u) integral;
+    * the integral: its own bound from ``_moment_tail_integral``;
     * each derivative term n^(-s-m) t^(i-m) Q_m(t) / w: t^(i-m) within
       (2|i-m| + 2)u, n^(-s-m) within 2u plus u (s+m) t from the rounding of
       its exponent, Q_m's coefficients and its five-term sum within 32u of
@@ -258,12 +258,49 @@ def _moment_rounding(
 
     Raising each constant by one covers the second-order terms.
     """
+    factor = 2.0 * i + (s + 3.0) * math.log(n) + 51.0
+    return integral_rounding + UNIT_ROUNDOFF * (
+        (2.0 * i + 11.0) * head + 5.0 * integral + factor * size
+    )
+
+
+def _moment_tail_integral(s: float, i: int, n: int) -> tuple[float, float]:
+    """integral_n^inf (log t)^i t^(-s) dt, i >= 1, and a bound on its rounding.
+
+    In linear space, i! sum_(m<=i) t_m / (s-1)^(i+1) with z = (s-1) ln n
+    and t_m = e^-z z^m/m! by the recurrence t_m = t_(m-1) (z/m), wherever
+    every piece stays in range: i <= 170, z <= 700, (s-1)^(i+1) normal and
+    the result finite.  With u = 2^-53 and exp and pow within one ulp (2u),
+    as in ``_zeta_rounding``, the relative error is at most u times:
+
+    * (3 + [s > 2]) w z, w = t_i / sum t_m, for the rounding of z: the
+      log of the integral has slope -w in z (see ``_log_tail_rounding``);
+    * 2 for exp(-z), 2m for the quotients and products up to t_m, and i for
+      the additions of the i+1 nonnegative terms: 3i + 2 in all;
+    * i! exact up to 22! and within 1 past it, (s-1)^(i+1) within 2 plus,
+      past s = 2, (i+1) from s - 1, and the product and the division 2;
+    * terms below the normal range, at most i 2^-1074 against a sum of at
+      least e^-700: 1.
+
+    Two more units cover the second-order terms.  Elsewhere it is the exp
+    of ``log_moment_tail_integral``, off by at most expm1(rho) + 2u
+    relatively, rho the ``_log_tail_rounding``.
+    """
+    z = (s - 1.0) * math.log(n)
+    scale = (s - 1.0) ** (i + 1)
+    if i <= 170 and z <= 700.0 and scale >= 2.0**-1022:
+        terms = list(accumulate((z / m for m in range(1, i + 1)), mul, initial=math.exp(-z)))
+        total = sum(terms)
+        integral = math.factorial(i) * total / scale
+        if math.isfinite(integral):
+            past_two = 1.0 if s > 2.0 else 0.0
+            units = (3.0 + past_two) * z * terms[-1] / total + 3.0 * i + (i + 1.0) * past_two
+            units += (1.0 if i > 22 else 0.0) + 9.0
+            return integral, integral * units * UNIT_ROUNDOFF
+    log_integral = log_moment_tail_integral(s, i, n)
     integral = math.exp(log_integral)
     rho = _log_tail_rounding(s, i, float(n), log_integral)
-    factor = 2.0 * i + (s + 3.0) * math.log(n) + 51.0
-    return integral * math.expm1(rho) + UNIT_ROUNDOFF * (
-        (2.0 * i + 11.0) * head + 7.0 * integral + factor * size
-    )
+    return integral, integral * (math.expm1(rho) + 2.0 * UNIT_ROUNDOFF)
 
 
 def log_moment_tail_integral(s: float, i: int, x: float) -> float:
@@ -293,41 +330,95 @@ def log_moment_tail(s: float, i: int, j_max: int) -> float:
     bound.  For i >= 1 it is the integral from J, which dominates the sum
     wherever the summand decreases; while J sits left of the summand's peak
     at k = e^(i/s), the peak value is added.  The result is rounded outward
-    by ``_log_tail_rounding``.
+    by a derived bound on each step's rounding, in units of u = 2^-53:
+
+    * i = 0: the tail's own bound from ``_zeta_rounding``; the remainder
+      s (s+1) (s+2) n^(-s-3) / 720 within (8 + (s+3) ln n) u relatively
+      (five roundings in the coefficient, the rounded exponent, pow and the
+      product); the sum u; log 2 |log_tail|;
+    * i >= 1: ``_log_tail_rounding`` for the integral; where the peak
+      i (log(i/s) - 1) is added, its own rounding (i/s, log, the
+      subtraction and the product: i (1 + 2 |L| + |L - 1|) + |peak|,
+      L = log(i/s)), and the log-sum-exp, which is 1-Lipschitz in its
+      inputs and adds at most |log_tail| + 4 for its exp, log1p and sum.
+
+    The final addition of the bound is rounded up.
     """
     if i == 0:
         x = float(j_max + 1)
-        tail, remainder, _ = _euler_maclaurin_tail(s, x)
-        tail += remainder
-        if not tail > 0.0:
+        tail, remainder, rounding = _euler_maclaurin_tail(s, x)
+        total = tail + remainder
+        if not total > 0.0:
             return -math.inf
-        log_tail = math.log(tail)
+        log_tail = math.log(total)
+        remainder_units = 8.0 + (s + 3.0) * math.log(x)
+        rho = (rounding + UNIT_ROUNDOFF * remainder_units * remainder) / total
+        rho += UNIT_ROUNDOFF * (2.0 * abs(log_tail) + 1.0)
     else:
         x = float(j_max)
         log_tail = log_moment_tail_integral(s, i, x)
+        rho = _log_tail_rounding(s, i, x, log_tail)
         if math.log(x) < i / s:  # log(e^log_tail + peak value)
-            low, high = sorted((log_tail, _log_summand_peak(s, i)))
+            peak = _log_summand_peak(s, i)
+            log_ratio = math.log(i / s)
+            peak_units = i * (1.0 + 2.0 * abs(log_ratio) + abs(log_ratio - 1.0)) + abs(peak)
+            low, high = sorted((log_tail, peak))
             log_tail = high + math.log1p(math.exp(low - high))
-    return log_tail + _log_tail_rounding(s, i, x, log_tail)
+            rho = max(rho, UNIT_ROUNDOFF * peak_units)
+            rho += UNIT_ROUNDOFF * (abs(log_tail) + 4.0)
+    return math.nextafter(log_tail + rho, math.inf)
 
 
-def _log_tail_rounding(s: float, i: int, x: float, log_tail: float) -> float:
-    """A-priori bound on the rounding error of a log-space moment tail at x.
+def _log_tail_rounding(s: float, i: int, x: float, log_integral: float) -> float:
+    """A-priori bound on the rounding error of ``log_moment_tail_integral``.
 
-    The assembly adds pieces of size log i!, (i+1) |log(s-1)|, z = (s-1) log x
-    (and i |log z| for the sum of the i+1 terms z^m/m!), and ends at
-    log_tail; for i = 0 the Euler-Maclaurin powers n^(1-s), n^-s carry the
-    rounding of their exponents, u |log_tail| relative.  Each elementary step
-    (log, lgamma, pow, product, sum) is accurate to a couple of ulps of its
-    own result, so 4 u per unit of total magnitude, plus one unit per summed
-    term and a few for the fixed steps, covers it; against 40-digit mpmath
-    the actual error stays below 1.1 u per unit over s in [1.001, 101],
-    i <= 400, x <= 10^7.
+    The result is log_integral = A - z + M + T - S with A = lgamma(i+1),
+    z = (s-1) ln x, M = mode log z - lgamma(mode+1), T the log of the sum
+    of the terms z^m/m! relative to the mode term and S = (i+1) log(s-1).
+    With u = 2^-53, log within one ulp (2u relative), as pow in
+    ``_zeta_rounding``, and lgamma at an integer y >= 3 within 2 ulps of
+    its result plus 2u, as in ``_svd_resolution`` (CPython's Lanczos sum;
+    against 40-digit mpmath its error stays below 2.8u |lgamma y| + 2u at
+    every integer y <= 60000), and exact at y = 1, 2, the error is at most
+    u times the sum of:
+
+    * z: s - 1 is exact up to s = 2 (Sterbenz) and within u past it, ln x
+      within 2u and the product u, so z is within (3 + [s > 2]) u
+      relatively.  As a function of z the exact log integral has slope
+      -(z^i/i!) / sum_(m<=i) z^m/m!, in [-1, 0], so this costs
+      (3 + [s > 2]) z, and the steps below evaluate it at the rounded z;
+    * A: 4 A + 2;
+    * M: log z within 2 |log z|, the product by mode and the subtraction
+      one rounding each, and lgamma(mode+1) as above:
+      3 mode |log z| + |M| + 4 lgamma(mode+1) + 2;
+    * T: each of the i+1 terms is a product of k <= K = max(mode, i - mode)
+      quotients z/m or m/z, 2k - 1 roundings, and the nonnegative terms are
+      added in i steps, so their sum is within gamma_(i+2K-1) relatively,
+      and log adds 2 |T|;
+    * S: log(s-1) within 2 |log(s-1)| and, past s = 2, u from s - 1, and
+      the product one rounding: (i+1) (3 |log(s-1)| + [s > 2]);
+    * the four additions that assemble the result, each one rounding of
+      its partial sum: |A - z| + |A - z + M| + |A - z + M + T| + |result|.
+
+    Two more units cover the second-order terms.
     """
     z = (s - 1.0) * math.log(x)
-    log_z = abs(math.log(z)) if z > 0.0 else 0.0
-    magnitude = math.lgamma(i + 1.0) + (i + 1.0) * abs(math.log(s - 1.0)) + z + i * log_z
-    return 4.0 * UNIT_ROUNDOFF * (magnitude + abs(log_tail) + i + 6.0)
+    mode = min(math.floor(z), i)
+    past_two = 1.0 if s > 2.0 else 0.0
+    a = math.lgamma(i + 1.0)
+    log_s1 = math.log(s - 1.0)
+    units = (3.0 + past_two) * z + 4.0 * a + 2.0 + (i + 1.0) * (3.0 * abs(log_s1) + past_two)
+    partial = a - z  # A - z, then A - z + M
+    units += abs(partial)
+    if mode:
+        lgam = math.lgamma(mode + 1.0)
+        log_mode = mode * math.log(z) - lgam
+        units += 3.0 * mode * abs(math.log(z)) + abs(log_mode) + 4.0 * lgam + 2.0
+        partial += log_mode
+    log_total = log_integral + (i + 1.0) * log_s1 - partial
+    units += max(i + 2.0 * max(mode, i - mode) - 1.0, 0.0) + 2.0 * abs(log_total)
+    units += abs(partial) + abs(partial + log_total) + abs(log_integral) + 2.0
+    return units * UNIT_ROUNDOFF
 
 
 def _log_summand_peak(s: float, i: int) -> float:

@@ -5,7 +5,9 @@ independent implementation from the certified Euler-Maclaurin evaluator the
 bounds module uses internally.
 """
 
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +36,36 @@ def random_admissible_pairs(n, seed=0):
     return pairs
 
 
+def assert_radius_is_rounded_root(sigma1, c):
+    """P(r) <= 0 exactly at |c2| one ulp up, and r moves from the float
+    root by no more than that root's own error (against the 50-digit root
+    at the float |c2|), the root's shift over that ulp and two ulps of r;
+    the |P(r)| <= 2e-12 scale of the theory benchmark's check still holds.
+    mpmath runs at the caller's precision, 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    r = schur_radius(sigma1, c)
+    c_up = math.nextafter(c, math.inf)
+    f1, fc, fr = Fraction(sigma1), Fraction(c_up), Fraction(r)
+    assert fc * fr * fr + (1 - 2 * f1) * fr + fc <= 0, (sigma1, c, r)
+
+    b = 2.0 * sigma1 - 1.0
+    disc = b * b - 4.0 * c * c
+    if abs(disc) <= 1e-12 * (b * b + 4.0 * c * c):
+        disc = 0.0
+    float_root = min(2.0 * c / (b + math.sqrt(disc)), 1.0)
+    m1, mc, mr = mpmath.mpf(sigma1), mpmath.mpf(c), mpmath.mpf(r)
+    mb = 2 * m1 - 1
+
+    def root(x):
+        return 2 * x / (mb + mpmath.sqrt(max(mb * mb - 4 * x * x, 0)))
+
+    own_error = abs(float_root - root(mc))
+    shift = root(mpmath.mpf(c_up)) - root(mc)
+    assert abs(mr - float_root) <= own_error + shift + 2 * math.ulp(r), (sigma1, c, r)
+    p_r = mc * mr * mr + (1 - 2 * m1) * mr + mc
+    assert abs(p_r) <= 2e-12 * (mc * mr * mr + (2 * m1 - 1) * mr + mc), (sigma1, c, r)
+
+
 class TestSchurRadius:
     def test_reference_value(self):
         # for sigma1 = 2, c = 0.5 the quadratic is r^2/2 - 3r + 1/2
@@ -54,6 +86,35 @@ class TestSchurRadius:
             assert r <= 2.0 * c / (2.0 * sigma1 - 1.0) * (1.0 + 1e-12)
             other = (2.0 * sigma1 - 1.0 - c * r) / c
             assert r * other == pytest.approx(1.0, rel=1e-9)
+
+    def test_radius_satisfies_the_quadratic_exactly(self):
+        # 20,000 seeded symbols, |c2| log-uniform in [0.05, 50] and gap
+        # sigma1 - 1/2 - |c2| in [1e-12, 10]; the float root alone misses
+        # P(r) <= 0 at 9,636 of them
+        rng = np.random.default_rng(29)
+        cs = 10.0 ** rng.uniform(math.log10(0.05), math.log10(50.0), 20000)
+        gaps = 10.0 ** rng.uniform(-12.0, 1.0, 20000)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for c, gap in zip(cs.tolist(), gaps.tolist()):
+                assert_radius_is_rounded_root(0.5 + c + gap, c)
+
+    def test_radius_on_hostile_symbols(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        mpmath = pytest.importorskip("mpmath")
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            st.floats(math.log(0.05), math.log(50.0)), st.floats(math.log(1e-12), math.log(10.0))
+        )
+        def check(log_c, log_gap):
+            c = math.exp(log_c)
+            assert_radius_is_rounded_root(0.5 + c + math.exp(log_gap), c)
+
+        with mpmath.workdps(50):
+            check()
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -150,6 +211,23 @@ class TestApproxNumberBound:
         for c in [0.5, *np.geomspace(0.01, 50.0, 2000)]:
             with pytest.raises(NonCompactError):
                 approx_number_bound(DirichletSymbol(0.5 + float(c), float(c)))
+
+    def test_rounded_outward(self):
+        # prefactor, ratio and bound_at(n) lie at or above their 40-digit
+        # values at the exact |c2| of the float components; rounded to
+        # nearest, about half of the ratios fell below
+        mpmath = pytest.importorskip("mpmath")
+        for sigma1, c in random_admissible_pairs(300, seed=13):
+            for c2 in (c, c * cmath.exp(0.7j)):
+                ab = approx_number_bound(DirichletSymbol(sigma1, c2))
+                with mpmath.workdps(40):
+                    two_c = 2 * mpmath.sqrt(mpmath.mpf(c2.real) ** 2 + mpmath.mpf(c2.imag) ** 2)
+                    b = 2 * mpmath.mpf(sigma1) - 1
+                    ratio = two_c / b
+                    prefactor = mpmath.sqrt(b * (b + 1) / (b * b - two_c * two_c))
+                    assert ab.ratio >= ratio and ab.prefactor >= prefactor, (sigma1, c2)
+                    for n in (1, 2, 7, 60, 400):
+                        assert ab.bound_at(n) >= prefactor * ratio**n, (sigma1, c2, n)
 
     def test_negative_index_rejected(self):
         ab = ApproxNumberBound(prefactor=2.0, ratio=0.5)

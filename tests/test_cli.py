@@ -259,6 +259,11 @@ class TestVerifyLemmas:
             assert check["failed"] == 0
             assert check["worst_margin"] >= -1e-12
 
+    def test_tight_tolerance_passes(self, capsys):
+        # the moment sums' derived rounding leaves room for a 1e-14 tolerance
+        code, doc, _ = run_json(capsys, ["verify-lemmas", "--tol", "1e-14"])
+        assert code == 0 and doc["result"]["all_passed"] is True
+
     def test_injected_fault_exits_1(self, capsys):
         code, doc, err = run_json(capsys, ["verify-lemmas", "--inject-fault"])
         assert code == 1

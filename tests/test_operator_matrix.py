@@ -3,8 +3,8 @@
 Independent oracles keep the implementation honest: a brute-force series
 summation for column norms, an 80-digit mpmath eigendecomposition of the
 Gram matrix for singular spectra (the module itself calls LAPACK), 40-digit
-row sums for the Schur residuals, and a dense log-space reference for the
-streamed Schur kernel.
+zeta derivatives for the Schur rows, and a dense log-space reference that
+the closed-form Schur bound must dominate.
 """
 
 import math
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from dirichletops import operator_matrix
-from dirichletops.bounds import norm_bounds, schur_radius
+from dirichletops.bounds import c2_abs_upper, norm_bounds, schur_radius
 from dirichletops.errors import DomainError, MatrixSizeError
 from dirichletops.operator_matrix import (
     MAX_ENTRIES_ENV,
@@ -69,12 +69,13 @@ def log_row_tails(sym, s, i_max, j_max):
     )
 
 
-def dense_schur_residual(sym, r, i_max, j_max):
-    """Worst residual over rows 1..I of the Schur check, and row 0's exact 0,
-    from the whole I x (J-1) log-space block at once, each row shifted by its
-    largest term as np.max finds it, then one exp and one sum.  (A
-    sequential np.logaddexp.reduce drops every increment below half an ulp
-    of its running total and reads up to about J u low.)"""
+def dense_schur_ratio(sym, r, i_max, j_max):
+    """Largest ratio over rows 1..I of a Schur row's left side (its sum over
+    j <= J plus the certified column tail) to beta_low r^i, from the whole
+    I x (J-1) log-space block at once, each row shifted by its largest term
+    as np.max finds it, then one exp and one sum.  (A sequential
+    np.logaddexp.reduce drops every increment below half an ulp of its
+    running total and reads up to about J u low.)"""
     c = sym.c2_abs
     s = 2.0 * sym.sigma1 - r * c
     i = np.arange(1, i_max + 1.0)[:, None]
@@ -86,19 +87,17 @@ def dense_schur_residual(sym, r, i_max, j_max):
     log_rhs = math.log(zeta(s).lower) + i[:, 0] * math.log(r)
     log_lhs = np.logaddexp(log_rows, log_row_tails(sym, s, i_max, j_max))
     with np.errstate(over="ignore"):
-        return max(0.0, float(np.expm1(np.max(log_lhs - log_rhs))))
+        return float(np.exp(np.max(log_lhs - log_rhs)))
 
 
-def assert_matches_dense(sym, r, i_max, j_max):
-    """The streamed residual equals the dense one, raised by at most the
-    certificate's own rounding bound."""
+def assert_dominates_dense(sym, r, i_max, j_max):
+    """The closed-form row bound is at least every dense row's ratio, up to
+    the dense sum's own rounding, so a true verdict (residual 0) never sits
+    beside a failing dense row."""
     cert = schur_certificate(sym, r, i_max, j_max)
-    row = dense_schur_residual(sym, r, i_max, j_max)
-    if row == math.inf:
-        assert cert.max_row_residual == math.inf
-        return
-    excess = cert.max_row_residual - row
-    assert -1e-12 * max(1.0, row) <= excess <= (1e-12 + cert.row_rounding) * (1.0 + row)
+    ratio = dense_schur_ratio(sym, r, i_max, j_max)
+    assert cert.row_bound >= ratio * (1.0 - 1e-12), (sym, r, cert, ratio)
+    assert cert.max_row_residual >= ratio - 1.0 - 1e-12, (sym, r, cert, ratio)
 
 
 # Im c1 up to 100, arbitrary arg c2, large q
@@ -489,17 +488,21 @@ class TestSchurCertificate:
         assert cert.verdict
         assert cert.alpha == 1.0
         assert cert.beta == pytest.approx(zeta(4.0 - r * 0.5).value, rel=1e-14)
-        assert abs(cert.max_row_residual) < 1e-12
+        assert cert.max_row_residual == 0.0
+        # the closed-form row ratio h(s) / zeta(s) at s = 3.914
+        assert cert.row_bound == pytest.approx(0.588, abs=1e-3)
         assert cert.implied_norm_bound == pytest.approx(math.sqrt(cert.beta), rel=1e-12)
 
     def test_row_zero_is_exact(self):
-        # row 0 is sum_j j^-s = beta itself: it is not recomputed, so it
-        # reads exactly 0 and the verdict rests on rows 1..I alone
+        # row 0 is sum_j j^-s = zeta(s), below beta's upper end, and every
+        # row i >= 1 is proven at once: the truncation arguments are only
+        # validated, and I = 0 reads exactly as I = 60
         sym = DirichletSymbol(2.0, 0.5)
         r = schur_radius(2.0, 0.5)
-        assert schur_certificate(sym, r, 60, 5000).max_row_residual == 0.0
         cert = schur_certificate(sym, r, 0, 5000)
-        assert cert.max_row_residual == 0.0 and cert.row_tail == 0.0 and cert.verdict
+        assert cert.max_row_residual == 0.0 and cert.verdict
+        assert schur_certificate(sym, r, 60, 5000) == cert
+        assert schur_certificate(sym, r, 1000, 1) == cert
 
     def test_deep_columns_do_not_fail_the_verdict(self):
         # r |c2| ln j reaches 900 here, far past I: a checked column series
@@ -524,13 +527,12 @@ class TestSchurCertificate:
 
     @pytest.mark.parametrize("r", [8.7e-16, 1e-300])
     def test_rounding_past_its_model_fails_the_verdict(self, r):
-        # r |c2| is so small that s = 2 sigma1 - r |c2| no longer determines
-        # r: the rounding count passes 1/u, where gamma gives no bound, and
-        # row 1 (log ratio about +34 at 8.7e-16) must still fail; read as
-        # n u / (1 - n u) there, the count came out near -34 and passed it
+        # r |c2| is so small that s = 2 sigma1 - r |c2| rounds to 2 sigma1,
+        # which no longer determines r; P(r) > 0, decided exactly, fails
+        # the verdict whatever s rounds to
         cert = schur_certificate(DirichletSymbol(2.0, 0.5), r, 1, 400)
         assert not cert.verdict
-        assert cert.max_row_residual == math.inf and cert.row_rounding == math.inf
+        assert cert.max_row_residual == math.inf and cert.row_bound == math.inf
         assert cert.implied_norm_bound is None
 
     def test_gamma_is_infinite_past_its_model(self):
@@ -546,53 +548,60 @@ class TestSchurCertificate:
 
     def test_random_compact_symbols_accept_their_radius(self):
         # |c2| from 0.05 to 50, gaps sigma1 - 1/2 - |c2| from 1e-6 to 2.5,
-        # each at a shallow and a deep row truncation
+        # each at a shallow and a deep row truncation; arg c2 = 0.5 makes
+        # abs round, so P is decided one ulp above the float |c2|
         rng = np.random.default_rng(17)
         for _ in range(100):
             c = float(10.0 ** rng.uniform(math.log10(0.05), math.log10(50.0)))
             gap = float(10.0 ** rng.uniform(-6.0, math.log10(2.5)))
-            sym = DirichletSymbol(0.5 + c + gap, c)
-            r = schur_radius(sym.sigma1, c)
-            for i_max in (8, 64):
-                cert = schur_certificate(sym, r, i_max, 400)
-                assert cert.verdict, (sym.sigma1, c, i_max, cert)
+            for c2 in (c, c * np.exp(0.5j)):
+                sym = DirichletSymbol(0.5 + abs(c2) + gap, c2)
+                r = schur_radius(sym.sigma1, sym.c2_abs)
+                for i_max in (8, 64):
+                    cert = schur_certificate(sym, r, i_max, 400)
+                    assert cert.verdict, (sym.sigma1, c2, i_max, cert)
 
     def test_residuals_match_independent_oracle(self):
-        # 40-digit sums over j <= J plus the library's certified tail,
-        # against beta_low r^i, for rows 1..I; row 0 is exact, so the ratio
-        # left side / right side = 1 + residual reads at least 1.  The
-        # certificate adds its rounding bound to every left side: it never
-        # reads below the ratio, and above it by at most that bound
+        # every row's ratio to zeta(s) r^i, from 40-digit zeta derivatives:
+        # row i sums to |c2|^i / i! (-1)^i zeta^(i)(s), and row 0 to zeta(s);
+        # none may exceed 1 + max_row_residual, nor row_bound beyond the
+        # certified width of beta
         mpmath = pytest.importorskip("mpmath")
         cases = [
-            (DirichletSymbol(2.0, 0.5), schur_radius(2.0, 0.5), 12, 400),
-            (DirichletSymbol(2.0, 0.5), 0.1, 12, 400),
-            (DirichletSymbol(1.0, 0.5), 1.0, 12, 400),
-            # without the rounding bound these two read 1.3e-14 and 3.8e-15
-            # below the ratio
-            (DirichletSymbol(2.0, 0.5), 0.1, 40, 300),
-            (DirichletSymbol(3.0, 2.0), 0.3, 40, 300),
+            (DirichletSymbol(2.0, 0.5), schur_radius(2.0, 0.5)),
+            (DirichletSymbol(2.0, 0.5), 0.5),
+            (DirichletSymbol(1.0, 0.5), 1.0),
+            (DirichletSymbol(3.0, 2.0), 0.5),  # P(0.5) = 0 exactly
+            (DirichletSymbol(3.0, 2.0), 0.75),
+            (DirichletSymbol(1.6, 0.3), schur_radius(1.6, 0.3)),
+            (DirichletSymbol(51.0, 50.0), schur_radius(51.0, 50.0)),
         ]
-        for sym, r, i_max, j_max in cases:
-            cert = schur_certificate(sym, r, i_max, j_max)
-            c = sym.c2_abs
-            s = 2.0 * sym.sigma1 - r * c
-            beta_low = zeta(s).lower
-            tails = np.exp(log_row_tails(sym, s, i_max, j_max))
+        for sym, r in cases:
+            cert = schur_certificate(sym, r, 40, 1000)
+            assert cert.verdict and cert.row_bound < 1.0, (sym, r)
             with mpmath.workdps(40):
-                base = [c * mpmath.log(j) for j in range(1, j_max + 1)]
-                decay = [mpmath.mpf(j) ** -s for j in range(1, j_max + 1)]
-                ratio = max(
-                    (
-                        mpmath.fsum(b**i * d for b, d in zip(base, decay)) / mpmath.factorial(i)
-                        + tails[i - 1]
-                    )
-                    / (mpmath.mpf(beta_low) * mpmath.mpf(r) ** i)
-                    for i in range(1, i_max + 1)
-                )
-                ratio = max(ratio, 1)
-                excess = 1 + mpmath.mpf(cert.max_row_residual) - ratio
-                assert 0 <= excess <= (1e-13 + cert.row_rounding) * ratio, (sym, r)
+                c, rr = mpmath.mpf(sym.c2_abs), mpmath.mpf(r)
+                s = 2 * mpmath.mpf(sym.sigma1) - rr * c
+                beta = mpmath.zeta(s)
+                for i in (*range(1, 13), 20, 40):
+                    row = c**i / mpmath.factorial(i) * (-1) ** i * mpmath.zeta(s, 1, i)
+                    ratio = row / (beta * rr**i)
+                    assert ratio <= cert.row_bound * (1 + 1e-12), (sym, r, i)
+                    assert ratio <= 1 + cert.max_row_residual, (sym, r, i)
+
+    def test_row_bound_lemma_against_mpmath(self):
+        # (-1)^i zeta^(i)(s) = sum_j (ln j)^i j^-s <= i!/(s-1)^(i+1) + (i/(s e))^i,
+        # the integral plus the peak of a unimodal summand; at large i the
+        # bound is tight below 40 digits (1 - ratio reads about -2e-41 at
+        # s = 1.05), so it holds up to a relative 1e-35
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for s in (1.05, 1.5, 2.0, 3.414, 7.0):
+                s = mpmath.mpf(s)
+                for i in (*range(1, 11), 15, 20, 30, 50, 80, 120, 160, 200):
+                    moment = (-1) ** i * mpmath.zeta(s, 1, i)
+                    bound = mpmath.factorial(i) / (s - 1) ** (i + 1) + (i / (s * mpmath.e)) ** i
+                    assert moment <= bound * (1 + mpmath.mpf(10) ** -35), (s, i)
 
     @pytest.mark.parametrize(
         "sigma1, c, i_max, j_max",
@@ -606,16 +615,17 @@ class TestSchurCertificate:
             (2.0, 0.5, 40, 3),
             # row 1's terms at small j underflow, and deep rows peak there
             (200.0, 150.0, 1000, 5000),
-            # columns 2..J fill one chunk and one column of the next
-            (2.0, 0.5, 40, operator_matrix._SCHUR_CHUNK + 2),
+            (2.0, 0.5, 40, 32770),  # rows longer than 2^15 columns
         ],
     )
     def test_streamed_matches_dense_reference(self, sigma1, c, i_max, j_max):
-        # at the Schur radius every row holds and both read 0; at 0.9 times
-        # it deep rows fail, so the residual reads their sums
+        # at the Schur radius every dense row holds below the closed-form
+        # bound; at 0.9 times it P(r) > 0, the certificate reads +inf and
+        # deep dense rows fail
         sym = DirichletSymbol(sigma1, c)
         for r in (schur_radius(sigma1, c), 0.9 * schur_radius(sigma1, c)):
-            assert_matches_dense(sym, r, i_max, j_max)
+            assert_dominates_dense(sym, r, i_max, j_max)
+        assert not schur_certificate(sym, 0.9 * schur_radius(sigma1, c), i_max, j_max).verdict
 
     def test_hostile_symbols_match_dense_reference(self):
         # |c2| in [0.05, 200], gaps in [1e-6, 10], up to 1000 rows and 2e4
@@ -645,7 +655,7 @@ class TestSchurCertificate:
         def check(log_c, log_gap, scale, truncation):
             c = math.exp(log_c)
             sym = DirichletSymbol(0.5 + c + math.exp(log_gap), c)
-            assert_matches_dense(sym, scale * schur_radius(sym.sigma1, c), *truncation)
+            assert_dominates_dense(sym, scale * schur_radius(sym.sigma1, c), *truncation)
 
         check()
 
@@ -657,8 +667,8 @@ class TestSchurCertificate:
         assert rows.implied_norm_bound is None
 
     def test_streamed_memory_is_bounded(self):
-        # a few vectors of one 256 KiB chunk each, whatever I and J; the
-        # dense block of this check would take 156 MiB
+        # no block and no row is held, whatever I and J; the dense block of
+        # this check would take 156 MiB
         sym = DirichletSymbol(2.5, 0.8)
         tracemalloc.start()
         try:
@@ -669,8 +679,45 @@ class TestSchurCertificate:
         assert peak < 2 * 2**20
 
     def test_tails_are_recorded(self):
+        # the closed-form bound covers each row's full sum, tail included
         cert = schur_certificate(DirichletSymbol(2.0, 0.5), 0.5, 20, 200)
-        assert cert.row_tail > 0.0
+        assert 0.0 < cert.row_bound < 1.0
+
+    @pytest.mark.parametrize(
+        "sigma1, c, fraction",
+        [(2.0, 0.5, 0.19), (1.6, 0.3, 0.295), (3.0, 1.0, 0.065), (1.51, 1.0, 0.235),
+         (5.55, 5.0, 0.005)],
+    )
+    def test_precondition_is_checked(self, sigma1, c, fraction):
+        # below the radius P(r) > 0: row 1 alone holds, but deep rows fail,
+        # and sqrt(zeta(2 sigma1 - r |c2|)) lies below the norm itself
+        sym = DirichletSymbol(sigma1, c)
+        r = fraction * schur_radius(sigma1, c)
+        cert = schur_certificate(sym, r, 1, 20000)
+        assert not cert.verdict and cert.max_row_residual == math.inf
+        assert cert.implied_norm_bound is None
+        if (sigma1, c) in ((2.0, 0.5), (1.51, 1.0)):
+            est = operator_norm_estimate(build_matrix(sym, 60, 20000))
+            assert est.lower > math.sqrt(zeta(2.0 * sigma1 - r * c).upper)
+
+    @pytest.mark.parametrize("sigma1, c2", [(2.0, 0.5), (1.6, 0.3), (2.5, 0.8 * np.exp(1j))])
+    def test_one_ulp_below_the_root_fails(self, sigma1, c2):
+        # the least float r with P(r) <= 0, decided on Fractions at the
+        # certificate's |c2|, passes; the float below it reads +inf
+        from fractions import Fraction
+
+        sym = DirichletSymbol(sigma1, c2)
+        c = Fraction(c2_abs_upper(sym))
+
+        def holds(r):
+            return c * Fraction(r) ** 2 + (1 - 2 * Fraction(sigma1)) * Fraction(r) + c <= 0
+
+        r = schur_radius(sigma1, sym.c2_abs)
+        while holds(math.nextafter(r, 0.0)):
+            r = math.nextafter(r, 0.0)
+        assert holds(r) and schur_certificate(sym, r, 40, 2000).verdict
+        below = schur_certificate(sym, math.nextafter(r, 0.0), 40, 2000)
+        assert not below.verdict and below.max_row_residual == math.inf
 
     def test_parameter_validation(self):
         sym = DirichletSymbol(2.0, 0.5)
@@ -679,6 +726,9 @@ class TestSchurCertificate:
                 schur_certificate(sym, bad_r, 10, 50)
         with pytest.raises(DomainError):
             schur_certificate(DirichletSymbol(0.75, 0.0), 0.5, 10, 50)
+        for i_max, j_max in ((-1, 50), (10, 0), (1.5, 50)):
+            with pytest.raises(DomainError):
+                schur_certificate(sym, 0.5, i_max, j_max)
 
 
 class TestMatrixDump:

@@ -29,6 +29,8 @@ from dirichletops import (
 from dirichletops.special_functions import (
     MARGIN_FLOOR,
     CertifiedValue,
+    _log_tail_rounding,
+    _moment_tail_integral,
     log_moment_tail,
     log_moment_tail_integral,
     verification_suite,
@@ -194,6 +196,44 @@ def test_log_moment_tail_bounds_hurwitz_oracle():
                 slack = s * (s + 1) * (s + 2) / 360 * (j_max + 1.0) ** (-s - 3)
                 rounding = 1e-15 * (abs(log_bound) + 10.0)
                 assert mpmath.e**log_bound <= exact * (1 + rounding) + slack, (s, j_max)
+
+
+def test_log_tail_rounding_covers_the_error():
+    # 3,000 random (s, i, x), s in [1.001, 101], i <= 400, x <= 10^7, half
+    # of x integers: the derived bound covers the 40-digit error of the log
+    # integral
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(41)
+    with mpmath.workdps(40):
+        for _ in range(3000):
+            s = float(10.0 ** rng.uniform(math.log10(1.001), math.log10(101.0)))
+            i = int(rng.integers(0, 401))
+            x = float(10.0 ** rng.uniform(0.0, 7.0))
+            if rng.random() < 0.5:
+                x = float(math.floor(x))
+            got = log_moment_tail_integral(s, i, x)
+            ms = mpmath.mpf(s)
+            z = (ms - 1) * mpmath.log(x)
+            exact = mpmath.log(mpmath.gammainc(i + 1, z)) - (i + 1) * mpmath.log(ms - 1)
+            assert abs(got - exact) <= _log_tail_rounding(s, i, x, got), (s, i, x)
+
+
+def test_linear_tail_integral_covers_the_error():
+    # the engine's integral, in linear space where it stays in range, within
+    # its derived bound of the 40-digit value; 1,000 random (s, i, n)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(43)
+    with mpmath.workdps(40):
+        for _ in range(1000):
+            s = float(10.0 ** rng.uniform(math.log10(1.001), math.log10(30.0)))
+            i = int(rng.integers(1, 201))
+            n = int(10.0 ** rng.uniform(math.log10(16.0), 6.0))
+            ms = mpmath.mpf(s)
+            exact = mpmath.gammainc(i + 1, (ms - 1) * mpmath.log(n)) / (ms - 1) ** (i + 1)
+            if exact > 1e300:
+                continue
+            value, rounding = _moment_tail_integral(s, i, n)
+            assert abs(value - exact) <= rounding, (s, i, n)
 
 
 def test_log_moment_factorial_zeta_bound_grid():
