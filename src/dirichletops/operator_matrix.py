@@ -53,6 +53,10 @@ _MAPPED_MIN_BYTES = 1 << 22
 _GRAM_FLOOR = 1e-30
 # every iterate is scaled to x_1 = 1 and raised to at least this floor
 _X_FLOOR = 2.0**-900
+# build_matrix uses the row recurrence on the columns with sigma1 ln j at
+# most this: row 0 there is at least e^-700, far inside the normal range
+# (2^-1022 = e^-708.4)
+_ROW0_EXPONENT_MAX = 700.0
 
 
 def _max_entries() -> int:
@@ -109,14 +113,18 @@ class TruncatedMatrix:
     ``magnitudes`` is the real nonnegative block B = |A|, read-only and safe
     to share across threads.  ``entries`` is the phased complex block
     A = D_row B D_col, computed on first access and cached read-only.
-    ``tail_bound`` is a certified upper bound on the operator norm of the
-    discarded part (rows > I and columns > J); it is infinite for boundary
-    symbols, whose row tails do not decay geometrically.
     """
 
     magnitudes: np.ndarray
     symbol: DirichletSymbol
-    tail_bound: float
+
+    @cached_property
+    def tail_bound(self) -> float:
+        """Certified upper bound on the operator norm of the discarded part
+        (rows > I and columns > J), from tail_bounds on first access; it is
+        infinite for boundary symbols, whose row tails do not decay
+        geometrically."""
+        return tail_bounds(self.symbol, self.i_max, self.j_max)
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -151,14 +159,20 @@ class TruncatedMatrix:
 def build_matrix(sym: DirichletSymbol, i_max: int, j_max: int) -> TruncatedMatrix:
     """Magnitudes B[i][j] = j^(-sigma1) (|c2| log j)^i / i! for i <= I, j <= J.
 
-    Assembled in place in real log space,
+    Row 0 is exp(-sigma1 ln j), one exp per column.  Each later row follows
+    from the one above by the exact recurrence
 
-        B[i][j] = exp(i log(|c2| ln j) - lgamma(i+1) - sigma1 ln j),
+        B[i][j] = B[i-1][j] * g_j * (1/i),    g_j = |c2| ln j,
 
-    so large i cannot overflow the factorial, and no entry exceeds 1 because
-    sigma1 >= |c2|.  Column j = 1 is (1, 0, 0, ...) and a zero c2 collapses
-    everything onto row 0.  The block takes 8 bytes per entry; a large one
-    sits in its own memory mapping (see _zeros).
+    two in-place products per entry into a row that is still in cache, on
+    every column whose row 0 stays in the normal range, sigma1 ln j <=
+    _ROW0_EXPONENT_MAX.  Past that column, rows i >= 1 keep the log-space
+    assembly exp(i log(|c2| ln j) - lgamma(i+1) - sigma1 ln j).  With
+    c2 = 0, g is 0 and log(0) is -inf, so rows i >= 1 come out 0.  No
+    entry exceeds 1 because sigma1 >= |c2|, and _entry_rounding bounds the
+    error of every entry.  Column j = 1 is (1, 0, 0, ...).  The block takes
+    8 bytes per entry; a large one sits in its own memory mapping (see
+    _zeros).  The tail bound is computed on first access.
     """
     _check_truncation(i_max, j_max)
     total = (i_max + 1) * j_max
@@ -175,16 +189,23 @@ def build_matrix(sym: DirichletSymbol, i_max: int, j_max: int) -> TruncatedMatri
     if j_max >= 2:
         lj = np.log(np.arange(2, j_max + 1, dtype=np.float64))
         body = b[:, 1:]
-        if sym.c2 == 0:
-            np.exp(-sym.sigma1 * lj, out=body[0])
-        else:
-            np.multiply.outer(np.arange(i_max + 1.0), np.log(sym.c2_abs * lj), out=body)
-            body -= log_factorials(i_max)[:, None]
-            body -= sym.sigma1 * lj
-            np.exp(body, out=body)
+        np.multiply(lj, -sym.sigma1, out=body[0])
+        np.exp(body[0], out=body[0])
+        near = int(np.searchsorted(lj, _ROW0_EXPONENT_MAX / sym.sigma1, side="right"))
+        g = sym.c2_abs * lj[:near]
+        for i in range(1, i_max + 1):
+            row = body[i, :near]
+            np.multiply(body[i - 1, :near], g, out=row)
+            row *= 1.0 / i
+        far, lj_far = body[1:, near:], lj[near:]  # often empty
+        with np.errstate(divide="ignore"):  # log(0) = -inf when c2 = 0
+            log_g = np.log(sym.c2_abs * lj_far)
+        np.multiply.outer(np.arange(1.0, i_max + 1.0), log_g, out=far)
+        far -= log_factorials(i_max)[1:, None]
+        far -= sym.sigma1 * lj_far
+        np.exp(far, out=far)
     b.flags.writeable = False
-    tail = tail_bounds(sym, i_max, j_max)
-    return TruncatedMatrix(magnitudes=b, symbol=sym, tail_bound=tail)
+    return TruncatedMatrix(magnitudes=b, symbol=sym)
 
 
 def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
@@ -244,6 +265,50 @@ def _gamma(n):
     out = np.full_like(nu, math.inf)
     np.divide(nu, 1.0 - nu, out=out, where=nu < 1.0)
     return out if out.ndim else float(out)
+
+
+def _entry_rounding(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
+    """Bound eta on the relative rounding of every entry build_matrix computes.
+
+    Each computed entry is B[i][j] (1 + theta) + e with |theta| <= eta and
+    |e| <= max(I, 1) 2^-1074.  numpy's log and exp are taken within one ulp
+    (2u relative), as numpy's own accuracy tests hold them, and each
+    product within u; theta_n is a relative error of at most gamma_n
+    (Higham 2002, ch. 3).
+
+    * Row 0: ln j carries theta_2 and sigma1 ln j one more rounding, so
+      exp's argument is off by at most d = gamma_3 sigma1 ln J, which moves
+      e^(-sigma1 ln j) by a factor within d e^d of 1; exp adds theta_2.
+    * Rows i >= 1 on the recurrence columns: g_j = |c2| ln j carries
+      theta_3, 1/i theta_1 and the two products theta_2, so each row adds
+      theta_6, and eta <= gamma_(6I+2) + d e^d (1 + gamma_(6I+2)).
+    * Underflow on those columns: row 0 is at least e^-700 and a column's
+      entries rise while g_j >= i, so no product leaves the normal range
+      before the entries fall, by the factor g_j / i < 1 a row.  From the
+      first subnormal product on, a row adds at most 2^-1075 (1 + fl(1/i)
+      (1 + u)) < 2^-1074 (row 1's second product is exact) and scales the
+      absolute error it carries by (g_j / i)(1 + theta_6), which exceeds 1
+      on at most one row: I 2^-1074 in all.
+    * Columns past _ROW0_EXPONENT_MAX (only when sigma1 ln J passes it; the
+      build compares numpy's ln j with 700 / sigma1, and a margin of 1
+      keeps this test on the safe side): rows i >= 1 come from the
+      exponent i log(|c2| ln j) - log i! - sigma1 ln j, a few elementary
+      steps on pieces of size at most M = I (1 + max_j |log(|c2| ln j)|) +
+      log I! + sigma1 ln J, each accurate to 2 ulps of its result, and exp
+      adds one more: 4 u (M + 2), to first order.  A subnormal result
+      adds 2^-1074.  With c2 = 0 these rows are exactly 0.
+
+    About a dozen roundings compute eta itself; 16 u relative covers them.
+    """
+    log_j = math.log(j_max)
+    d = _gamma(3) * sym.sigma1 * log_j
+    rows = _gamma(6 * i_max + 2)
+    eta = rows + d * math.exp(d) * (1.0 + rows)
+    if sym.c2 != 0 and sym.sigma1 * log_j > _ROW0_EXPONENT_MAX - 1.0:
+        log_base = max(abs(math.log(sym.c2_abs * math.log(j))) for j in (2, j_max))
+        size = i_max * (1.0 + log_base) + math.lgamma(i_max + 1.0) + sym.sigma1 * log_j
+        eta = max(eta, 4.0 * (size + 2.0) * UNIT_ROUNDOFF)
+    return math.nextafter(eta * (1.0 + 16.0 * UNIT_ROUNDOFF), math.inf)
 
 
 def _gram_rows(sym: DirichletSymbol, i_max: int, j_max: int) -> int:
@@ -311,9 +376,10 @@ def operator_norm_estimate(
     decreases from step to step, so a gap that fails to shrink means
     rounding has taken over: the loop stops there too, with ``converged``
     false, instead of running to ``max_iter``.  Both ends carry derived rounding
-    terms and outward-rounded square roots: whether or not the loop
-    converged, [lower, upper - tail_bound] holds the norm of the truncation
-    and [lower, upper] that of the full operator (upper is infinite for
+    terms, for the power step and for the entries themselves, and
+    outward-rounded square roots: whether or not the loop converged,
+    [lower, upper - tail_bound] holds the norm of the exact truncation and
+    [lower, upper] that of the full operator (upper is infinite for
     boundary symbols).
     """
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -348,15 +414,23 @@ def operator_norm_estimate(
     # (1, 0, ..., 0), so the computed y_1 = z_1 >= 1, and ||y||^2, ||z||^2 and
     # max_j z_j / x_j are all at least 1.  With B <= 1 (see build_matrix),
     # x >= _X_FLOOR and (I+1)(J+1) < 2^60, every absolute term is below
-    # 2^-60 u of them: one u covers all of them on each end, and one more
-    # the rounding of gamma itself.
+    # 2^-60 u of them, the entries' own (see below) too: one u covers all
+    # of them on each end, and one more the rounding of the correction.
     # lower: the computed y is a vector like any other, so z (I+1 terms
     # each) enters squared, ||z||^2 adds J terms and ||y||^2 I+1; the
     # quotient, 1 - gamma and the product round once each.
-    lower_sq *= 1.0 - _gamma(n_cols + 3 * n_rows + 5)
     # upper: y's error (J terms) passes into z (I+1 terms); the quotient,
     # 1 + gamma and the product round once each.
-    upper_sq *= 1.0 + _gamma(n_cols + n_rows + 5)
+    # Entries: the computed block is B (1 + theta) + e with |theta| <= eta
+    # (see _entry_rounding).  B >= 0 and the norm is monotone in the
+    # entries of a nonnegative matrix, so ||B|| is at least the computed
+    # block's norm over 1 + eta, whose square is at least 1 - 2 eta of
+    # it, and at most its norm over 1 - eta, whose square is at most
+    # 1 + 3 eta of it while eta <= 1/5; 1 + gamma + 4 eta covers
+    # (1 + gamma)(1 + 3 eta) while gamma <= 1/3.
+    eta = _entry_rounding(m.symbol, m.i_max, m.j_max)
+    lower_sq *= 1.0 - (_gamma(n_cols + 3 * n_rows + 5) + 2.0 * eta)
+    upper_sq *= 1.0 + (_gamma(n_cols + n_rows + 5) + 4.0 * eta)
     upper = math.nextafter(math.sqrt(upper_sq), math.inf)
     return NormEstimate(
         lower=math.nextafter(math.sqrt(lower_sq), 0.0),
@@ -414,21 +488,15 @@ def _svd_resolution(m: TruncatedMatrix, sigma1: float) -> float:
     * LAPACK's SVD is backward stable: its values are exact for B + E with
       ||E||_2 <= p(m, n) u ||B||_2 and p a modestly growing function
       (LAPACK Users' Guide, sec. 4.9); p = max(m, n) is taken.
-    * The build rounds each entry to B (1 + theta) with |theta| <= eta.
-      The log-space exponent i log(|c2| ln j) - log i! - sigma1 ln j is a
-      few elementary steps on pieces of size at most
-      M = I (1 + max_j |log(|c2| ln j)|) + log I! + sigma1 ln J, each step
-      accurate to 2 ulps of its result, and exp adds one more: eta <= 4 u
-      (M + 2).  B >= 0, so ||B theta||_2 <= eta ||B||_2 by monotonicity of
-      the norm on nonnegative matrices.
+    * The build's entries are B (1 + theta) + e with |theta| <= eta (see
+      _entry_rounding).  B >= 0, so ||B theta||_2 <= eta ||B||_2 by
+      monotonicity of the norm on nonnegative matrices; ||e||_2 < 2^-1000
+      is far below the ulp that each outward rounding gives away, since
+      sigma1 >= B[0][0] = 1.
     """
-    i_max, j_max = m.i_max, m.j_max
-    sym = m.symbol
-    size = sym.sigma1 * math.log(j_max) + math.lgamma(i_max + 1.0)
-    if sym.c2 != 0 and j_max >= 2:
-        log_base = max(abs(math.log(sym.c2_abs * math.log(j))) for j in (2, j_max))
-        size += i_max * (1.0 + log_base)
-    return (max(m.row_count, m.col_count) + 4.0 * (size + 2.0)) * UNIT_ROUNDOFF * sigma1
+    eta = _entry_rounding(m.symbol, m.i_max, m.j_max)
+    p = max(m.row_count, m.col_count)
+    return math.nextafter(math.nextafter(p * UNIT_ROUNDOFF + eta, math.inf) * sigma1, math.inf)
 
 
 @dataclass(frozen=True)

@@ -377,10 +377,10 @@ def _log_tail_rounding(s: float, i: int, x: float, log_integral: float) -> float
     of the terms z^m/m! relative to the mode term and S = (i+1) log(s-1).
     With u = 2^-53, log within one ulp (2u relative), as pow in
     ``_zeta_rounding``, and lgamma at an integer y >= 3 within 2 ulps of
-    its result plus 2u, as in ``_svd_resolution`` (CPython's Lanczos sum;
-    against 40-digit mpmath its error stays below 2.8u |lgamma y| + 2u at
-    every integer y <= 60000), and exact at y = 1, 2, the error is at most
-    u times the sum of:
+    its result plus 2u, as in ``operator_matrix._entry_rounding``
+    (CPython's Lanczos sum; against 40-digit mpmath its error stays below
+    2.8u |lgamma y| + 2u at every integer y <= 60000), and exact at
+    y = 1, 2, the error is at most u times the sum of:
 
     * z: s - 1 is exact up to s = 2 (Sterbenz) and within u past it, ln x
       within 2u and the product u, so z is within (3 + [s > 2]) u

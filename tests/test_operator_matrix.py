@@ -100,6 +100,37 @@ def assert_dominates_dense(sym, r, i_max, j_max):
     assert cert.max_row_residual >= ratio - 1.0 - 1e-12, (sym, r, cert, ratio)
 
 
+def assert_entries_within_model(m, positions):
+    """Each sampled entry of B against 40-digit mpmath: within eta of it
+    (operator_matrix._entry_rounding) plus the absolute max(I, 1) 2^-1074
+    that underflow may lose."""
+    mpmath = pytest.importorskip("mpmath")
+    eta = operator_matrix._entry_rounding(m.symbol, m.i_max, m.j_max)
+    floor = max(m.i_max, 1) * 2.0**-1074
+    with mpmath.workdps(40):
+        s1, c = mpmath.mpf(m.symbol.sigma1), mpmath.mpf(m.symbol.c2_abs)
+        for i, j in positions:
+            exact = mpmath.power(j, -s1) * (c * mpmath.log(j)) ** i / mpmath.factorial(i)
+            error = abs(mpmath.mpf(float(m.magnitudes[i, j - 1])) - exact)
+            assert error <= eta * exact + floor, (m.symbol, i, j, error / exact)
+
+
+def sampled_positions(m, count, seed):
+    """Rows 0, 1 and I and columns 1, 2 and J, the columns on either side of
+    the last recurrence column, and count random positions."""
+    rng = np.random.default_rng(seed)
+    rows = {0, min(1, m.i_max), m.i_max}
+    cols = {1, min(2, m.j_max), m.j_max}
+    log_edge = 700.0 / m.symbol.sigma1
+    if log_edge < math.log(m.j_max):
+        edge = math.floor(math.exp(log_edge))
+        cols |= {edge, edge + 1}
+    positions = [(i, j) for i in rows for j in cols]
+    positions += [(int(rng.integers(0, m.i_max + 1)), int(rng.integers(1, m.j_max + 1)))
+                  for _ in range(count)]
+    return positions
+
+
 # Im c1 up to 100, arbitrary arg c2, large q
 PHASED_SYMBOLS = (
     DirichletSymbol(2.0 - 100.0j, 0.5 * np.exp(2.9j), q=999983),
@@ -135,6 +166,57 @@ class TestBuildMatrix:
         j = np.arange(1, 11)
         assert np.allclose(m.entries[0].real, j**-0.75, rtol=1e-15)
         assert np.all(m.entries[1:] == 0.0)
+
+    @pytest.mark.parametrize(
+        "sigma1, c, i_max, j_max",
+        [
+            (2.0, 0.5, 200, 20000),
+            (1.6, 0.3, 200, 20000),  # deep rows of small columns underflow
+            (51.0, 50.0, 200, 20000),
+            # row 0 leaves the normal range: log-space columns from j = 6311
+            # and from j = 6, and with c2 = 0 from j = 1097
+            (80.0, 79.5, 200, 20000),
+            (400.0, 0.1, 40, 20000),
+            (100.0, 0.0, 5, 5000),
+        ],
+    )
+    def test_entries_within_rounding_model(self, sigma1, c, i_max, j_max):
+        m = build_matrix(DirichletSymbol(sigma1, c), i_max, j_max)
+        assert_entries_within_model(m, sampled_positions(m, 60, seed=int(sigma1 * 10)))
+
+    def test_hostile_entries_within_rounding_model(self):
+        # |c2| from 1e-3 to 50, gaps from 1e-12 to 10 or sigma1 up to 400,
+        # up to 201 rows and 2e4 columns
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def symbols(draw):
+            c = math.exp(draw(st.floats(math.log(1e-3), math.log(50.0))))
+            if draw(st.booleans()):
+                return 0.5 + c + math.exp(draw(st.floats(math.log(1e-12), math.log(10.0)))), c
+            return draw(st.floats(0.5 + c + 10.0, 400.0)), c
+
+        @hypothesis.settings(
+            max_examples=40,
+            deadline=None,
+            derandomize=True,
+            database=None,
+            suppress_health_check=[hypothesis.HealthCheck.too_slow],
+        )
+        @hypothesis.given(symbols(), st.integers(0, 200), st.integers(1, 20000))
+        def check(symbol, i_max, j_max):
+            m = build_matrix(DirichletSymbol(*symbol), i_max, j_max)
+            assert_entries_within_model(m, sampled_positions(m, 12, seed=i_max))
+
+        check()
+
+    def test_entry_rounding_is_tight(self):
+        # the recurrence charges 6u a row and 3u per unit of sigma1 ln J:
+        # about 1,250u at 201 x 20000, a quarter of the log-space model's
+        # 4 (M + 2) u there
+        eta = operator_matrix._entry_rounding(DirichletSymbol(1.6, 0.3), 200, 20000)
+        assert eta < 1260 * UNIT_ROUNDOFF
 
     def test_column_norm_oracle(self):
         # contract: every column matches the series oracle to 1e-10 relative
@@ -228,6 +310,24 @@ class TestBuildMatrix:
 
 
 class TestTailBounds:
+    def test_tail_is_computed_on_first_access(self, monkeypatch):
+        # the spectrum and the SVD never read the tail: the build must not
+        # pay for it, and the first read computes it once
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tail_bounds(*args)
+
+        monkeypatch.setattr(operator_matrix, "tail_bounds", counted)
+        sym = DirichletSymbol(2.0, 0.5)
+        m = build_matrix(sym, 10, 100)
+        singular_values(m, 3)
+        assert calls == []
+        assert m.tail_bound == tail_bounds(sym, 10, 100)
+        assert m.tail_bound == tail_bounds(sym, 10, 100)
+        assert calls == [(sym, 10, 100)]
+
     def test_row_tail_geometric_reference(self):
         # for (2, 0.5) the row part is sum_{k>I} (1/9)^k * 4/3 in closed form
         sym = DirichletSymbol(2.0, 0.5)
@@ -360,6 +460,22 @@ class TestOperatorNormEstimate:
         assert est.lower <= exact <= est.upper - exact.context.mpf(m.tail_bound)
         assert est.upper - m.tail_bound <= exact * (1.0 + 1e-12)
         assert est.converged and est.iterations == 1
+
+    @pytest.mark.parametrize("sigma1, c", [(2.0, 0.5), (51.0, 50.0)])
+    def test_bracket_covers_entry_rounding(self, sigma1, c):
+        # a block within the entry model of the built one, whose exact norm
+        # stands in for ||B||: every entry 0.99 eta above it, then every
+        # entry 0.99 eta below.  At 201 x 20 eta (at least 1,200u) passes the
+        # power step's own rounding terms (about 310u and 110u on the two
+        # ends), so the bracket holds only if it charges eta
+        sym = DirichletSymbol(sigma1, c)
+        m = build_matrix(sym, 200, 20)
+        exact = mp_top_singular_value(m.magnitudes)
+        eta = operator_matrix._entry_rounding(sym, 200, 20)
+        high = operator_matrix.TruncatedMatrix(m.magnitudes * (1.0 + 0.99 * eta), sym)
+        low = operator_matrix.TruncatedMatrix(m.magnitudes * (1.0 - 0.99 * eta), sym)
+        assert operator_norm_estimate(high).lower <= exact
+        assert exact <= operator_norm_estimate(low).upper - exact.context.mpf(m.tail_bound)
 
     @pytest.mark.parametrize("tol", [1e-15, 1e-16])
     def test_tolerance_below_rounding_stops_early(self, tol):
