@@ -46,11 +46,6 @@ _ENTRY_BYTES = np.dtype(np.float64).itemsize
 # numpy's own threshold for asking for transparent huge pages
 _MAPPED_MIN_BYTES = 1 << 22
 
-# rows whose closed-form bound sqrt(J) max_j B[i][j] falls below this are
-# left out of the Gram matrix that picks the power iteration's start: they
-# cannot move it, and their underflowing products slow the row products and
-# eigh
-_GRAM_FLOOR = 1e-30
 # every iterate is scaled to x_1 = 1 and raised to at least this floor
 _X_FLOOR = 2.0**-900
 # build_matrix uses the row recurrence on the columns with sigma1 ln j at
@@ -213,14 +208,20 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
 
     Root-sum of two Hilbert-Schmidt pieces:
 
-    * rows i > I: each squared row norm is |c2|^2i/(i!)^2 times the 2i-th
-      log moment of j^(-2 sigma1), which the factorial-moment chain bounds by
-      rho^2i * 2 sigma1/(2 sigma1 - 1) with rho = 2|c2|/(2 sigma1 - 1); the
-      geometric sum is closed form, and infinite for boundary symbols where
-      rho = 1.
-    * columns j > J within rows i <= I: log-moment tails of order 2i, each
+    * rows i >= k_t, over all columns: each squared row norm is
+      |c2|^2i/(i!)^2 times the 2i-th log moment of j^(-2 sigma1), which the
+      factorial-moment chain bounds by rho^2i * 2 sigma1/(2 sigma1 - 1) with
+      rho = 2|c2|/(2 sigma1 - 1); the geometric sum from k_t is
+      (s/(s-1)) rho^(2 k_t) / (1 - rho^2), s = 2 sigma1, and infinite for
+      boundary symbols where rho = 1.
+    * columns j > J within rows i < k_t: log-moment tails of order 2i, each
       bounded by its incomplete-gamma integral (plus peak term when J is left
       of the summand's peak).
+
+    k_t is I + 1, or the first row at which the row piece is at most u times
+    the i = 0 column tail, from logs, if that comes sooner: rows k_t..I
+    then cost no log-moment tail, and a superset of the discarded part is
+    still charged.
     """
     _check_truncation(i_max, j_max)
     sigma1 = sym.sigma1
@@ -235,11 +236,17 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     rho_sq = (2.0 * c / (2.0 * sigma1 - 1.0)) ** 2
     if rho_sq >= 1.0 or classify(sym) is SymbolClass.BOUNDARY:
         return math.inf
-    row_sq = (s / (s - 1.0)) * rho_sq ** (i_max + 1) / (1.0 - rho_sq)
+    log_col0 = log_moment_tail(s, 0, j_max)
+    rows = i_max + 1
+    if log_col0 > -math.inf and rho_sq > 0.0:
+        # least k with (s/(s-1)) rho^2k / (1 - rho^2) <= u e^log_col0
+        log_room = math.log(UNIT_ROUNDOFF * (1.0 - rho_sq) * (s - 1.0) / s) + log_col0
+        rows = min(rows, max(1, math.ceil(log_room / math.log(rho_sq))))
+    row_sq = (s / (s - 1.0)) * rho_sq**rows / (1.0 - rho_sq)
 
     log_c = math.log(c)
-    col_sq = 0.0
-    for i in range(i_max + 1):
+    col_sq = math.exp(log_col0)
+    for i in range(1, rows):
         log_term = (
             2.0 * i * log_c
             - 2.0 * math.lgamma(i + 1.0)
@@ -311,21 +318,52 @@ def _entry_rounding(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     return math.nextafter(eta * (1.0 + 16.0 * UNIT_ROUNDOFF), math.inf)
 
 
-def _gram_rows(sym: DirichletSymbol, i_max: int, j_max: int) -> int:
-    """Row count k of the start's Gram matrix: one past the last row whose
-    closed-form bound sqrt(J) max_j B[i][j] reaches _GRAM_FLOOR.
+def _significant_rows(sym: DirichletSymbol, i_max: int, j_max: int) -> tuple[int, float]:
+    """(k, dropped): the rows k..I of B whose Frobenius norm, bounded in closed
+    form, is at most u = 2^-53, and dropped, a bound on that norm.
 
-    i log(|c2| t) - sigma1 t is concave in t = ln j with its peak at
-    t = i / sigma1, so its value there, clamped to [ln 2, ln J], bounds
-    row i.  Rows i >= 1 are zero when c2 = 0 or J = 1.
+    Row i >= 1 is 0 at j = 1 and at most e^(phi_i(t)), t = ln j, elsewhere,
+    phi_i(t) = i log(|c2| t) - sigma1 t - log i!, which is concave with its
+    peak at t = i / sigma1; clamped to [ln 2, ln J] that peak bounds the
+    row, and sqrt(J) times it the row's norm.  k is the least row count at
+    which the squares of these bounds for rows k..I sum to at most u^2, and
+    dropped is the root of that sum, rounded up.  Since ||B|| >= B[0][0] = 1,
+    dropped <= u ||B||, up to an ulp.  Rows i >= 1 are exactly zero when
+    c2 = 0 or J = 1: then k = 1 and dropped = 0.
+
+    Rounding, in units of u: |c2| is taken from c2_abs_upper and t within
+    2u of the clamped peak (ln j and i / sigma1 round once each, the clip
+    not at all), which moves phi by at most |phi'| 2u t <= 2u (i + sigma1 t).
+    Evaluating phi_i + (ln J)/2 rounds the product |c2| t, log (one ulp,
+    2u) and the product by i: i (1 + 3 |L|), L = log(|c2| t); sigma1 t
+    once; lgamma within 4 log i! + 2 (see _log_tail_rounding); (ln J)/2
+    within ln J; and the four additions, with the padding's own, within
+    4 times the sum of the parts' sizes.  With
+    M = i (1 + |L|) + sigma1 t + log i! + ln J + 1 that is at most 8 M, and
+    9 M covers the second-order terms.  The squared bound is exp of twice
+    the padded log, within 2u (plus 2^-1074 when it underflows); each
+    suffix sum of n <= I such terms is within gamma_I of its value, and
+    1 + 2 gamma_(I+4) covers 1 / (1 - gamma_I) times 1 + 2u and the
+    rounding of the correction itself.
     """
     if sym.c2 == 0 or j_max == 1 or i_max == 0:
-        return 1
+        return 1, 0.0
+    c = c2_abs_upper(sym)
     i = np.arange(1.0, i_max + 1.0)
-    t = np.clip(i / sym.sigma1, math.log(2.0), math.log(j_max))
-    log_peak = i * np.log(sym.c2_abs * t) - sym.sigma1 * t - log_factorials(i_max)[1:]
-    kept = np.flatnonzero(log_peak + 0.5 * math.log(j_max) >= math.log(_GRAM_FLOOR))
-    return 2 + int(kept[-1]) if kept.size else 1
+    log_j = math.log(j_max)
+    t = np.clip(i / sym.sigma1, math.log(2.0), log_j)
+    log_ct = np.log(c * t)
+    log_fact = log_factorials(i_max)[1:]
+    sigma_t = sym.sigma1 * t
+    log_row = i * log_ct - sigma_t - log_fact + 0.5 * log_j
+    size = i * (1.0 + np.abs(log_ct)) + sigma_t + log_fact + log_j + 1.0
+    log_row += UNIT_ROUNDOFF * (9.0 * size + 2.0 * (i + sigma_t))
+    suffix = np.cumsum(np.exp(2.0 * log_row)[::-1])[::-1]  # rows i..I, i >= 1
+    suffix = suffix * (1.0 + 2.0 * _gamma(i_max + 4)) + i_max * 2.0**-1074
+    k = 1 + int(np.searchsorted(-suffix, -(UNIT_ROUNDOFF**2)))
+    if k > i_max:
+        return i_max + 1, 0.0
+    return k, math.nextafter(math.sqrt(float(suffix[k - 1])), math.inf)
 
 
 def _perron_start(rows: np.ndarray) -> np.ndarray:
@@ -359,16 +397,22 @@ def operator_norm_estimate(
     """Certified bracket [lower, upper] on the operator norm from the truncation.
 
     Power iteration on the real block B = |A|, which has the singular
-    values of A.  The start vector comes from the Perron vector of the Gram
-    matrix of B's leading rows (see _perron_start); it meets the top
-    singular vector so closely that one step usually certifies.  Each step
-    computes y = B x and z = y B on the full block and brackets ||B||:
+    values of A, restricted to its rows that can move the norm: B_k, the
+    first k rows, with rows k..I of Frobenius norm at most ``dropped``
+    <= u ||B|| (see _significant_rows).  The start vector comes from the
+    Perron vector of the Gram matrix of B_k (see _perron_start); it meets
+    the top singular vector so closely that one step usually certifies.
+    Each step computes y = B_k x and z = y B_k and brackets ||B_k||:
 
-    * lower^2 = ||z||^2 / ||y||^2 = ||B^T y||^2 / ||y||^2, a Rayleigh
-      quotient of B^T, never below ||y||^2 / ||x||^2;
+    * lower^2 = ||z||^2 / ||y||^2 = ||B_k^T y||^2 / ||y||^2, a Rayleigh
+      quotient of B_k^T, never below ||y||^2 / ||x||^2;
     * upper^2 = max_j z_j / x_j, the Collatz-Wielandt bound on the top
-      eigenvalue of B^T B (Horn & Johnson, Matrix Analysis, 2nd ed.,
+      eigenvalue of B_k^T B_k (Horn & Johnson, Matrix Analysis, 2nd ed.,
       ch. 8), valid for every x > 0 because B >= 0.
+
+    B_k is a compression of B, so lower bounds ||B|| too, and
+    ||B|| <= ||B_k|| + dropped, so the upper end adds dropped; where no
+    row is cut, it adds nothing.
 
     The loop stops when upper^2 - lower^2 <= tol lower^2, so ``converged``
     means the bracket is that tight.  In exact arithmetic the
@@ -387,9 +431,10 @@ def operator_norm_estimate(
     if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
         raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
-    b = m.magnitudes
-    n_rows, n_cols = b.shape
-    x = _perron_start(b[: _gram_rows(m.symbol, m.i_max, m.j_max)])
+    n_rows, dropped = _significant_rows(m.symbol, m.i_max, m.j_max)
+    b = m.magnitudes[:n_rows]
+    n_cols = b.shape[1]
+    x = _perron_start(b)
     converged = False
     last_gap = math.inf
     for iterations in range(1, max_iter + 1):
@@ -413,14 +458,15 @@ def operator_norm_estimate(
     # n 2^-1075 from products that underflow.  x_1 = 1 and column 1 of B is
     # (1, 0, ..., 0), so the computed y_1 = z_1 >= 1, and ||y||^2, ||z||^2 and
     # max_j z_j / x_j are all at least 1.  With B <= 1 (see build_matrix),
-    # x >= _X_FLOOR and (I+1)(J+1) < 2^60, every absolute term is below
+    # x >= _X_FLOOR and k (J+1) < 2^60, every absolute term is below
     # 2^-60 u of them, the entries' own (see below) too: one u covers all
     # of them on each end, and one more the rounding of the correction.
-    # lower: the computed y is a vector like any other, so z (I+1 terms
-    # each) enters squared, ||z||^2 adds J terms and ||y||^2 I+1; the
+    # lower: the computed y is a vector like any other, so z (k terms
+    # each) enters squared, ||z||^2 adds J terms and ||y||^2 k; the
     # quotient, 1 - gamma and the product round once each.
-    # upper: y's error (J terms) passes into z (I+1 terms); the quotient,
-    # 1 + gamma and the product round once each.
+    # upper: y's error (J terms) passes into z (k terms); the quotient,
+    # 1 + gamma and the product round once each.  The sum with dropped is
+    # rounded up like the square root.
     # Entries: the computed block is B (1 + theta) + e with |theta| <= eta
     # (see _entry_rounding).  B >= 0 and the norm is monotone in the
     # entries of a nonnegative matrix, so ||B|| is at least the computed
@@ -432,6 +478,8 @@ def operator_norm_estimate(
     lower_sq *= 1.0 - (_gamma(n_cols + 3 * n_rows + 5) + 2.0 * eta)
     upper_sq *= 1.0 + (_gamma(n_cols + n_rows + 5) + 4.0 * eta)
     upper = math.nextafter(math.sqrt(upper_sq), math.inf)
+    if dropped:  # ||B|| <= ||B_k|| + ||rows k..I||_F
+        upper = math.nextafter(upper + dropped, math.inf)
     return NormEstimate(
         lower=math.nextafter(math.sqrt(lower_sq), 0.0),
         upper=math.nextafter(upper + m.tail_bound, math.inf),

@@ -355,6 +355,34 @@ class TestTailBounds:
     def test_boundary_symbol_infinite(self):
         assert tail_bounds(DirichletSymbol(1.0, 0.5), 10, 100) == math.inf
 
+    @pytest.mark.parametrize("sigma1, c, j_max", [(2.0, 0.5, 50), (1.6, 0.3, 20000), (3.0, 1.5, 20000)])
+    def test_negligible_rows_cost_no_moment_tail(self, sigma1, c, j_max, monkeypatch):
+        # past the row k_t where the closed-form row tail falls below u times
+        # the i = 0 column tail, rows are charged by that closed form alone:
+        # no moment tail is computed for them, the bound stops depending on
+        # I, and it stays within 2u of the row-by-row sum over every column
+        # tail
+        sym = DirichletSymbol(sigma1, c)
+        s, rho_sq = 2.0 * sigma1, (2.0 * c / (2.0 * sigma1 - 1.0)) ** 2
+        i_max = 300
+        col_sq = sum(
+            math.exp(2.0 * i * math.log(c) - 2.0 * math.lgamma(i + 1.0) + log_moment_tail(s, 2 * i, j_max))
+            for i in range(i_max + 1)
+        )
+        full = math.sqrt((s / (s - 1.0)) * rho_sq ** (i_max + 1) / (1.0 - rho_sq) + col_sq)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return log_moment_tail(*args)
+
+        monkeypatch.setattr(operator_matrix, "log_moment_tail", counted)
+        t = tail_bounds(sym, i_max, j_max)
+        k_t = len(calls)
+        assert k_t < 150
+        assert t == tail_bounds(sym, 150, j_max) and len(calls) == 2 * k_t
+        assert abs(t - full) <= 2.0 * UNIT_ROUNDOFF * full
+
     def test_certifies_actual_discarded_mass(self):
         # the bound must dominate the Hilbert-Schmidt norm of everything a
         # much larger reference truncation holds outside the small one
@@ -387,6 +415,88 @@ def tied_block(gap):
     b[1, 1:3] = 0.1
     b[2, 3] = 1.0 - gap
     return b
+
+
+def mp_frobenius(sym, rows, j_max, dps=40):
+    """Frobenius norm of rows ``rows`` of the exact block B, j <= j_max, by
+    the term recurrence in dps-digit arithmetic, as an mpf."""
+    mpmath = pytest.importorskip("mpmath")
+    mpf = mpmath.mpf
+    with mpmath.workdps(dps):
+        c, total = mpf(c2_abs_upper(sym)), mpf(0)
+        for j in range(2, j_max + 1):
+            x = c * mpmath.log(j)
+            term = x ** rows.start / mpmath.factorial(rows.start)
+            col = mpf(0)
+            for i in range(rows.start, rows.stop):
+                col += term**2
+                term *= x / (i + 1)
+            total += col * mpf(j) ** (-2 * mpf(sym.sigma1))
+        return mpmath.sqrt(total)
+
+
+def mp_block_norm(sym, i_max, j_max, dps=60):
+    """Norm of the exact (I+1) x J block B in dps-digit arithmetic: the top
+    eigenvalue of B B^T, whose entry (i, l) is
+    |c2|^(i+l) / (i! l!) sum_j (ln j)^(i+l) j^(-2 sigma1)."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mp.workdps(dps):
+        c, s = mp.mpf(sym.c2_abs), 2 * mp.mpf(sym.sigma1)
+        h = [mp.mpf(1)] + [mp.mpf(0)] * (2 * i_max)  # j = 1 adds only to h_0
+        for j in range(2, j_max + 1):
+            lj, w = mp.log(j), mp.mpf(j) ** -s
+            for n in range(2 * i_max + 1):
+                h[n] += w
+                w *= lj
+        gram = mp.matrix(i_max + 1, i_max + 1)
+        for i in range(i_max + 1):
+            for l in range(i_max + 1):
+                gram[i, l] = c ** (i + l) / (mp.factorial(i) * mp.factorial(l)) * h[i + l]
+        return mp.sqrt(max(mp.eigsy(gram, eigvals_only=True)))
+
+
+class TestSignificantRows:
+    @pytest.mark.parametrize(
+        "sigma1, c, i_max, j_max",
+        [
+            (2.0, 0.5, 100, 1000),
+            (1.6, 0.3, 120, 1000),
+            (3.0, 1.5, 150, 1000),
+            (400.0, 0.1, 40, 1000),
+            (2.5 + 1e-9, 2.0, 120, 300),  # gap 1e-9 above the boundary line
+            (2.0, 0.5, 60, 2),
+        ],
+    )
+    def test_dropped_bounds_the_cut_rows(self, sigma1, c, i_max, j_max):
+        sym = DirichletSymbol(sigma1, c)
+        k, dropped = operator_matrix._significant_rows(sym, i_max, j_max)
+        assert 1 <= k <= i_max  # every case cuts rows
+        assert mp_frobenius(sym, range(k, i_max + 1), j_max) <= dropped
+        # and charges no more than one unit roundoff of ||B|| >= 1
+        assert 0.0 < dropped <= UNIT_ROUNDOFF * (1.0 + 4.0 * UNIT_ROUNDOFF)
+
+    def test_row_counts_of_the_wide_blocks(self):
+        # rows whose bounds pass u at 2e4 columns: 23 of the 201 of
+        # (1.6, 0.3), and a quarter to a half of the others
+        kept = {
+            (2.0, 0.5, 100): 28, (2.5, 0.5, 125): 25, (1.0, 0.5, 100): 33,
+            (3.0, 1.5, 150): 49, (1.6, 0.3, 200): 23, (3.0, 2.5, 200): 76,
+            (4.0, 3.5, 200): 94,
+        }
+        for (sigma1, c, i_max), k in kept.items():
+            sym = DirichletSymbol(sigma1, c)
+            assert operator_matrix._significant_rows(sym, i_max, 20000)[0] == k
+
+    @pytest.mark.parametrize(
+        "sigma1, c, i_max, j_max", [(2.0, 0.5, 20, 500), (0.75, 0.0, 5, 100), (2.0, 0.5, 9, 1)]
+    )
+    def test_uncut_blocks_drop_nothing(self, sigma1, c, i_max, j_max):
+        # the README's 21 x 500 block keeps every row; with c2 = 0 or J = 1
+        # rows i >= 1 are exactly zero and are dropped for free
+        k, dropped = operator_matrix._significant_rows(DirichletSymbol(sigma1, c), i_max, j_max)
+        assert dropped == 0.0
+        assert k == (i_max + 1 if c and j_max > 1 else 1)
 
 
 class TestOperatorNormEstimate:
@@ -518,6 +628,54 @@ class TestOperatorNormEstimate:
         assert est.lower <= top
         # (80, 79.5) is a boundary symbol: no tail bound, so no finite upper
         assert est.upper == math.inf if sigma1 == 80.0 else top <= est.upper - m.tail_bound
+
+    def test_upper_end_charges_the_dropped_rows(self, monkeypatch):
+        # ||B|| <= ||B_k|| + ||rows k..I||_F: whatever the cut rows are
+        # charged is added to the upper end, and the lower end ignores it
+        sym = DirichletSymbol(1.6, 0.3)
+        m = build_matrix(sym, 60, 2000)
+        k, dropped = operator_matrix._significant_rows(sym, 60, 2000)
+        assert 0.0 < dropped and k < 61
+        base = operator_norm_estimate(m)
+        monkeypatch.setattr(operator_matrix, "_significant_rows", lambda *args: (k, 0.5))
+        charged = operator_norm_estimate(m)
+        assert charged.lower == base.lower
+        assert charged.upper >= base.upper - dropped + 0.5
+
+    def test_hostile_brackets_hold_the_exact_norm(self):
+        # gaps from 1e-12 to 10, |c2| up to 50, sigma1 up to 400, I <= 30,
+        # J <= 300: [lower, upper - tail_bound] must hold the 60-digit norm
+        # of the whole (I+1) x J block, also where rows are cut
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def symbols(draw):
+            c = math.exp(draw(st.floats(math.log(1e-3), math.log(50.0))))
+            if draw(st.booleans()):
+                return 0.5 + c + math.exp(draw(st.floats(math.log(1e-12), math.log(10.0)))), c
+            return draw(st.floats(0.5 + c + 10.0, 400.0)), c
+
+        cut = []
+
+        @hypothesis.settings(
+            max_examples=30,
+            deadline=None,
+            derandomize=True,
+            database=None,
+            suppress_health_check=[hypothesis.HealthCheck.too_slow],
+        )
+        @hypothesis.given(symbols(), st.integers(0, 30), st.integers(1, 300))
+        def check(symbol, i_max, j_max):
+            sym = DirichletSymbol(*symbol)
+            m = build_matrix(sym, i_max, j_max)
+            est = operator_norm_estimate(m)
+            exact = mp_block_norm(sym, i_max, j_max)
+            assert est.lower <= exact <= est.upper - exact.context.mpf(m.tail_bound)
+            cut.append(operator_matrix._significant_rows(sym, i_max, j_max)[0] <= i_max)
+
+        check()
+        assert any(cut) and not all(cut)
 
     def test_parameter_validation(self):
         m = build_matrix(DirichletSymbol(2.0, 0.5), 2, 5)

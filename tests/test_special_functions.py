@@ -26,8 +26,8 @@ from dirichletops import (
     lower_bound_h,
     zeta,
 )
+from dirichletops import special_functions
 from dirichletops.special_functions import (
-    MARGIN_FLOOR,
     CertifiedValue,
     _log_tail_rounding,
     _moment_tail_integral,
@@ -356,7 +356,7 @@ class TestVerificationSuite:
         ]
         for check in rep.checks:
             assert check.failures == ()
-            assert check.worst_margin >= MARGIN_FLOOR
+            assert check.worst_margin > 0.0
 
     def test_crossing_reported(self):
         rep = verification_suite()
@@ -377,9 +377,71 @@ class TestVerificationSuite:
         bracket = rep.checks[0]
         assert bracket.name == "zeta-bracket"
         assert bracket.failures
-        assert bracket.worst_margin < MARGIN_FLOOR
+        assert bracket.worst_margin < 0.0
         for check in rep.checks[1:]:
             assert check.passed
+
+    def test_only_rounding_is_forgiven(self):
+        # a negative margin passes only within its own rounding bound
+        passing = special_functions._collect("c", [("a", -1e-16, 1e-16), ("b", 0.5, 0.0)])
+        assert passing.passed and passing.worst_margin == -1e-16
+        failing = special_functions._collect("c", [("a", -1e-15, 1e-16), ("b", -5e-324, 0.0)])
+        assert failing.failures == (("a", -1e-15), ("b", -5e-324))
+
+    def test_margin_rounding_against_mpmath(self):
+        # each grid margin is within its rounding bound of the exact
+        # difference of the floats it starts from, at 40 digits; for the
+        # shifted check, at the exact argument 1 + x rather than fl(1 + x)
+        mpmath = pytest.importorskip("mpmath")
+        mpf = mpmath.mpf
+        sf = special_functions
+        with mpmath.workdps(40):
+
+            def g(x):
+                x = mpf(x)
+                return (414 + 49 * x - 6 * x**2 - x**3) / 720
+
+            def f(x):
+                x = mpf(x)
+                return x / (x + 1) / mpmath.sqrt(2 * mpmath.pi)
+
+            def within(triple, exact):
+                _, margin, rounding = triple
+                assert abs(mpf(margin) - exact) <= rounding, (triple, exact)
+                # the bound is a few u of the sides, not a loose floor
+                assert rounding <= 1e-9 * max(1.0, abs(margin))
+
+            s_grid = sf.geomspace(sf._VERIFY_S_LO, sf._VERIFY_S_HI, sf._VERIFY_S_POINTS)[::7]
+            zetas = [zeta(s) for s in s_grid]
+            for invert in (False, True):
+                for triple, s, z in zip(sf._bracket_margins(s_grid, zetas, invert), s_grid, zetas):
+                    low = mpf(z.value) + mpf(z.error_bound) - 1 / (mpf(s) - 1)
+                    high = mpf(s) / (mpf(s) - 1) - (mpf(z.value) - mpf(z.error_bound))
+                    within(triple, min(-low if invert else low, high))
+            for triple, s, z in zip(sf._h_margins(s_grid, zetas), s_grid, zetas):
+                h = 1 / (mpf(s) - 1) + (mpf(s) - 1) / mpf(s) / mpmath.sqrt(2 * mpmath.pi)
+                within(triple, mpf(z.value) + mpf(z.error_bound) - h)
+            x_grid = sf.geomspace(sf._VERIFY_X_LO, sf._VERIFY_S_HI, sf._VERIFY_S_POINTS)
+            for k, triple in enumerate(sf._shifted_g_margins(sf.DEFAULT_BUDGET)):
+                if k % 7:
+                    continue
+                x = x_grid[k]
+                z = zeta(1.0 + x)
+                shift = mpmath.zeta(1 + mpf(x)) - mpmath.zeta(mpf(1.0 + x))
+                within(triple, mpf(z.value) + mpf(z.error_bound) + shift - (1 / mpf(x) + g(x)))
+            crossing = crossing_root()
+            d_grid = [x for x in sf.linspace(*sf.CROSSING_BRACKET, sf._DOMINANCE_POINTS)
+                      if abs(x - crossing) > sf._DOMINANCE_WINDOW]
+            for triple, x in zip(sf._dominance_margins(crossing), d_grid, strict=True):
+                gap = f(x) - g(x)
+                within(triple, gap if x > crossing else -gap)
+            for triple, (s, i) in zip(sf._moment_margins(sf.DEFAULT_BUDGET),
+                                      [(s, i) for s in sf._MOMENT_ARGS for i in sf._MOMENT_ORDERS]):
+                z, moment = zeta(s), log_moment_sum(s, i)
+                factor = mpf(math.factorial(i)) / (mpf(s) - 1) ** i
+                exact = (factor * mpf(z.value) + mpf(moment.error_bound)
+                         + factor * mpf(z.error_bound) - mpf(moment.value))
+                within(triple, exact)
 
 
 def test_log_moment_sum_enclosure_mpmath_oracle():
