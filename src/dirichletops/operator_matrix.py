@@ -24,6 +24,7 @@ import cmath
 import math
 import mmap
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,11 +75,11 @@ def _zeros(shape: tuple[int, int], dtype) -> np.ndarray:
     its dynamic mmap threshold has risen, where small objects allocated
     after them pin the freed space, so a loop that builds block after block
     grows its resident set.  A private mapping is returned to the system
-    as soon as the last view of the array goes.  Like numpy's own large
-    allocations it asks for transparent huge pages where the platform has
-    them, without which the first write to the block takes several ms
-    longer.  Smaller blocks stay on the heap, where reuse costs no page
-    faults.
+    as soon as the last view of the array goes, and its pages become
+    resident only when written.  Like numpy's own large allocations it asks
+    for transparent huge pages where the platform has them, without which
+    the first write to the block takes several ms longer.  Smaller blocks
+    stay on the heap, where reuse costs no page faults.
     """
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     if nbytes < _MAPPED_MIN_BYTES:
@@ -101,17 +102,58 @@ def _check_truncation(i_max: int, j_max: int) -> None:
         raise DomainError(f"column count must be an integer >= 1, got {j_max!r}")
 
 
-@dataclass(frozen=True, eq=False)
 class TruncatedMatrix:
     """Dense (I+1) x J slice of the operator matrix.
 
     ``magnitudes`` is the real nonnegative block B = |A|, read-only and safe
-    to share across threads.  ``entries`` is the phased complex block
-    A = D_row B D_col, computed on first access and cached read-only.
+    to share across threads.  A block from build_matrix starts empty and
+    fills its rows on demand, in order and under a lock: ``magnitudes``
+    fills every row, operator_norm_estimate only the rows it iterates.  A
+    block passed in is taken as filled.  ``entries`` is the phased complex
+    block A = D_row B D_col, computed on first access and cached read-only.
     """
 
-    magnitudes: np.ndarray
-    symbol: DirichletSymbol
+    def __init__(self, magnitudes: np.ndarray, symbol: DirichletSymbol) -> None:
+        self.symbol = symbol
+        self._block = magnitudes
+        self._view = magnitudes.view()
+        self._view.flags.writeable = False
+        self._filled = magnitudes.shape[0]
+        self._lock = threading.Lock()
+
+    @property
+    def magnitudes(self) -> np.ndarray:
+        self._rows(self.row_count)
+        return self._view
+
+    def _rows(self, k: int) -> np.ndarray:
+        """Rows 0..k-1 of B, read-only; those not yet filled are filled
+        first, from the last filled row on, as build_matrix describes."""
+        with self._lock:
+            lo, b, sym = self._filled, self._block, self.symbol
+            if lo < k:  # with J = 1 every slice below is empty
+                lj = np.log(np.arange(2, b.shape[1] + 1, dtype=np.float64))
+                body = b[:, 1:]
+                if lo == 0:
+                    b[0, 0] = 1.0
+                    np.multiply(lj, -sym.sigma1, out=body[0])
+                    np.exp(body[0], out=body[0])
+                    lo = 1
+                near = int(np.searchsorted(lj, _ROW0_EXPONENT_MAX / sym.sigma1, side="right"))
+                g = sym.c2_abs * lj[:near]
+                for i in range(lo, k):
+                    row = body[i, :near]
+                    np.multiply(body[i - 1, :near], g, out=row)
+                    row *= 1.0 / i
+                far, lj_far = body[lo:k, near:], lj[near:]  # often empty
+                with np.errstate(divide="ignore"):  # log(0) = -inf when c2 = 0
+                    log_g = np.log(sym.c2_abs * lj_far)
+                np.multiply.outer(np.arange(float(lo), float(k)), log_g, out=far)
+                far -= log_factorials(k - 1)[lo:, None]
+                far -= sym.sigma1 * lj_far
+                np.exp(far, out=far)
+                self._filled = k
+        return self._view[:k]
 
     @cached_property
     def tail_bound(self) -> float:
@@ -136,11 +178,11 @@ class TruncatedMatrix:
 
     @property
     def row_count(self) -> int:
-        return self.magnitudes.shape[0]
+        return self._block.shape[0]
 
     @property
     def col_count(self) -> int:
-        return self.magnitudes.shape[1]
+        return self._block.shape[1]
 
     @property
     def i_max(self) -> int:
@@ -167,7 +209,9 @@ def build_matrix(sym: DirichletSymbol, i_max: int, j_max: int) -> TruncatedMatri
     entry exceeds 1 because sigma1 >= |c2|, and _entry_rounding bounds the
     error of every entry.  Column j = 1 is (1, 0, 0, ...).  The block takes
     8 bytes per entry; a large one sits in its own memory mapping (see
-    _zeros).  The tail bound is computed on first access.
+    _zeros).  Only the size is checked here: rows are filled when first
+    read (see TruncatedMatrix), so rows never read cost no time and no
+    resident pages.  The tail bound is computed on first access.
     """
     _check_truncation(i_max, j_max)
     total = (i_max + 1) * j_max
@@ -179,28 +223,9 @@ def build_matrix(sym: DirichletSymbol, i_max: int, j_max: int) -> TruncatedMatri
             f"bytes); set {MAX_ENTRIES_ENV} to raise it"
         )
 
-    b = _zeros((i_max + 1, j_max), np.float64)
-    b[0, 0] = 1.0
-    if j_max >= 2:
-        lj = np.log(np.arange(2, j_max + 1, dtype=np.float64))
-        body = b[:, 1:]
-        np.multiply(lj, -sym.sigma1, out=body[0])
-        np.exp(body[0], out=body[0])
-        near = int(np.searchsorted(lj, _ROW0_EXPONENT_MAX / sym.sigma1, side="right"))
-        g = sym.c2_abs * lj[:near]
-        for i in range(1, i_max + 1):
-            row = body[i, :near]
-            np.multiply(body[i - 1, :near], g, out=row)
-            row *= 1.0 / i
-        far, lj_far = body[1:, near:], lj[near:]  # often empty
-        with np.errstate(divide="ignore"):  # log(0) = -inf when c2 = 0
-            log_g = np.log(sym.c2_abs * lj_far)
-        np.multiply.outer(np.arange(1.0, i_max + 1.0), log_g, out=far)
-        far -= log_factorials(i_max)[1:, None]
-        far -= sym.sigma1 * lj_far
-        np.exp(far, out=far)
-    b.flags.writeable = False
-    return TruncatedMatrix(magnitudes=b, symbol=sym)
+    m = TruncatedMatrix(_zeros((i_max + 1, j_max), np.float64), sym)
+    m._filled = 0
+    return m
 
 
 def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
@@ -399,9 +424,10 @@ def operator_norm_estimate(
     Power iteration on the real block B = |A|, which has the singular
     values of A, restricted to its rows that can move the norm: B_k, the
     first k rows, with rows k..I of Frobenius norm at most ``dropped``
-    <= u ||B|| (see _significant_rows).  The start vector comes from the
-    Perron vector of the Gram matrix of B_k (see _perron_start); it meets
-    the top singular vector so closely that one step usually certifies.
+    <= u ||B|| (see _significant_rows); only B_k is filled.  The start
+    vector comes from the Perron vector of the Gram matrix of B_k (see
+    _perron_start); it meets the top singular vector so closely that one
+    step usually certifies.
     Each step computes y = B_k x and z = y B_k and brackets ||B_k||:
 
     * lower^2 = ||z||^2 / ||y||^2 = ||B_k^T y||^2 / ||y||^2, a Rayleigh
@@ -432,7 +458,7 @@ def operator_norm_estimate(
         raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
     n_rows, dropped = _significant_rows(m.symbol, m.i_max, m.j_max)
-    b = m.magnitudes[:n_rows]
+    b = m._rows(n_rows)
     n_cols = b.shape[1]
     x = _perron_start(b)
     converged = False

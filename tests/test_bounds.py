@@ -142,6 +142,42 @@ class TestNormBounds:
         assert rep.lower_sq == pytest.approx(math.pi**2 / 6.0, abs=5e-12)
         assert rep.upper_sq == pytest.approx(float(sp.zeta(1.5)), abs=1e-11)
 
+    def test_hostile_ends_against_mpmath(self):
+        # gaps from 1e-12 to 10 above the boundary line, |c2| from 1e-2 to
+        # 50, q up to 1e6, |Im c1| up to 100: each end lies within the
+        # budget's 1e-12 max(1, zeta) of the 40-digit zeta at the floats'
+        # exact argument, plus 4u s |zeta'(s)| for the rounding of the float
+        # s = 2 sigma1 - r |c2|, and the radius is a rounded root of P
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        mpmath = pytest.importorskip("mpmath")
+        u = 2.0**-53
+
+        @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            st.floats(math.log(1e-2), math.log(50.0)),
+            st.floats(math.log(1e-12), math.log(10.0)),
+            st.integers(2, 10**6),
+            st.floats(-100.0, 100.0),
+            st.floats(-math.pi, math.pi),
+        )
+        def check(log_c, log_gap, q, tau, arg):
+            c = math.exp(log_c)
+            c1 = complex(0.5 + c + math.exp(log_gap), tau)
+            sym = DirichletSymbol(c1, c * cmath.exp(1j * arg), q)
+            rep = norm_bounds(sym)
+            sigma1, c_abs = mpmath.mpf(sym.sigma1), mpmath.mpf(sym.c2_abs)
+            ends = [(rep.lower_sq, 2 * sigma1), (rep.upper_sq, 2 * sigma1 - rep.schur_r * c_abs)]
+            for value, s in ends:
+                exact = mpmath.zeta(s)
+                slack = 1e-12 * max(1, exact) + 4 * u * s * abs(mpmath.zeta(s, derivative=1))
+                assert abs(value - exact) <= slack, (sym, value, s)
+            assert rep.schur_r == schur_radius(sym.sigma1, sym.c2_abs)
+            assert_radius_is_rounded_root(sym.sigma1, sym.c2_abs)
+
+        with mpmath.workdps(40):
+            check()
+
     def test_constant_symbol_is_exact(self):
         rep = norm_bounds(DirichletSymbol(0.75, 0.0))
         assert rep.symbol_class is SymbolClass.CONSTANT

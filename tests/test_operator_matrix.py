@@ -10,6 +10,7 @@ the closed-form Schur bound must dominate.
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -303,10 +304,89 @@ class TestBuildMatrix:
         assert "1100 entries (8800 bytes at 8 B per entry)" in message
         assert "cap is 100 entries (800 bytes)" in message
         assert MAX_ENTRIES_ENV in message
-        build_matrix(sym, 4, 20)  # 100 entries: exactly at the cap
+        assert build_matrix(sym, 4, 20)._filled == 0  # 100 entries: at the cap, no row filled
         monkeypatch.setenv(MAX_ENTRIES_ENV, "not-a-number")
         with pytest.raises(MatrixSizeError):
             build_matrix(sym, 1, 1)
+
+
+class TestRowsOnDemand:
+    # far columns at (80, 79.5), zero columns past j = 6 at (400, 0.1), a
+    # constant symbol, a phased one, 1 x 1, J = 1 and I = 0
+    CASES = [
+        ((2.0, 0.5), 100, 20000),
+        ((1.6, 0.3), 200, 20000),
+        ((4.0, 3.5), 200, 20000),
+        ((80.0, 79.5), 40, 20000),
+        ((400.0, 0.1), 10, 300),
+        ((0.75, 0.0), 4, 100),
+        ((2.0, 0.5), 0, 1),
+        ((2.0 - 100.0j, 0.5 * np.exp(2.9j)), 30, 400),
+        ((2.0, 0.5), 30, 1),
+        ((1.6, 0.3), 0, 500),
+    ]
+
+    @pytest.mark.parametrize("c1, c2, i_max, j_max", [(*sym, i, j) for sym, i, j in CASES])
+    def test_rows_on_demand_match_a_full_fill(self, c1, c2, i_max, j_max):
+        sym = DirichletSymbol(c1, complex(c2))
+        full = build_matrix(sym, i_max, j_max).magnitudes
+        m = build_matrix(sym, i_max, j_max)
+        for k in (1, 2, 7, i_max // 2, i_max + 1):
+            rows = m._rows(min(k, i_max + 1))
+            assert not rows.flags.writeable
+            assert np.array_equal(rows, full[: rows.shape[0]])
+        assert np.array_equal(m.magnitudes, full)
+        assert np.array_equal(m.entries, build_matrix(sym, i_max, j_max).entries)
+
+    def test_fill_order_does_not_matter(self):
+        sym = DirichletSymbol(1.6, 0.3)
+        m = build_matrix(sym, 200, 2000)
+        first = m._rows(5).copy()
+        assert m._filled == 5
+        full = build_matrix(sym, 200, 2000).magnitudes
+        assert np.array_equal(first, full[:5])
+        assert np.array_equal(m.magnitudes, full)
+        assert m._filled == 201
+        assert m.magnitudes is m.magnitudes
+
+    def test_norm_fills_only_the_rows_it_iterates(self):
+        sym = DirichletSymbol(1.6, 0.3)
+        m = build_matrix(sym, 400, 50000)
+        assert m._filled == 0
+        operator_norm_estimate(m)
+        k = operator_matrix._significant_rows(sym, 400, 50000)[0]
+        assert k < 30 and m._filled == k
+
+    def test_threads_read_identical_blocks(self):
+        # more threads than cores, switching every microsecond, ask for
+        # overlapping row counts: each gets the rows of a full fill, and the
+        # filled count ends at the most rows asked for
+        sym = DirichletSymbol(2.0, 0.5)
+        full = build_matrix(sym, 100, 20000).magnitudes
+        m = build_matrix(sym, 100, 20000)
+        wants = (101, 7, 101, 40, 3, 101)
+        barrier = threading.Barrier(len(wants))
+        got = [None] * len(wants)
+
+        def read(slot):
+            barrier.wait(timeout=60)
+            got[slot] = m.magnitudes if wants[slot] == 101 else m._rows(wants[slot])
+
+        threads = [threading.Thread(target=read, args=(slot,)) for slot in range(len(wants))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k, rows in zip(wants, got):
+            assert np.array_equal(rows, full[:k])
+        assert got[0] is got[2] is got[5]
+        assert m._filled == 101
 
 
 class TestTailBounds:
@@ -552,8 +632,7 @@ class TestOperatorNormEstimate:
     def test_non_convergence_is_flagged(self):
         # top pair 1 and 1 - 1e-4: the weight of the second vector falls by
         # (1 - 1e-4)^2 a step, far too slowly for three steps
-        m = build_matrix(DirichletSymbol(2.0, 0.5), 2, 4)
-        object.__setattr__(m, "magnitudes", tied_block(1e-4))
+        m = operator_matrix.TruncatedMatrix(tied_block(1e-4), DirichletSymbol(2.0, 0.5))
         est = operator_norm_estimate(m, max_iter=3)
         assert not est.converged
         assert est.iterations == 3
@@ -700,8 +779,7 @@ class TestSingularValues:
         # the SVD reads the nonnegative block, so a random one is injected there
         rng = np.random.default_rng(42)
         a = rng.random((40, 40))
-        m = build_matrix(DirichletSymbol(2.0, 0.5), 39, 40)
-        object.__setattr__(m, "magnitudes", a)
+        m = operator_matrix.TruncatedMatrix(a, DirichletSymbol(2.0, 0.5))
         spec = singular_values(m, 40)
         oracle = mp_singular_values(a)
         assert np.max(np.abs(spec.values - oracle) / oracle) < 1e-10
