@@ -198,6 +198,21 @@ def kernel_lower_bound(
     return max(best, limit)
 
 
+def _zeta_bracket(
+    sym: DirichletSymbol, budget: PrecisionBudget
+) -> tuple[SymbolClass, float | None, float, float]:
+    """(class, schur_r, lower_sq, upper_sq) of norm_bounds, without the
+    kernel bound and its zeta calls."""
+    cls = classify(sym)
+    if cls is SymbolClass.CONSTANT:
+        exact = zeta(2.0 * sym.sigma1, budget).value
+        return cls, None, exact, exact
+    r = schur_radius(sym.sigma1, sym.c2_abs)
+    lower = zeta(2.0 * sym.sigma1, budget).value
+    upper = zeta(2.0 * sym.sigma1 - r * sym.c2_abs, budget).value
+    return cls, r, lower, upper
+
+
 def norm_bounds(
     sym: DirichletSymbol, budget: PrecisionBudget = DEFAULT_BUDGET
 ) -> NormBoundReport:
@@ -207,16 +222,7 @@ def norm_bounds(
     boundary symbols r = 1 and the bracket specializes to
     [zeta(1 + 2 |c2|), zeta(1 + |c2|)].
     """
-    cls = classify(sym)
-    if cls is SymbolClass.CONSTANT:
-        exact = zeta(2.0 * sym.sigma1, budget).value
-        return NormBoundReport(cls, None, exact, exact, kernel_lower_bound(sym, budget))
-
-    r = schur_radius(sym.sigma1, sym.c2_abs)
-    lower = zeta(2.0 * sym.sigma1, budget).value
-    upper = zeta(2.0 * sym.sigma1 - r * sym.c2_abs, budget).value
-    kernel = kernel_lower_bound(sym, budget)
-    return NormBoundReport(cls, r, lower, upper, kernel)
+    return NormBoundReport(*_zeta_bracket(sym, budget), kernel_lower_bound(sym, budget))
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,11 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
-from .bounds import approx_number_bound, norm_bounds
+from .bounds import _zeta_bracket, approx_number_bound, norm_bounds
 from .errors import (
     BudgetExhaustedError,
     DomainError,
@@ -45,27 +45,66 @@ from .symbol import DirichletSymbol
 
 _FIGURE_RANGE = (0.1, 10.0)
 
+_SUBCOMMANDS = {
+    "bounds": "norm bracket for one symbol",
+    "matrix-norm": "truncated-matrix norm estimate",
+    "approx-numbers": "singular values vs decay bound",
+    "verify-lemmas": "inequality grid verification",
+    "figure": "comparison-curve samples as CSV",
+}
+
+
+def _option(default, help=None, *, flag=None, commands=tuple(_SUBCOMMANDS), file=True, **extra):
+    """A RunConfig field with the one declaration of its inputs.
+
+    ``help`` is the help of its flag ``--<flag>`` (the field's name unless
+    ``flag`` is given), which ``commands`` take with the ``extra`` argparse
+    settings; without ``help`` the field adds no flag of its own.  ``file``
+    says whether a config file may set it, under the field's name or the
+    flag's.  Flag and file values parse with the default's type (str for
+    None), and a bool field is a switch.
+    """
+    kind = str if default is None else type(default)
+    meta = dict(help=help, flag=flag, commands=commands, file=file, type=kind, extra=extra)
+    return field(default=default, metadata=meta)
+
+
+def _flag(f: Field) -> str:
+    return f.metadata["flag"] or f.name
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """One resolved invocation: symbol, truncation, precision, output."""
 
-    c1_re: float = 2.0
-    c1_im: float = 0.0
-    c2_abs: float = 0.5
-    c2_arg: float = 0.0
-    q: int = 2
-    rows: int = 40
-    cols: int = 2000
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_terms: int = 10**6
-    format: str = "json"
-    output: str | None = None
-    n_max: int = 10
-    points: int = 200
-    inject_fault: bool = False
-    dump_matrix: str | None = None
+    c1_re: float = _option(2.0, "Re c1 (default 2)")
+    c1_im: float = _option(0.0, "Im c1 (default 0)")
+    c2_abs: float = _option(0.5, "|c2| (default 0.5)")
+    c2_arg: float = _option(0.0, "arg c2 in radians (default 0)")
+    q: int = _option(2, "integer base q >= 2 (default 2)")
+    rows: int = _option(40, "highest row index I; the matrix has I+1 rows")
+    cols: int = _option(2000, "number of columns J")
+    # a bare `tol` (flag or file key) sets both tolerance fields
+    abs_tol: float = _option(1e-12, "absolute and relative tolerance (default 1e-12)", flag="tol")
+    rel_tol: float = _option(1e-12, flag="tol")
+    max_terms: int = _option(10**6)
+    format: str = _option("json", "document format", choices=("json", "csv"))
+    output: str | None = _option(None, "write the document here", metavar="PATH")
+    n_max: int = _option(10, "largest N in the table (default 10)", commands=("approx-numbers",))
+    points: int = _option(200, "sample count on [0.1, 10] (default 200)", commands=("figure",))
+    inject_fault: bool = _option(
+        False,
+        "flip one inequality to confirm failures are detected (self-test)",
+        commands=("verify-lemmas",),
+        file=False,
+    )
+    dump_matrix: str | None = _option(
+        None,
+        "also write the matrix entries",
+        commands=("matrix-norm",),
+        file=False,
+        metavar="PATH",
+    )
 
     def symbol(self) -> DirichletSymbol:
         c1 = complex(self.c1_re, self.c1_im)
@@ -78,25 +117,12 @@ class RunConfig:
         )
 
 
-_DEFAULTS = RunConfig()
-
-# config-file keys and their parsers; `tol` sets both tolerance fields
-_FILE_KEY_TYPES = {
-    "c1_re": float,
-    "c1_im": float,
-    "c2_abs": float,
-    "c2_arg": float,
-    "q": int,
-    "rows": int,
-    "cols": int,
-    "tol": float,
-    "abs_tol": float,
-    "rel_tol": float,
-    "max_terms": int,
-    "format": str,
-    "output": str,
-    "n_max": int,
-    "points": int,
+# config-file keys and their parsers: each settable field's name and flag
+_FILE_KEYS = {
+    key: f.metadata["type"]
+    for f in fields(RunConfig)
+    if f.metadata["file"]
+    for key in (f.name, _flag(f))
 }
 
 
@@ -114,45 +140,27 @@ def _read_config_file(path: str) -> dict:
         if not sep:
             raise DomainError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key = key.strip().replace("-", "_")
-        if key not in _FILE_KEY_TYPES:
+        if key not in _FILE_KEYS:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _FILE_KEY_TYPES[key](value.strip())
+            values[key] = _FILE_KEYS[key](value.strip())
         except ValueError as exc:
             raise DomainError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
-def _merge_config(
-    args: argparse.Namespace, default_overrides: dict | None = None
-) -> RunConfig:
+def _merge_config(args: argparse.Namespace) -> RunConfig:
+    """Each field from its flag, else the file under the field's name, else
+    the file under the flag's, else figure's csv default, else the built-in."""
     file_values = _read_config_file(args.config) if args.config else {}
-    # a bare `tol` (flag or file key) sets both tolerance fields
-    tol = args.tol if args.tol is not None else file_values.get("tol")
-    if tol is not None:
-        file_values.setdefault("abs_tol", tol)
-        file_values.setdefault("rel_tol", tol)
-        if args.tol is not None:
-            file_values["abs_tol"] = file_values["rel_tol"] = tol
+    if args.command == "figure":  # a table by nature
+        file_values.setdefault("format", "csv")
     resolved = {}
-    for field in fields(RunConfig):
-        flag = getattr(args, field.name, None)
-        if flag is not None:
-            resolved[field.name] = flag
-        elif field.name in file_values:
-            resolved[field.name] = file_values[field.name]
-        elif default_overrides and field.name in default_overrides:
-            resolved[field.name] = default_overrides[field.name]
-        else:
-            resolved[field.name] = getattr(_DEFAULTS, field.name)
-    # store_true flags resolve False as "absent"; treat them directly
-    resolved["inject_fault"] = bool(getattr(args, "inject_fault", False))
+    for f in fields(RunConfig):
+        flag = _flag(f)
+        values = (getattr(args, flag, None), file_values.get(f.name), file_values.get(flag))
+        resolved[f.name] = next((v for v in values if v is not None), f.default)
     cfg = RunConfig(**resolved)
-    _validate_config(cfg)
-    return cfg
-
-
-def _validate_config(cfg: RunConfig) -> None:
     if cfg.format not in ("json", "csv"):
         raise DomainError(f"format must be json or csv, got {cfg.format!r}")
     if cfg.rows < 0:
@@ -164,6 +172,7 @@ def _validate_config(cfg: RunConfig) -> None:
     if cfg.points < 2:
         raise DomainError(f"points must be >= 2, got {cfg.points}")
     cfg.budget()  # precision invariants checked by PrecisionBudget
+    return cfg
 
 
 def _fmt(cell) -> str:
@@ -172,13 +181,7 @@ def _fmt(cell) -> str:
         return ""
     if isinstance(cell, bool):
         return "true" if cell else "false"
-    if isinstance(cell, int):
-        return str(cell)
-    if isinstance(cell, float):
-        if math.isnan(cell):
-            return "nan"
-        if math.isinf(cell):
-            return "inf" if cell > 0 else "-inf"
+    if isinstance(cell, float):  # nan, inf and -inf print as themselves
         return f"{cell:.12g}"
     return str(cell)
 
@@ -191,8 +194,6 @@ def _csv_document(header: list[str], rows: list[list]) -> str:
 
 def _round_floats(obj):
     """Round every float to 12 significant digits; drop non-finite to null."""
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         if not math.isfinite(obj):
             return None
@@ -215,22 +216,7 @@ def _json_document(command: str, cfg: RunConfig, result: dict) -> str:
     return json.dumps(_round_floats(doc), indent=2) + "\n"
 
 
-def _record_document(command: str, cfg: RunConfig, code: int, result: dict) -> tuple[int, str]:
-    """A one-record result as a one-row CSV table or a JSON document."""
-    if cfg.format == "csv":
-        return code, _csv_document(list(result), [list(result.values())])
-    return code, _json_document(command, cfg, result)
-
-
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.output:
-        with open(cfg.output, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_bounds(cfg: RunConfig) -> tuple[int, str]:
+def cmd_bounds(cfg: RunConfig) -> tuple[int, dict, None]:
     """Norm bracket and, for compact symbols, the approximation-number law."""
     sym = cfg.symbol()
     report = norm_bounds(sym, cfg.budget())
@@ -247,10 +233,10 @@ def cmd_bounds(cfg: RunConfig) -> tuple[int, str]:
         approx = approx_number_bound(sym)
         result["approx_prefactor"] = approx.prefactor
         result["approx_ratio"] = approx.ratio
-    return _record_document("bounds", cfg, 0, result)
+    return 0, result, None
 
 
-def cmd_matrix_norm(cfg: RunConfig) -> tuple[int, str]:
+def cmd_matrix_norm(cfg: RunConfig) -> tuple[int, dict, None]:
     """Certified norm bracket of the truncation, checked against the theorem's.
 
     ``lower`` and ``upper`` come from ``operator_norm_estimate``: a proven
@@ -271,14 +257,14 @@ def cmd_matrix_norm(cfg: RunConfig) -> tuple[int, str]:
         operator_matrix.write_matrix(matrix, cfg.dump_matrix)
     estimate = operator_matrix.operator_norm_estimate(matrix, tol=cfg.rel_tol)
     budget = cfg.budget()
-    theory = norm_bounds(sym, budget)
+    _, _, theory_lower, theory_upper = _zeta_bracket(sym, budget)
 
     def zeta_error(value: float) -> float:
         return max(budget.abs_tol, budget.rel_tol * value)
 
     certified = math.isfinite(estimate.upper)
-    within = estimate.lower**2 <= theory.upper_sq + zeta_error(theory.upper_sq)
-    within = within and estimate.upper**2 >= theory.lower_sq - zeta_error(theory.lower_sq)
+    within = estimate.lower**2 <= theory_upper + zeta_error(theory_upper)
+    within = within and estimate.upper**2 >= theory_lower - zeta_error(theory_lower)
     result = {
         "rows": matrix.row_count,
         "cols": matrix.col_count,
@@ -290,22 +276,22 @@ def cmd_matrix_norm(cfg: RunConfig) -> tuple[int, str]:
         "tail_bound": matrix.tail_bound if certified else None,
         "iterations": estimate.iterations,
         "converged": estimate.converged,
-        "theory_lower_sq": theory.lower_sq,
-        "theory_upper_sq": theory.upper_sq,
+        "theory_lower_sq": theory_lower,
+        "theory_upper_sq": theory_upper,
         "within_theorem_bracket": within,
     }
     code = 0 if within else 1
     if not within:
         print(
             "error: matrix norm estimate escapes the proven bracket "
-            f"(lower_sq={estimate.lower**2!r}, bracket=[{theory.lower_sq!r}, "
-            f"{theory.upper_sq!r}]); this signals a bug",
+            f"(lower_sq={estimate.lower**2!r}, bracket=[{theory_lower!r}, "
+            f"{theory_upper!r}]); this signals a bug",
             file=sys.stderr,
         )
-    return _record_document("matrix-norm", cfg, code, result)
+    return code, result, None
 
 
-def cmd_approx_numbers(cfg: RunConfig) -> tuple[int, str]:
+def cmd_approx_numbers(cfg: RunConfig) -> tuple[int, dict, tuple]:
     """Table of singular values sigma_{N+1} against the proven decay bound."""
     from . import operator_matrix
     sym = cfg.symbol()
@@ -332,17 +318,15 @@ def cmd_approx_numbers(cfg: RunConfig) -> tuple[int, str]:
             f"error: {failures} singular value(s) exceed the proven bound",
             file=sys.stderr,
         )
-    if cfg.format == "csv":
-        return code, _csv_document(header, rows)
     result = {
         "prefactor": law.prefactor,
         "decay_ratio": law.ratio,
         "table": [dict(zip(header, row)) for row in rows],
     }
-    return code, _json_document("approx-numbers", cfg, result)
+    return code, result, (header, rows)
 
 
-def cmd_verify_lemmas(cfg: RunConfig) -> tuple[int, str]:
+def cmd_verify_lemmas(cfg: RunConfig) -> tuple[int, dict, tuple]:
     """Inequality grid sweeps; nonzero exit when any margin goes negative."""
     report = verification_suite(cfg.budget(), inject_fault=cfg.inject_fault)
     checks = []
@@ -365,23 +349,21 @@ def cmd_verify_lemmas(cfg: RunConfig) -> tuple[int, str]:
                     f"error: {check.name} fails at {label} (margin {margin!r})",
                     file=sys.stderr,
                 )
-    if cfg.format == "csv":
-        header = ["name", "points", "failed", "worst_margin", "passed", "value"]
-        rows = [
-            [c["name"], c["points"], c["failed"], c["worst_margin"], c["passed"], None]
-            for c in checks
-        ]
-        rows.append(["crossing-root", 1, 0, None, True, report.crossing])
-        return code, _csv_document(header, rows)
+    header = ["name", "points", "failed", "worst_margin", "passed", "value"]
+    rows = [
+        [c["name"], c["points"], c["failed"], c["worst_margin"], c["passed"], None]
+        for c in checks
+    ]
+    rows.append(["crossing-root", 1, 0, None, True, report.crossing])
     result = {
         "crossing": report.crossing,
         "all_passed": report.all_passed,
         "checks": checks,
     }
-    return code, _json_document("verify-lemmas", cfg, result)
+    return code, result, (header, rows)
 
 
-def cmd_figure(cfg: RunConfig) -> tuple[int, str]:
+def cmd_figure(cfg: RunConfig) -> tuple[int, dict, tuple]:
     """Comparison-curve samples: 1/x + f, 1/x + g, and zeta(1 + x)."""
     budget = cfg.budget()
     lo, hi = _FIGURE_RANGE
@@ -397,13 +379,12 @@ def cmd_figure(cfg: RunConfig) -> tuple[int, str]:
         )
     crossing = crossing_root(budget)
     header = ["x", "inv_x_plus_f", "inv_x_plus_g", "zeta_one_plus_x"]
-    if cfg.format == "json":
-        result = {"columns": header, "rows": rows, "crossing": crossing}
-        return 0, _json_document("figure", cfg, result)
-    rows.append(["crossing", crossing, None, None])
-    return 0, _csv_document(header, rows)
+    result = {"columns": header, "rows": rows, "crossing": crossing}
+    return 0, result, (header, [*rows, ["crossing", crossing, None, None]])
 
 
+# each command returns (exit code, JSON result, CSV table or None for a
+# one-row table of the result) and main renders the document
 _COMMANDS = {
     "bounds": cmd_bounds,
     "matrix-norm": cmd_matrix_norm,
@@ -411,24 +392,6 @@ _COMMANDS = {
     "verify-lemmas": cmd_verify_lemmas,
     "figure": cmd_figure,
 }
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="key=value config file")
-    parser.add_argument("--c1-re", type=float, help="Re c1 (default 2)")
-    parser.add_argument("--c1-im", type=float, help="Im c1 (default 0)")
-    parser.add_argument("--c2-abs", type=float, help="|c2| (default 0.5)")
-    parser.add_argument("--c2-arg", type=float, help="arg c2 in radians (default 0)")
-    parser.add_argument("--q", type=int, help="integer base q >= 2 (default 2)")
-    parser.add_argument(
-        "--rows", type=int, help="highest row index I; the matrix has I+1 rows"
-    )
-    parser.add_argument("--cols", type=int, help="number of columns J")
-    parser.add_argument(
-        "--tol", type=float, help="absolute and relative tolerance (default 1e-12)"
-    )
-    parser.add_argument("--format", choices=("json", "csv"), help="document format")
-    parser.add_argument("--output", metavar="PATH", help="write the document here")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -441,49 +404,41 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds", help="norm bracket for one symbol")
-    _add_common_flags(p)
-
-    p = sub.add_parser("matrix-norm", help="truncated-matrix norm estimate")
-    _add_common_flags(p)
-    p.add_argument(
-        "--dump-matrix", metavar="PATH", help="also write the matrix entries"
-    )
-
-    p = sub.add_parser("approx-numbers", help="singular values vs decay bound")
-    _add_common_flags(p)
-    p.add_argument("--n-max", type=int, help="largest N in the table (default 10)")
-
-    p = sub.add_parser("verify-lemmas", help="inequality grid verification")
-    _add_common_flags(p)
-    p.add_argument(
-        "--inject-fault",
-        action="store_true",
-        help="flip one inequality to confirm failures are detected (self-test)",
-    )
-
-    p = sub.add_parser("figure", help="comparison-curve samples as CSV")
-    _add_common_flags(p)
-    p.add_argument("--points", type=int, help="sample count on [0.1, 10] (default 200)")
-
+    for command, help in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help)
+        p.add_argument("--config", metavar="FILE", help="key=value config file")
+        for f in fields(RunConfig):
+            meta = f.metadata
+            if meta["help"] and command in meta["commands"]:
+                parse = meta["type"]
+                kind = {"action": "store_true"} if parse is bool else {"type": parse}
+                p.add_argument(
+                    "--" + _flag(f).replace("_", "-"), help=meta["help"], **kind, **meta["extra"]
+                )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # figure is a table by nature; its format defaults to csv
-    overrides = {"format": "csv"} if args.command == "figure" else None
     try:
-        cfg = _merge_config(args, overrides)
-        code, text = _COMMANDS[args.command](cfg)
+        cfg = _merge_config(args)
+        code, result, table = _COMMANDS[args.command](cfg)
     except (InvalidSymbolError, NonCompactError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MatrixSizeError, BudgetExhaustedError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    _emit(text, cfg)
+    if cfg.format == "json":
+        text = _json_document(args.command, cfg, result)
+    else:
+        header, rows = table or (list(result), [list(result.values())])
+        text = _csv_document(header, rows)
+    if cfg.output:
+        with open(cfg.output, "w", newline="") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
     return code
 
 

@@ -32,8 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import c2_abs_upper, schur_exponent, schur_polynomial_nonpositive
-from .errors import DomainError, MatrixSizeError
+from .bounds import approx_number_bound, c2_abs_upper, schur_exponent
+from .bounds import schur_polynomial_nonpositive
+from .errors import DomainError, MatrixSizeError, NonCompactError
 from .special_functions import DEFAULT_BUDGET, UNIT_ROUNDOFF, PrecisionBudget, log_moment_tail
 from .special_functions import lower_bound_h
 from .special_functions import zeta as _certified_zeta
@@ -238,7 +239,8 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
       factorial-moment chain bounds by rho^2i * 2 sigma1/(2 sigma1 - 1) with
       rho = 2|c2|/(2 sigma1 - 1); the geometric sum from k_t is
       (s/(s-1)) rho^(2 k_t) / (1 - rho^2), s = 2 sigma1, and infinite for
-      boundary symbols where rho = 1.
+      boundary symbols where rho = 1.  That is the square of
+      approx_number_bound's prefactor * ratio^k_t, which bound_at rounds up.
     * columns j > J within rows i < k_t: log-moment tails of order 2i, each
       bounded by its incomplete-gamma integral (plus peak term when J is left
       of the summand's peak).
@@ -247,38 +249,51 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     the i = 0 column tail, from logs, if that comes sooner: rows k_t..I
     then cost no log-moment tail, and a superset of the discarded part is
     still charged.
+
+    Rounded outward, in units of u = 2^-53, with |c2| from c2_abs_upper
+    (every term grows with it) and each log-moment tail L_i already an
+    upper bound.  The exponent 2i log|c2| - 2 log i! + L_i of column term
+    i >= 1 is raised by its rounding: log within 2u and the product by 2i
+    one more, 3 |2i log|c2||; lgamma within 2 ulps plus 2u (see
+    special_functions._log_tail_rounding), doubled; the two additions and
+    the padding's own, each within one rounding of their result; one unit
+    covers the second-order terms.  Term 0 is exp(L_0), exactly its
+    exponent.  Then 1 + 8u covers exp (2u), the correctly rounded fsum,
+    the square of the row piece, its sum with the column piece, and the
+    product by 1 + 8u itself; (k_t + 1) 2^-1074 covers the subnormal
+    results, whose addition, if not exact, is covered by the remaining
+    units; the square root is rounded up.
     """
     _check_truncation(i_max, j_max)
-    sigma1 = sym.sigma1
-    c = sym.c2_abs
-    s = 2.0 * sigma1
-
-    if c == 0.0:
-        # single nonzero row: only the column tail survives
-        col_sq = math.exp(log_moment_tail(s, 0, j_max))
-        return math.sqrt(col_sq)
-
-    rho_sq = (2.0 * c / (2.0 * sigma1 - 1.0)) ** 2
-    if rho_sq >= 1.0 or classify(sym) is SymbolClass.BOUNDARY:
-        return math.inf
+    s = 2.0 * sym.sigma1
+    c = c2_abs_upper(sym)
     log_col0 = log_moment_tail(s, 0, j_max)
-    rows = i_max + 1
-    if log_col0 > -math.inf and rho_sq > 0.0:
-        # least k with (s/(s-1)) rho^2k / (1 - rho^2) <= u e^log_col0
-        log_room = math.log(UNIT_ROUNDOFF * (1.0 - rho_sq) * (s - 1.0) / s) + log_col0
-        rows = min(rows, max(1, math.ceil(log_room / math.log(rho_sq))))
-    row_sq = (s / (s - 1.0)) * rho_sq**rows / (1.0 - rho_sq)
+    rows, row_sq = 1, 0.0  # with c2 = 0 only the row-0 column tail survives
+    if c > 0.0:
+        try:
+            law = approx_number_bound(sym)
+        except NonCompactError:  # boundary symbols: the rows do not decay
+            return math.inf
+        rho_sq = law.ratio**2
+        rows = i_max + 1
+        if log_col0 > -math.inf and rho_sq > 0.0:
+            # least k with (s/(s-1)) rho^2k / (1 - rho^2) <= u e^log_col0
+            log_room = math.log(UNIT_ROUNDOFF * (1.0 - rho_sq) * (s - 1.0) / s) + log_col0
+            rows = min(rows, max(1, math.ceil(log_room / math.log(rho_sq))))
+        row = law.bound_at(rows)
+        row_sq = row * row
 
-    log_c = math.log(c)
-    col_sq = math.exp(log_col0)
+    log_c = math.log(c) if c > 0.0 else 0.0
+    terms = [math.exp(log_col0)]
     for i in range(1, rows):
-        log_term = (
-            2.0 * i * log_c
-            - 2.0 * math.lgamma(i + 1.0)
-            + log_moment_tail(s, 2 * i, j_max)
-        )
-        col_sq += math.exp(log_term)
-    return math.sqrt(row_sq + col_sq)
+        power = 2.0 * i * log_c
+        log_fact = 2.0 * math.lgamma(i + 1.0)
+        log_term = power - log_fact + log_moment_tail(s, 2 * i, j_max)
+        units = 3.0 * abs(power) + 4.0 * log_fact + 4.0 + abs(power - log_fact)
+        units += 2.0 * abs(log_term) + 1.0
+        terms.append(math.exp(log_term + units * UNIT_ROUNDOFF))
+    total = (row_sq + math.fsum(terms)) * (1.0 + 8.0 * UNIT_ROUNDOFF) + (rows + 1) * 2.0**-1074
+    return math.nextafter(math.sqrt(total), math.inf)
 
 
 class NormEstimate(NamedTuple):
@@ -493,14 +508,15 @@ def operator_norm_estimate(
     # upper: y's error (J terms) passes into z (k terms); the quotient,
     # 1 + gamma and the product round once each.  The sum with dropped is
     # rounded up like the square root.
-    # Entries: the computed block is B (1 + theta) + e with |theta| <= eta
-    # (see _entry_rounding).  B >= 0 and the norm is monotone in the
+    # Entries: the computed rows 0..k-1 are B_k (1 + theta) + e with
+    # |theta| <= eta (see _entry_rounding, taken at I = k - 1: no row below
+    # them enters their recurrence).  B >= 0 and the norm is monotone in the
     # entries of a nonnegative matrix, so ||B|| is at least the computed
     # block's norm over 1 + eta, whose square is at least 1 - 2 eta of
     # it, and at most its norm over 1 - eta, whose square is at most
     # 1 + 3 eta of it while eta <= 1/5; 1 + gamma + 4 eta covers
     # (1 + gamma)(1 + 3 eta) while gamma <= 1/3.
-    eta = _entry_rounding(m.symbol, m.i_max, m.j_max)
+    eta = _entry_rounding(m.symbol, n_rows - 1, m.j_max)
     lower_sq *= 1.0 - (_gamma(n_cols + 3 * n_rows + 5) + 2.0 * eta)
     upper_sq *= 1.0 + (_gamma(n_cols + n_rows + 5) + 4.0 * eta)
     upper = math.nextafter(math.sqrt(upper_sq), math.inf)

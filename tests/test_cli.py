@@ -380,6 +380,57 @@ class TestPlumbing:
         assert code == 2
         assert "key=value" in err
 
+    def test_file_tol_yields_to_file_abs_tol(self, capsys, tmp_path):
+        # a bare `tol` sets both tolerances; a file's abs_tol wins over its
+        # tol, and the --tol flag wins over both
+        config = tmp_path / "tol.cfg"
+        config.write_text("tol = 1e-10\nabs_tol = 1e-11\n")
+        code, doc, _ = run_json(capsys, ["bounds", "--config", str(config)])
+        assert code == 0
+        assert (doc["config"]["abs_tol"], doc["config"]["rel_tol"]) == (1e-11, 1e-10)
+        code, doc, _ = run_json(capsys, ["bounds", "--config", str(config), "--tol", "1e-9"])
+        assert code == 0
+        assert (doc["config"]["abs_tol"], doc["config"]["rel_tol"]) == (1e-9, 1e-9)
+
+    def test_max_terms_only_from_a_file(self, capsys, tmp_path):
+        config = tmp_path / "terms.cfg"
+        config.write_text("max_terms = 5000\n")
+        code, doc, _ = run_json(capsys, ["bounds", "--config", str(config)])
+        assert code == 0
+        assert doc["config"]["max_terms"] == 5000
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bounds", "--max-terms", "5000"])
+        assert exit_info.value.code == 2
+        assert "--max-terms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [("matrix-norm", "dump_matrix = m.txt"), ("verify-lemmas", "inject_fault = true")],
+    )
+    def test_flag_only_keys_rejected_in_a_file(self, capsys, tmp_path, command, line):
+        config = tmp_path / "flag_only.cfg"
+        config.write_text(line + "\n")
+        code, out, err = run_cli(capsys, [command, "--config", str(config)])
+        assert code == 2
+        assert out == ""
+        assert f"unknown key {line.split()[0]!r}" in err
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_figure_csv_default_yields_to_file_and_flag(self, capsys, tmp_path):
+        # flag > file > figure's csv default > the built-in json
+        argv = ["figure", "--points", "3"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and out.startswith("x,")
+        config = tmp_path / "json.cfg"
+        config.write_text("format = json\n")
+        code, doc, _ = run_json(capsys, [*argv, "--config", str(config)])
+        assert code == 0 and doc["config"]["format"] == "json"
+        code, doc, _ = run_json(capsys, [*argv, "--format", "json"])
+        assert code == 0 and doc["command"] == "figure"
+        config.write_text("format = csv\n")
+        code, doc, _ = run_json(capsys, [*argv, "--config", str(config), "--format", "json"])
+        assert code == 0 and len(doc["result"]["rows"]) == 3
+
     def test_tol_flag_sets_both_tolerances(self, capsys):
         code, doc, _ = run_json(
             capsys, ["bounds", "--c1-re", "2", "--c2-abs", "0.5", "--tol", "1e-10"]

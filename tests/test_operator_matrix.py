@@ -7,6 +7,7 @@ zeta derivatives for the Schur rows, and a dense log-space reference that
 the closed-form Schur bound must dominate.
 """
 
+import cmath
 import math
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from dirichletops import operator_matrix
-from dirichletops.bounds import c2_abs_upper, norm_bounds, schur_radius
+from dirichletops.bounds import approx_number_bound, c2_abs_upper, norm_bounds, schur_radius
 from dirichletops.errors import DomainError, MatrixSizeError
 from dirichletops.operator_matrix import (
     MAX_ENTRIES_ENV,
@@ -440,8 +441,8 @@ class TestTailBounds:
         # past the row k_t where the closed-form row tail falls below u times
         # the i = 0 column tail, rows are charged by that closed form alone:
         # no moment tail is computed for them, the bound stops depending on
-        # I, and it stays within 2u of the row-by-row sum over every column
-        # tail
+        # I, and it stays above the row-by-row sum over every column tail by
+        # no more than its own rounding terms (27u to 188u here)
         sym = DirichletSymbol(sigma1, c)
         s, rho_sq = 2.0 * sigma1, (2.0 * c / (2.0 * sigma1 - 1.0)) ** 2
         i_max = 300
@@ -461,7 +462,49 @@ class TestTailBounds:
         k_t = len(calls)
         assert k_t < 150
         assert t == tail_bounds(sym, 150, j_max) and len(calls) == 2 * k_t
-        assert abs(t - full) <= 2.0 * UNIT_ROUNDOFF * full
+        assert full <= t <= full * (1.0 + 256.0 * UNIT_ROUNDOFF)
+        # the closed form charged for rows k_t.. is at most u times column 0
+        row = approx_number_bound(sym).bound_at(k_t)
+        assert row**2 <= UNIT_ROUNDOFF * math.exp(log_moment_tail(s, 0, j_max)) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "sigma1, c2, i_max, j_max",
+        [
+            (1.6, 0.3, 200, 20000),
+            (0.9 + 1e-6, 0.3, 400, 500),
+            (0.8 + 1e-6, 0.3, 400, 500),
+            (0.55 + 1e-6, 0.05j, 400, 20000),
+            (2.5 + 1e-6, 2.0 * cmath.exp(0.7j), 400, 2000),
+            (20.5 + 1e-3, 20.0 * cmath.exp(-2.1j), 300, 20000),
+            (3.0, 1.5 * cmath.exp(1.3j), 1, 1),
+            (0.75, 0.0, 0, 1000),
+        ],
+    )
+    def test_rounded_outward_against_mpmath(self, sigma1, c2, i_max, j_max, monkeypatch):
+        # the float bound is at least its own closed form at 50 digits, on
+        # the exact |c2| of the float components, with the certified
+        # log-moment tails it computed (their count is k_t) taken as exact
+        mpmath = pytest.importorskip("mpmath")
+        sym = DirichletSymbol(sigma1, c2)
+        logs = []
+
+        def recorded(*args):
+            logs.append(log_moment_tail(*args))
+            return logs[-1]
+
+        monkeypatch.setattr(operator_matrix, "log_moment_tail", recorded)
+        t = tail_bounds(sym, i_max, j_max)
+        with mpmath.workdps(50):
+            c = mpmath.sqrt(mpmath.mpf(sym.c2.real) ** 2 + mpmath.mpf(sym.c2.imag) ** 2)
+            s = 2 * mpmath.mpf(sym.sigma1)
+            rho_sq = (2 * c / (s - 1)) ** 2
+            row_sq = s / (s - 1) * rho_sq ** len(logs) / (1 - rho_sq)
+            col_sq = mpmath.fsum(
+                c ** (2 * i) / mpmath.factorial(i) ** 2 * mpmath.exp(log_tail)
+                for i, log_tail in enumerate(logs)
+            )
+            exact = mpmath.sqrt(row_sq + col_sq) if c else mpmath.sqrt(col_sq)
+        assert t >= exact
 
     def test_certifies_actual_discarded_mass(self):
         # the bound must dominate the Hilbert-Schmidt norm of everything a
@@ -654,13 +697,15 @@ class TestOperatorNormEstimate:
     def test_bracket_covers_entry_rounding(self, sigma1, c):
         # a block within the entry model of the built one, whose exact norm
         # stands in for ||B||: every entry 0.99 eta above it, then every
-        # entry 0.99 eta below.  At 201 x 20 eta (at least 1,200u) passes the
-        # power step's own rounding terms (about 310u and 110u on the two
-        # ends), so the bracket holds only if it charges eta
+        # entry 0.99 eta below, eta that of the k rows the power step reads.
+        # (51, 50) keeps all 201 rows, where eta (1,660u) passes the power
+        # step's own rounding terms (about 630u and 230u on the two ends),
+        # so the bracket holds only if it charges eta
         sym = DirichletSymbol(sigma1, c)
         m = build_matrix(sym, 200, 20)
         exact = mp_top_singular_value(m.magnitudes)
-        eta = operator_matrix._entry_rounding(sym, 200, 20)
+        k, _ = operator_matrix._significant_rows(sym, 200, 20)
+        eta = operator_matrix._entry_rounding(sym, k - 1, 20)
         high = operator_matrix.TruncatedMatrix(m.magnitudes * (1.0 + 0.99 * eta), sym)
         low = operator_matrix.TruncatedMatrix(m.magnitudes * (1.0 - 0.99 * eta), sym)
         assert operator_norm_estimate(high).lower <= exact
