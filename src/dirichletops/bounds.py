@@ -32,20 +32,19 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def schur_radius(sigma1: float, c2_abs: float) -> float:
     """Smallest positive root of P(r) = c r^2 + (1 - 2 sigma1) r + c, rounded up.
 
-    Evaluated in the subtraction-free form
-
-        r = 2 c / ((2 sigma1 - 1) + sqrt((2 sigma1 - 1)^2 - 4 c^2)),
-
-    which is stable as the discriminant approaches zero.  The two roots have
-    product 1, so r <= 1 always, with r = 1 exactly on the boundary line
-    sigma1 = 1/2 + c.  The float root can land below the exact one, where
-    P(r) > 0 and the Schur test fails in its deep rows, so the result is a
-    float r <= 1 with P(r) <= 0 exactly at c rounded up one ulp, which
-    covers the modulus of a complex c2 that abs rounds: the float root where
-    it qualifies, else the least float above an upper bound on the exact
-    root from one isqrt of the scaled integer discriminant.  Where no float
-    r <= 1 qualifies (boundary symbols within an ulp) the float root is
-    returned, and the Schur certificate reads False there.
+    c is rounded up one ulp, which covers the modulus of a complex c2 that
+    abs rounds.  Over one power-of-two denominator d, 2 sigma1 - 1 = B / d
+    and 2c = C / d, and the roots are (B +- sqrt(B^2 - C^2)) / C, with
+    product 1.  Where B <= C the symbol lies on or below the boundary line
+    sigma1 = 1/2 + c, which DirichletSymbol admits only within EQ_TOL, and
+    r = 1, where P(1) = (C - B) / d >= 0: the Schur certificate reads False
+    there unless B = C.  Otherwise r is the least float at or above
+    C / (B + sqrt(B^2 - C^2)), with a floor square root 64 bits past the
+    point, capped at 1.  P(r) <= 0 holds exactly at the rounded-up c: r
+    lies at most 2^-64 relative plus one ulp above the smaller root, and
+    1 lies between the roots.  The two roots are far further apart: where
+    B > C, sigma1 > c, so d < 2^53 / c, B - C >= 1 >= 2^-54 C, and the
+    roots lie at least about 2^-26 apart in relative terms.
     """
     sigma1 = float(sigma1)
     c = float(c2_abs)
@@ -55,30 +54,12 @@ def schur_radius(sigma1: float, c2_abs: float) -> float:
         raise DomainError(
             f"schur_radius requires sigma1 >= 1/2 + |c2|: {sigma1} < {0.5 + c}"
         )
-    b = 2.0 * sigma1 - 1.0
-    disc = b * b - 4.0 * c * c
-    if abs(disc) <= 1e-12 * (b * b + 4.0 * c * c):
-        # rounding fuzz near the double root; 2c/b stays inside the root
-        # interval (P(2c/b) = -c disc / b^2 <= 0) so the bound remains valid
-        disc = 0.0
-    elif disc < 0.0:
-        raise DomainError(
-            f"negative discriminant {disc} for sigma1 = {sigma1}, |c2| = {c}"
-        )
-    r = min(2.0 * c / (b + math.sqrt(disc)), 1.0)
-    c = math.nextafter(c, math.inf)
-    if schur_polynomial_nonpositive(sigma1, c, r):
-        return r
-    # with b = B / d and 2c = C / d over one denominator d, the root is
-    # C / (B + sqrt(B^2 - C^2)); a floor square root, 64 bits past the
-    # point, bounds it from above
-    n1, nc, d = _integers(sigma1, c)
+    n1, nc, d = _integers(sigma1, math.nextafter(c, math.inf))
     big_b, big_c = 2 * n1 - d, 2 * nc
-    k = big_b * big_b - big_c * big_c
-    if big_b <= 0 or k < 0:
-        return r
-    up = min(_ceil_quotient(big_c << 64, (big_b << 64) + math.isqrt(k << 128)), 1.0)
-    return up if schur_polynomial_nonpositive(sigma1, c, up) else r
+    if big_b <= big_c:
+        return 1.0
+    root = math.isqrt((big_b * big_b - big_c * big_c) << 128)
+    return min(_ceil_quotient(big_c << 64, (big_b << 64) + root), 1.0)
 
 
 def _integers(*values: float) -> tuple[int, ...]:
@@ -171,7 +152,7 @@ def kernel_lower_bound(
     log_q = math.log(sym.q)
 
     def numerator(x: float) -> float:
-        return zeta(2.0 * sigma1 - 2.0 * c * math.exp(-x * log_q), budget).value
+        return zeta(2.0 * (sigma1 - c * math.exp(-x * log_q)), budget).value
 
     def ratio(x: float) -> float:
         return numerator(x) / zeta(2.0 * x, budget).value
@@ -260,23 +241,21 @@ def approx_number_bound(sym: DirichletSymbol) -> ApproxNumberBound:
         a_(N+1) <= sqrt((2 sigma1 - 1)(2 sigma1) / ((2 sigma1 - 1)^2 - (2 |c2|)^2))
                    * (2 |c2| / (2 sigma1 - 1))^N
 
-    Boundary symbols are rejected by ``classify``, with its EQ_TOL, because
-    rounding can leave the raw gap positive on the boundary line.  Both
+    The exact test B > C of schur_radius decides the sign of the gap, and
+    ``classify`` rejects the symbols within its EQ_TOL above the line as
+    boundary symbols.  Both
     numbers grow with |c2| and are rounded up: they are exact rationals at
     c2_abs_upper, rounded to the next float up, and the prefactor's
     correctly rounded square root is raised by one ulp.
     """
-    sigma1 = sym.sigma1
-    gap = 2.0 * sigma1 - 2.0 * sym.c2_abs - 1.0
-    if gap <= 0.0 or classify(sym) is SymbolClass.BOUNDARY:
+    # over one denominator d: 2 sigma1 = 2 n_1 / d, 2 sigma1 - 1 = B / d, 2 |c2| = C / d
+    n1, nc, d = _integers(sym.sigma1, c2_abs_upper(sym))
+    big_b, big_c = 2 * n1 - d, 2 * nc
+    if big_b <= big_c or classify(sym) is SymbolClass.BOUNDARY:
+        gap = 2.0 * sym.sigma1 - 2.0 * sym.c2_abs - 1.0
         raise NonCompactError(
             f"approximation-number bound needs 2 Re c1 - 2 |c2| - 1 > 0, got {gap}"
         )
-    # over one denominator d: 2 sigma1 = 2 n_1 / d, 2 sigma1 - 1 = B / d, 2 |c2| = C / d
-    n1, nc, d = _integers(sigma1, c2_abs_upper(sym))
-    big_b, big_c = 2 * n1 - d, 2 * nc
     den = big_b * big_b - big_c * big_c
-    if den <= 0:
-        raise NonCompactError(f"2 Re c1 - 2 |c2| - 1 = {gap} is within rounding of 0")
     prefactor = math.nextafter(math.sqrt(_ceil_quotient(big_b * 2 * n1, den)), math.inf)
     return ApproxNumberBound(prefactor, _ceil_quotient(big_c, big_b))

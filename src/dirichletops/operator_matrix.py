@@ -54,6 +54,9 @@ _X_FLOOR = 2.0**-900
 # most this: row 0 there is at least e^-700, far inside the normal range
 # (2^-1022 = e^-708.4)
 _ROW0_EXPONENT_MAX = 700.0
+# past this exponent x an exact entry e^-x lies below 2^-1076, and exp at a
+# computed exponent below -745.2 returns 0 or 2^-1074 (2^-1075 = e^-745.13)
+_UNDERFLOW_EXPONENT = 746.0
 
 
 def _max_entries() -> int:
@@ -324,8 +327,11 @@ def _entry_rounding(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     (Higham 2002, ch. 3).
 
     * Row 0: ln j carries theta_2 and sigma1 ln j one more rounding, so
-      exp's argument is off by at most d = gamma_3 sigma1 ln J, which moves
-      e^(-sigma1 ln j) by a factor within d e^d of 1; exp adds theta_2.
+      exp's argument is off by at most gamma_3 sigma1 ln j, which moves
+      e^(-sigma1 ln j) by a factor within d e^d of 1,
+      d = gamma_3 min(sigma1 ln J, 746); exp adds theta_2.  Past
+      sigma1 ln j = 746 (_UNDERFLOW_EXPONENT) the computed entry and the
+      exact one are both at most 2^-1074: e covers their difference.
     * Rows i >= 1 on the recurrence columns: g_j = |c2| ln j carries
       theta_3, 1/i theta_1 and the two products theta_2, so each row adds
       theta_6, and eta <= gamma_(6I+2) + d e^d (1 + gamma_(6I+2)).
@@ -340,22 +346,36 @@ def _entry_rounding(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
       build compares numpy's ln j with 700 / sigma1, and a margin of 1
       keeps this test on the safe side): rows i >= 1 come from the
       exponent i log(|c2| ln j) - log i! - sigma1 ln j, a few elementary
-      steps on pieces of size at most M = I (1 + max_j |log(|c2| ln j)|) +
-      log I! + sigma1 ln J, each accurate to 2 ulps of its result, and exp
-      adds one more: 4 u (M + 2), to first order.  A subnormal result
-      adds 2^-1074.  With c2 = 0 these rows are exactly 0.
+      steps on pieces of size at most M, each accurate to 2 ulps of its
+      result, and exp adds one more: 4 u (M + 2), to first order.  With
+      S = I (1 + max_j |log(|c2| ln j)|) + log I!, the first two pieces
+      are at most S, so an entry whose exponent is at least -746 has
+      sigma1 ln j <= S + 746, and M = S + min(sigma1 ln J, S + 746).  Below
+      -746 the computed exponent is off by at most 4 u (|exponent| + 2S + 2),
+      so it stays below -745.5 while eta <= 1/5 (then 4 u S <= 1/5), and e
+      covers the entry as in row 0.  A subnormal result adds 2^-1074.
+      With c2 = 0 these rows are exactly 0.
 
     About a dozen roundings compute eta itself; 16 u relative covers them.
+    An eta above 1/5, past what the callers' proofs assume, raises
+    DomainError.
     """
     log_j = math.log(j_max)
-    d = _gamma(3) * sym.sigma1 * log_j
+    exponent = sym.sigma1 * log_j
+    d = min(_gamma(3) * sym.sigma1 * log_j, _gamma(3) * _UNDERFLOW_EXPONENT)
     rows = _gamma(6 * i_max + 2)
     eta = rows + d * math.exp(d) * (1.0 + rows)
-    if sym.c2 != 0 and sym.sigma1 * log_j > _ROW0_EXPONENT_MAX - 1.0:
+    if sym.c2 != 0 and exponent > _ROW0_EXPONENT_MAX - 1.0:
         log_base = max(abs(math.log(sym.c2_abs * math.log(j))) for j in (2, j_max))
-        size = i_max * (1.0 + log_base) + math.lgamma(i_max + 1.0) + sym.sigma1 * log_j
+        pieces = i_max * (1.0 + log_base) + math.lgamma(i_max + 1.0)
+        size = pieces + min(exponent, pieces + _UNDERFLOW_EXPONENT)
         eta = max(eta, 4.0 * (size + 2.0) * UNIT_ROUNDOFF)
-    return math.nextafter(eta * (1.0 + 16.0 * UNIT_ROUNDOFF), math.inf)
+    eta = math.nextafter(eta * (1.0 + 16.0 * UNIT_ROUNDOFF), math.inf)
+    if not eta <= 0.2:
+        raise DomainError(
+            f"entry rounding bound {eta:.3e} of a {i_max + 1} x {j_max} block exceeds 1/5"
+        )
+    return eta
 
 
 def _significant_rows(sym: DirichletSymbol, i_max: int, j_max: int) -> tuple[int, float]:

@@ -100,11 +100,17 @@ def zeta(s: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> CertifiedValue:
     chosen so that the remainder bound s (s+1) (s+2) N^(-s-3) / 720 meets
     the budget.  The error bound is that remainder plus the a-priori
     rounding bound of ``_zeta_rounding``; where the two together exceed the
-    tolerance, N is raised for what the rounding leaves of it.
+    tolerance, N is raised for what the rounding leaves of it.  Past
+    s = 2^11 every term but the first underflows and the series returns
+    1 with error bound 7u, the rounding bound at N = 16, far above
+    zeta(s) - 1 < 2^(1-s); that value is returned at once, as the
+    remainder's coefficient overflows for huge s.
     """
     s = float(s)
     if not s > 1.0:
         raise DomainError(f"zeta requires s > 1, got {s}")
+    if s > 2048.0:
+        return _certified(f"zeta({s})", 16, budget, 1.0, 0.0, 7.0 * UNIT_ROUNDOFF)
 
     # zeta(s) >= max(1, 1/(s-1)) gives a safe pre-estimate for the relative target.
     target = max(budget.abs_tol, budget.rel_tol * max(1.0, 1.0 / (s - 1.0)))

@@ -21,7 +21,7 @@ from dirichletops.bounds import (
     schur_radius,
 )
 from dirichletops.errors import DomainError, NonCompactError
-from dirichletops.symbol import DirichletSymbol, SymbolClass
+from dirichletops.symbol import EQ_TOL, DirichletSymbol, SymbolClass
 
 
 def random_admissible_pairs(n, seed=0):
@@ -36,34 +36,45 @@ def random_admissible_pairs(n, seed=0):
     return pairs
 
 
-def assert_radius_is_rounded_root(sigma1, c):
-    """P(r) <= 0 exactly at |c2| one ulp up, and r moves from the float
-    root by no more than that root's own error (against the 50-digit root
-    at the float |c2|), the root's shift over that ulp and two ulps of r;
-    the |P(r)| <= 2e-12 scale of the theory benchmark's check still holds.
-    mpmath runs at the caller's precision, 50 digits."""
+def least_radius(sigma1, c_up):
+    """The least float r <= 1 with P(r) <= 0 exactly at c_up, decided with
+    Fraction, or None where no such float exists; a 60-digit mpmath root
+    is the starting point of the walk over floats."""
     mpmath = pytest.importorskip("mpmath")
+    f1, fc = Fraction(sigma1), Fraction(c_up)
+
+    def qualifies(r):
+        fr = Fraction(r)
+        return r <= 1.0 and fc * fr * fr + (1 - 2 * f1) * fr + fc <= 0
+
+    b, two_c = 2 * f1 - 1, 2 * fc
+    if b < two_c:
+        return None
+    with mpmath.workdps(60):
+        mb = mpmath.mpf(b.numerator) / b.denominator
+        mc = mpmath.mpf(two_c.numerator) / two_c.denominator
+        r = min(float(mc / (mb + mpmath.sqrt(mb * mb - mc * mc))), 1.0)
+    while not qualifies(r):
+        r = math.nextafter(r, math.inf)
+    while qualifies(math.nextafter(r, 0.0)):
+        r = math.nextafter(r, 0.0)
+    return r
+
+
+def assert_radius_is_rounded_root(sigma1, c):
+    """r is the least float with P(r) <= 0 exactly at |c2| one ulp up, or
+    one ulp above it, and 1 where no float r <= 1 qualifies; where r < 1
+    the |P(r)| <= 2e-12 scale of the theory benchmark's check holds."""
     r = schur_radius(sigma1, c)
-    c_up = math.nextafter(c, math.inf)
-    f1, fc, fr = Fraction(sigma1), Fraction(c_up), Fraction(r)
-    assert fc * fr * fr + (1 - 2 * f1) * fr + fc <= 0, (sigma1, c, r)
-
-    b = 2.0 * sigma1 - 1.0
-    disc = b * b - 4.0 * c * c
-    if abs(disc) <= 1e-12 * (b * b + 4.0 * c * c):
-        disc = 0.0
-    float_root = min(2.0 * c / (b + math.sqrt(disc)), 1.0)
-    m1, mc, mr = mpmath.mpf(sigma1), mpmath.mpf(c), mpmath.mpf(r)
-    mb = 2 * m1 - 1
-
-    def root(x):
-        return 2 * x / (mb + mpmath.sqrt(max(mb * mb - 4 * x * x, 0)))
-
-    own_error = abs(float_root - root(mc))
-    shift = root(mpmath.mpf(c_up)) - root(mc)
-    assert abs(mr - float_root) <= own_error + shift + 2 * math.ulp(r), (sigma1, c, r)
-    p_r = mc * mr * mr + (1 - 2 * m1) * mr + mc
-    assert abs(p_r) <= 2e-12 * (mc * mr * mr + (2 * m1 - 1) * mr + mc), (sigma1, c, r)
+    least = least_radius(sigma1, math.nextafter(c, math.inf))
+    if least is None:
+        assert r == 1.0, (sigma1, c, r)
+        return
+    assert r in (least, math.nextafter(least, math.inf)), (sigma1, c, r, least)
+    if r < 1.0:
+        f1, fc, fr = Fraction(sigma1), Fraction(c), Fraction(r)
+        p_r = fc * fr * fr + (1 - 2 * f1) * fr + fc
+        assert abs(p_r) <= 2e-12 * (fc * fr * fr + (2 * f1 - 1) * fr + fc), (sigma1, c, r)
 
 
 class TestSchurRadius:
@@ -89,21 +100,17 @@ class TestSchurRadius:
 
     def test_radius_satisfies_the_quadratic_exactly(self):
         # 20,000 seeded symbols, |c2| log-uniform in [0.05, 50] and gap
-        # sigma1 - 1/2 - |c2| in [1e-12, 10]; the float root alone misses
-        # P(r) <= 0 at 9,636 of them
+        # sigma1 - 1/2 - |c2| in [1e-12, 10]; the closed-form root in floats
+        # misses P(r) <= 0 at 9,636 of them
         rng = np.random.default_rng(29)
         cs = 10.0 ** rng.uniform(math.log10(0.05), math.log10(50.0), 20000)
         gaps = 10.0 ** rng.uniform(-12.0, 1.0, 20000)
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(50):
-            for c, gap in zip(cs.tolist(), gaps.tolist()):
-                assert_radius_is_rounded_root(0.5 + c + gap, c)
+        for c, gap in zip(cs.tolist(), gaps.tolist()):
+            assert_radius_is_rounded_root(0.5 + c + gap, c)
 
     def test_radius_on_hostile_symbols(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
-
-        mpmath = pytest.importorskip("mpmath")
 
         @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
         @hypothesis.given(
@@ -113,8 +120,27 @@ class TestSchurRadius:
             c = math.exp(log_c)
             assert_radius_is_rounded_root(0.5 + c + math.exp(log_gap), c)
 
-        with mpmath.workdps(50):
-            check()
+        check()
+
+    def test_radius_near_the_boundary_line(self):
+        # gaps sigma1 - 1/2 - |c2| from -EQ_TOL to 1e-6, where a float
+        # root rounds far above the exact one: it put r about 5.7e9 ulps
+        # too high at (50.50000000001, 50)
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.floats(math.log(1e-3), math.log(1e3)), st.floats(-EQ_TOL, 1e-6))
+        def check(log_c, gap):
+            c = math.exp(log_c)
+            sigma1 = 0.5 + c + gap
+            hypothesis.assume(sigma1 >= 0.5 + c - EQ_TOL)
+            assert_radius_is_rounded_root(sigma1, c)
+
+        check()
+        assert_radius_is_rounded_root(50.50000000001, 50.0)
+        assert schur_radius(0.9999999999995, 0.5) == 1.0
+        assert f"{schur_radius(3.5000000000015, 3.0):.12g}" == "0.999999000104"
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -14,8 +14,8 @@ import sys
 
 import pytest
 
-from dirichletops import operator_matrix
-from dirichletops.bounds import approx_number_bound, norm_bounds
+from dirichletops import cli, operator_matrix
+from dirichletops.bounds import approx_number_bound, norm_bounds, schur_radius
 from dirichletops.cli import main
 from dirichletops.operator_matrix import MAX_ENTRIES_ENV, read_matrix
 from dirichletops.special_functions import zeta
@@ -67,6 +67,30 @@ class TestBounds:
         assert result["approx_prefactor"] == pytest.approx(math.sqrt(1.5), rel=1e-11)
         assert result["approx_ratio"] == pytest.approx(1.0 / 3.0, rel=1e-11)
 
+    def test_symbols_near_the_boundary_line(self, capsys):
+        # a boundary symbol within EQ_TOL below the line, and a compact one
+        # 1.5e-12 above it whose radius a float root put 1e-6 too high
+        code, doc, _ = run_json(capsys, ["bounds", "--c1-re", "0.9999999999995", "--c2-abs", "0.5"])
+        assert code == 0
+        assert doc["result"]["symbol_class"] == "boundary"
+        assert doc["result"]["schur_r"] == 1.0
+        code, doc, _ = run_json(capsys, ["bounds", "--c1-re", "3.5000000000015", "--c2-abs", "3"])
+        assert code == 0
+        assert doc["result"]["schur_r"] == 0.999999000104
+        assert doc["result"]["upper_sq"] == 1.082323027
+
+    @pytest.mark.parametrize(
+        "c1_re, c2_abs, symbol_class",
+        [("1e308", "1", "compact"), ("1e200", "1", "compact"), ("1e308", "1e308", "boundary")],
+    )
+    def test_huge_sigma1_brackets_one(self, capsys, c1_re, c2_abs, symbol_class):
+        # 2 Re c1 overflows to inf, or the zeta series' coefficients would
+        code, doc, _ = run_json(capsys, ["bounds", "--c1-re", c1_re, "--c2-abs", c2_abs])
+        assert code == 0
+        result = doc["result"]
+        assert result["symbol_class"] == symbol_class
+        assert result["lower_sq"] == result["upper_sq"] == result["kernel_lower_sq"] == 1.0
+
     def test_invalid_symbol_exits_2(self, capsys):
         code, out, err = run_cli(capsys, ["bounds", "--c1-re", "0.6", "--c2-abs", "0.5"])
         assert code == 2
@@ -110,6 +134,19 @@ class TestMatrixNorm:
         )
         assert code == 0
         assert doc["result"]["lower"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_huge_sigma1_stays_certified(self, capsys):
+        # charged in full, the entry rounding of row 0 passed the 1/5 the
+        # bracket's proof assumes (1e14) and then broke its square root (2e14)
+        for c1_re in ("1e14", "2e14"):
+            code, doc, _ = run_json(
+                capsys,
+                ["matrix-norm", "--c1-re", c1_re, "--c2-abs", "1", "--rows", "3", "--cols", "1000"],
+            )
+            assert code == 0
+            result = doc["result"]
+            assert result["upper_status"] == "certified"
+            assert result["lower"] <= 1.0 <= result["upper"] <= 1.0 + 1e-11
 
     def test_boundary_upper_uncertified(self, capsys):
         code, out, _ = run_cli(
@@ -318,6 +355,60 @@ class TestFigure:
         assert code == 0
         assert len(doc["result"]["rows"]) == 200
         assert doc["result"]["crossing"] == pytest.approx(6.2102, abs=5e-4)
+
+
+class TestToleranceSweep:
+    def test_tolerances_near_the_budget_limit(self, capsys, monkeypatch):
+        # --tol log-uniform in [1e-16, 1e-13] on all five commands: each run
+        # exits 3 with the budget's message, or exits 0 with every zeta value
+        # it prints within tol max(1, zeta) of the 40-digit zeta at the
+        # value's float argument.  Floats are read unrounded: the
+        # documents' 12 significant digits would hide a miss
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(cli, "_round_floats", lambda obj: obj)
+        sizes = {
+            "bounds": [],
+            "matrix-norm": ["--rows", "20", "--cols", "500"],
+            "approx-numbers": ["--n-max", "4"],
+            "verify-lemmas": [],
+            "figure": ["--points", "5"],
+        }
+        symbols = [(2.0, 0.5), (1.6, 0.3), (1.0, 0.5), (3.5000000000015, 3.0)]
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            st.floats(math.log(1e-16), math.log(1e-13)),
+            st.sampled_from(sorted(sizes)),
+            st.sampled_from(symbols),
+        )
+        def check(log_tol, command, symbol):
+            tol = math.exp(log_tol)
+            sigma1, c = symbol if command in ("bounds", "matrix-norm") else (2.0, 0.5)
+            argv = [command, *sizes[command], "--tol", repr(tol), "--format", "json"]
+            argv += ["--c1-re", repr(sigma1), "--c2-abs", repr(c)] if command != "figure" else []
+            code, out, err = run_cli(capsys, argv)
+            if code == 3:
+                assert out == "" and err.startswith("resource limit: ")
+                assert "misses the requested tolerance" in err
+                return
+            assert code == 0, (argv, err)
+            result = json.loads(out)["result"]
+            ends = {"bounds": ("lower_sq", "upper_sq"),
+                    "matrix-norm": ("theory_lower_sq", "theory_upper_sq")}.get(command)
+            zetas = []
+            if ends:
+                upper_s = 2.0 * sigma1 - schur_radius(sigma1, c) * c
+                zetas = [(result[ends[0]], 2.0 * sigma1), (result[ends[1]], upper_s)]
+            if command == "figure":
+                zetas = [(row[3], 1.0 + row[0]) for row in result["rows"]]
+            for value, s in zetas:
+                exact = mpmath.zeta(s)
+                assert abs(value - exact) <= tol * max(1, exact), (argv, value, s)
+
+        with mpmath.workdps(40):
+            check()
 
 
 class TestPlumbing:

@@ -180,6 +180,8 @@ class TestBuildMatrix:
             (80.0, 79.5, 200, 20000),
             (400.0, 0.1, 40, 20000),
             (100.0, 0.0, 5, 5000),
+            # every entry but column 1 underflows
+            (1e14, 1.0, 3, 1000),
         ],
     )
     def test_entries_within_rounding_model(self, sigma1, c, i_max, j_max):
@@ -219,6 +221,16 @@ class TestBuildMatrix:
         # 4 (M + 2) u there
         eta = operator_matrix._entry_rounding(DirichletSymbol(1.6, 0.3), 200, 20000)
         assert eta < 1260 * UNIT_ROUNDOFF
+
+    def test_entry_rounding_at_huge_sigma1(self):
+        # only entries that do not underflow are charged, so eta stops
+        # growing with sigma1: charged in full it was 0.31 at sigma1 = 1e14,
+        # past the 1/5 the norm bracket's proof assumes
+        etas = {operator_matrix._entry_rounding(DirichletSymbol(s, 1.0), 3, 1000)
+                for s in (1e3, 1e14, 2e14, 1e300)}
+        assert len(etas) == 1 and etas.pop() < 1e-12
+        with pytest.raises(DomainError):
+            operator_matrix._entry_rounding(DirichletSymbol(2.0, 0.5), 10**15, 1000)
 
     def test_column_norm_oracle(self):
         # contract: every column matches the series oracle to 1e-10 relative

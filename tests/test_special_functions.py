@@ -99,6 +99,20 @@ def test_zeta_large_s_tends_to_one():
     assert abs(z.value - (1.0 + 2.0**-50.0)) <= z.error_bound + 1e-15
 
 
+def test_zeta_at_huge_and_infinite_s():
+    # past s = 2^11 zeta is 1 with the series' rounding bound 7u, returned at
+    # once: the remainder's coefficient s (s+1) (s+2) / 720 overflowed from
+    # about s = 5e99, and at s = inf the series loop never ended
+    series = zeta(2048.0)
+    assert series == CertifiedValue(1.0, 7.0 * 2.0**-53)
+    for s in (2048.5, 1e200, 2e200, 1e308, math.inf):
+        assert zeta(s) == series, s
+    with pytest.raises(BudgetExhaustedError):
+        zeta(math.inf, PrecisionBudget(abs_tol=1e-17, rel_tol=1e-17))
+    with pytest.raises(DomainError):
+        zeta(math.nan)
+
+
 def test_zeta_domain_errors():
     for s in (1.0, 0.5, -3.0):
         with pytest.raises(DomainError):
