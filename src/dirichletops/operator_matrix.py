@@ -12,8 +12,9 @@ D_col = diag(j^(-i tau)) are unitary and
     B[i][j] = j^(-sigma1) (|c2| log j)^i / i!  >= 0
 
 is real and nonnegative.  Norms, singular values and Schur data depend only
-on B, so this module builds, iterates and decomposes B; the phases are
-applied only when the complex entries are exported.  It also certifies the
+on B, so this module builds and decomposes B, and brackets its norm from
+the Gram matrix of its leading rows; the phases are applied only when the
+complex entries are exported.  It also certifies the
 norm of the discarded rows and columns and proves the two-weight Schur test
 in closed form.
 """
@@ -28,7 +29,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -110,11 +111,13 @@ class TruncatedMatrix:
     """Dense (I+1) x J slice of the operator matrix.
 
     ``magnitudes`` is the real nonnegative block B = |A|, read-only and safe
-    to share across threads.  A block from build_matrix starts empty and
-    fills its rows on demand, in order and under a lock: ``magnitudes``
-    fills every row, operator_norm_estimate only the rows it iterates.  A
-    block passed in is taken as filled.  ``entries`` is the phased complex
-    block A = D_row B D_col, computed on first access and cached read-only.
+    to share across threads.  A block from build_matrix starts empty and is
+    filled whole, under a lock, on the first read of ``magnitudes`` (or of
+    ``entries``, which reads it); a block passed in is taken as filled.
+    operator_norm_estimate brackets the norm of the symbol's (I+1) x J
+    truncation from its Gram matrix and reads no block, not even a wrapped
+    one.  ``entries`` is the phased complex block A = D_row B D_col,
+    computed on first access and cached read-only.
     """
 
     def __init__(self, magnitudes: np.ndarray, symbol: DirichletSymbol) -> None:
@@ -122,42 +125,17 @@ class TruncatedMatrix:
         self._block = magnitudes
         self._view = magnitudes.view()
         self._view.flags.writeable = False
-        self._filled = magnitudes.shape[0]
+        self._filled = True
         self._lock = threading.Lock()
 
     @property
     def magnitudes(self) -> np.ndarray:
-        self._rows(self.row_count)
-        return self._view
-
-    def _rows(self, k: int) -> np.ndarray:
-        """Rows 0..k-1 of B, read-only; those not yet filled are filled
-        first, from the last filled row on, as build_matrix describes."""
         with self._lock:
-            lo, b, sym = self._filled, self._block, self.symbol
-            if lo < k:  # with J = 1 every slice below is empty
-                lj = np.log(np.arange(2, b.shape[1] + 1, dtype=np.float64))
-                body = b[:, 1:]
-                if lo == 0:
-                    b[0, 0] = 1.0
-                    np.multiply(lj, -sym.sigma1, out=body[0])
-                    np.exp(body[0], out=body[0])
-                    lo = 1
-                near = int(np.searchsorted(lj, _ROW0_EXPONENT_MAX / sym.sigma1, side="right"))
-                g = sym.c2_abs * lj[:near]
-                for i in range(lo, k):
-                    row = body[i, :near]
-                    np.multiply(body[i - 1, :near], g, out=row)
-                    row *= 1.0 / i
-                far, lj_far = body[lo:k, near:], lj[near:]  # often empty
-                with np.errstate(divide="ignore"):  # log(0) = -inf when c2 = 0
-                    log_g = np.log(sym.c2_abs * lj_far)
-                np.multiply.outer(np.arange(float(lo), float(k)), log_g, out=far)
-                far -= log_factorials(k - 1)[lo:, None]
-                far -= sym.sigma1 * lj_far
-                np.exp(far, out=far)
-                self._filled = k
-        return self._view[:k]
+            if not self._filled:
+                for _ in _rows(self.symbol, self.row_count, self._block):
+                    pass
+                self._filled = True
+        return self._view
 
     @cached_property
     def tail_bound(self) -> float:
@@ -200,22 +178,12 @@ class TruncatedMatrix:
 def build_matrix(sym: DirichletSymbol, i_max: int, j_max: int) -> TruncatedMatrix:
     """Magnitudes B[i][j] = j^(-sigma1) (|c2| log j)^i / i! for i <= I, j <= J.
 
-    Row 0 is exp(-sigma1 ln j), one exp per column.  Each later row follows
-    from the one above by the exact recurrence
-
-        B[i][j] = B[i-1][j] * g_j * (1/i),    g_j = |c2| ln j,
-
-    two in-place products per entry into a row that is still in cache, on
-    every column whose row 0 stays in the normal range, sigma1 ln j <=
-    _ROW0_EXPONENT_MAX.  Past that column, rows i >= 1 keep the log-space
-    assembly exp(i log(|c2| ln j) - lgamma(i+1) - sigma1 ln j).  With
-    c2 = 0, g is 0 and log(0) is -inf, so rows i >= 1 come out 0.  No
-    entry exceeds 1 because sigma1 >= |c2|, and _entry_rounding bounds the
-    error of every entry.  Column j = 1 is (1, 0, 0, ...).  The block takes
-    8 bytes per entry; a large one sits in its own memory mapping (see
-    _zeros).  Only the size is checked here: rows are filled when first
-    read (see TruncatedMatrix), so rows never read cost no time and no
-    resident pages.  The tail bound is computed on first access.
+    The block takes 8 bytes per entry; a large one sits in its own memory
+    mapping (see _zeros).  Only the size is checked here: the rows, as
+    _rows computes them, are filled on the first read of ``magnitudes``
+    (see TruncatedMatrix), so a block whose entries are never read costs
+    no time and no resident pages.  The tail bound is computed on first
+    access.
     """
     _check_truncation(i_max, j_max)
     total = (i_max + 1) * j_max
@@ -228,8 +196,59 @@ def build_matrix(sym: DirichletSymbol, i_max: int, j_max: int) -> TruncatedMatri
         )
 
     m = TruncatedMatrix(_zeros((i_max + 1, j_max), np.float64), sym)
-    m._filled = 0
+    m._filled = False
     return m
+
+
+def _rows(sym: DirichletSymbol, count: int, out: np.ndarray) -> Iterator[np.ndarray]:
+    """Compute rows 0..count-1 of B in order and yield each, row i written
+    to out[i % len(out)]: an (I+1) x J buffer receives the whole block, a
+    2 x J one streams it.
+
+    Row 0 is exp(-sigma1 ln j), one exp per column.  Each later row follows
+    from the one above by the exact recurrence
+
+        B[i][j] = B[i-1][j] * g_j * (1/i),    g_j = |c2| ln j,
+
+    two in-place products per entry into a row that is still in cache, on
+    every column whose row 0 stays in the normal range, sigma1 ln j <=
+    _ROW0_EXPONENT_MAX.  Past that column, rows i >= 1 are assembled in log
+    space, exp(i log(|c2| ln j) - lgamma(i+1) - sigma1 ln j).  With c2 = 0,
+    g is 0 and log(0) is -inf, so rows i >= 1 come out 0.  Where |c2| ln j
+    overflows, sigma1 ln j is at least about 1.8e308 (sigma1 >= |c2|), so
+    every entry of the column lies below 2^-1074, and its log is taken as
+    -inf too.  No entry exceeds 1 because sigma1 >= |c2|, and
+    _entry_rounding bounds the error of every entry.  Column j = 1 is
+    (1, 0, 0, ...).
+    """
+    lj = np.log(np.arange(2, out.shape[1] + 1, dtype=np.float64))
+    near = int(np.searchsorted(lj, _ROW0_EXPONENT_MAX / sym.sigma1, side="right"))
+    g = sym.c2_abs * lj[:near]
+    with np.errstate(divide="ignore", over="ignore"):  # log(0) = -inf when c2 = 0
+        log_g = np.log(sym.c2_abs * lj[near:])
+        sigma_lj = sym.sigma1 * lj  # inf past 1.8e308: the entry is 0
+    log_g[log_g == math.inf] = -math.inf
+    sigma_far = sigma_lj[near:]
+    log_fact = log_factorials(max(count - 1, 0))
+    depth = out.shape[0]
+    for i in range(count):
+        row, body = out[i % depth], out[i % depth, 1:]
+        if i == 0:
+            row[0] = 1.0
+            np.negative(sigma_lj, out=body)
+            np.exp(body, out=body)
+        else:  # with J = 1 every slice below is empty
+            row[0] = 0.0
+            prev = out[(i - 1) % depth, 1 : near + 1]
+            np.multiply(prev, g, out=body[:near])
+            body[:near] *= 1.0 / i
+            if log_g.size:  # columns past the normal range, often none
+                far = body[near:]
+                np.multiply(log_g, float(i), out=far)
+                far -= log_fact[i]
+                far -= sigma_far
+                np.exp(far, out=far)
+        yield row
 
 
 def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
@@ -366,7 +385,8 @@ def _entry_rounding(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     rows = _gamma(6 * i_max + 2)
     eta = rows + d * math.exp(d) * (1.0 + rows)
     if sym.c2 != 0 and exponent > _ROW0_EXPONENT_MAX - 1.0:
-        log_base = max(abs(math.log(sym.c2_abs * math.log(j))) for j in (2, j_max))
+        log_c = math.log(sym.c2_abs)  # log(|c2| ln j) without overflow
+        log_base = max(abs(log_c + math.log(math.log(j))) for j in (2, j_max))
         pieces = i_max * (1.0 + log_base) + math.lgamma(i_max + 1.0)
         size = pieces + min(exponent, pieces + _UNDERFLOW_EXPONENT)
         eta = max(eta, 4.0 * (size + 2.0) * UNIT_ROUNDOFF)
@@ -417,8 +437,9 @@ def _significant_rows(sym: DirichletSymbol, i_max: int, j_max: int) -> tuple[int
     sigma_t = sym.sigma1 * t
     log_row = i * log_ct - sigma_t - log_fact + 0.5 * log_j
     size = i * (1.0 + np.abs(log_ct)) + sigma_t + log_fact + log_j + 1.0
-    log_row += UNIT_ROUNDOFF * (9.0 * size + 2.0 * (i + sigma_t))
-    suffix = np.cumsum(np.exp(2.0 * log_row)[::-1])[::-1]  # rows i..I, i >= 1
+    log_row += 9.0 * UNIT_ROUNDOFF * size + 2.0 * UNIT_ROUNDOFF * (i + sigma_t)  # no overflow
+    with np.errstate(over="ignore"):  # -inf past -8.9e307: the row is 0
+        suffix = np.cumsum(np.exp(2.0 * log_row)[::-1])[::-1]  # rows i..I, i >= 1
     suffix = suffix * (1.0 + 2.0 * _gamma(i_max + 4)) + i_max * 2.0**-1074
     k = 1 + int(np.searchsorted(-suffix, -(UNIT_ROUNDOFF**2)))
     if k > i_max:
@@ -426,29 +447,79 @@ def _significant_rows(sym: DirichletSymbol, i_max: int, j_max: int) -> tuple[int
     return k, math.nextafter(math.sqrt(float(suffix[k - 1])), math.inf)
 
 
-def _perron_start(rows: np.ndarray) -> np.ndarray:
-    """x = |v| @ rows, v the top eigenvector of the Gram rows rows^T, x_1 = 1.
+def _gram_moments(sym: DirichletSymbol, k: int, j_max: int) -> np.ndarray:
+    """The 2k - 1 balanced moments d_n = B[a] . B[b], n = 0..2k-2, a = n // 2, b = n - a.
 
-    Row i of B is (|c2| ln j)^i / i! j^-sigma1, so
-    (B B^T)[i][l] = |c2|^(i+l) / (i! l!) h_(i+l) with
-    h_n = sum_j (ln j)^n j^(-2 sigma1), a Hankel matrix up to the
-    factorials.  The 2k - 1 row products d_n = B[a] . B[b], a = floor(n/2),
-    b = ceil(n/2), give every h_n, hence
-    (B B^T)[i][l] = a! b! / (i! l!) d_(i+l): one pass over the rows in place
-    of a k x k x J product.  The factor is at most 1, since a, b are the
-    most balanced split of i + l.
+    Row i of B is w_j g_j^i / i!, w_j = j^-sigma1 and g_j = |c2| ln j, so
+    d_n = sum_(j<=J) w_j^2 g_j^n / (a! b!) = |c2|^n h_n / (a! b!), with
+    h_n = sum_(j<=J) (ln j)^n j^(-2 sigma1).  The rows come from _rows
+    through a 2 x J buffer: d_(2i-1) and d_(2i) are taken while row i is in
+    cache, so the moments cost k row recurrences and 2k - 1 dot products
+    over J columns, and no block is held.
     """
-    k = rows.shape[0]
     d = np.empty(2 * k - 1)
-    for i in range(k):  # d_2i and d_2i+1 while row i is in cache
-        d[2 * i : 2 * i + 2] = rows[i : i + 2] @ rows[i]
-    log_fact = log_factorials(k)
-    n = np.arange(2 * k - 1)
-    log_split = log_fact[n // 2] + log_fact[(n + 1) // 2]
-    idx = np.add.outer(np.arange(k), np.arange(k))
-    gram = d[idx] * np.exp(log_split[idx] - log_fact[:k, None] - log_fact[:k])
-    x = np.abs(np.linalg.eigh(gram)[1][:, -1]) @ rows
-    return x / x[0]
+    prev = None
+    for i, row in enumerate(_rows(sym, k, np.empty((2, j_max)))):
+        if i:
+            d[2 * i - 1] = prev @ row
+        d[2 * i] = row @ row
+        prev = row
+    return d
+
+
+def _gram(d: np.ndarray) -> np.ndarray:
+    """The k x k Gram matrix G = B_k B_k^T of the first k rows of B, from
+    their balanced moments d (see _gram_moments):
+
+        G[i][l] = |c2|^(i+l) h_(i+l) / (i! l!) = F[i][l] d_(i+l),
+        F[i][l] = a! b! / (i! l!),  a = (i+l) // 2, b = i + l - a,
+
+    a Hankel matrix scaled by F <= 1 (a, b is the most balanced split of
+    i + l).  Along row i, F[i][i] = 1 and
+    F[i][l+1] = F[i][l] ceil((i+l+1)/2) / (l+1), so above the diagonal F
+    is a running product of quotients of integers, and it is symmetric.
+    """
+    k = (d.shape[0] + 1) // 2
+    i = np.arange(k)
+    ratio = np.ones((k, k))
+    np.divide((i[:, None] + i + 1) // 2, i, out=ratio, where=i > i[:, None])
+    f = np.triu(np.cumprod(ratio, axis=1))
+    f += np.triu(f, 1).T
+    return d[np.add.outer(i, i)] * f
+
+
+def _gram_rounding(sym: DirichletSymbol, k: int, j_max: int) -> tuple[float, float]:
+    """(delta, eps): each entry of the computed Gram matrix (see _gram) is
+    G[i][l] (1 + theta) + e with |theta| <= delta and |e| <= eps.
+
+    * The rows 0..k-1 from _rows are B_k (1 + theta) + e with
+      |theta| <= eta = _entry_rounding(sym, k - 1, J) and
+      |e| <= max(k - 1, 1) 2^-1074: no row below them enters their
+      recurrence.  A product of two entries is off by (1 + eta)^2 and its
+      own rounding, and with B <= 1 by at most (2k + 1) 2^-1074 more.
+    * d_n adds J nonnegative products, within gamma_J of its value in any
+      order (Higham 2002, ch. 3), plus 2^-1075 per product that underflows.
+    * F: each integer quotient and each factor of the running product
+      rounds once, at most 2k - 3 roundings; past k of about 1000 its
+      entries underflow (F[0][l] >= 2^-l), which costs at most
+      k 2^-1074 d_n <= k J 2^-1074, since d_n <= J.  The product F d rounds
+      once more.
+
+    (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_(a+b), so
+    1 + theta <= (1 + eta)^2 (1 + gamma_(J+2k)), and
+    delta = 2 eta + eta^2 + gamma_(J+2k) (1 + eta)^2, computed as a sum of
+    nonnegative terms and raised by 16 u for its own roundings.  The
+    absolute parts add up to at most (4k + 3) J + 1 <= 8 k J units of
+    2^-1074.  A delta above 1/2, past what operator_norm_estimate's proof
+    assumes, raises DomainError.
+    """
+    eta = _entry_rounding(sym, k - 1, j_max)
+    sums = _gamma(j_max + 2 * k)
+    delta = 2.0 * eta + eta * eta + sums * (1.0 + eta) ** 2
+    delta = math.nextafter(delta * (1.0 + 16.0 * UNIT_ROUNDOFF), math.inf)
+    if not delta <= 0.5:
+        raise DomainError(f"Gram rounding bound {delta:.3e} of {k} rows exceeds 1/2")
+    return delta, 8.0 * k * j_max * 2.0**-1074
 
 
 def operator_norm_estimate(
@@ -456,55 +527,63 @@ def operator_norm_estimate(
 ) -> NormEstimate:
     """Certified bracket [lower, upper] on the operator norm from the truncation.
 
-    Power iteration on the real block B = |A|, which has the singular
-    values of A, restricted to its rows that can move the norm: B_k, the
-    first k rows, with rows k..I of Frobenius norm at most ``dropped``
-    <= u ||B|| (see _significant_rows); only B_k is filled.  The start
-    vector comes from the Perron vector of the Gram matrix of B_k (see
-    _perron_start); it meets the top singular vector so closely that one
-    step usually certifies.
-    Each step computes y = B_k x and z = y B_k and brackets ||B_k||:
+    The norm bracketed is that of the symbol's (I+1) x J truncation
+    B = |A|, which has the singular values of A: only ``m.symbol``,
+    ``m.i_max`` and ``m.j_max`` are read, and no block is filled or read.
+    Rows k..I of B have Frobenius norm at most ``dropped`` <= u ||B|| (see
+    _significant_rows).  ||B_k||^2, B_k the first k rows, is the Perron
+    root of the k x k Gram matrix G = B_k B_k^T >= 0, assembled from 2k - 1
+    moments streamed over the J columns (see _gram_moments and _gram).
+    The start vector is |v|, v the top eigenvector of the computed G from
+    LAPACK's eigh.  Each step computes y = G x, k^2 products, and brackets
+    the Perron root:
 
-    * lower^2 = ||z||^2 / ||y||^2 = ||B_k^T y||^2 / ||y||^2, a Rayleigh
-      quotient of B_k^T, never below ||y||^2 / ||x||^2;
-    * upper^2 = max_j z_j / x_j, the Collatz-Wielandt bound on the top
-      eigenvalue of B_k^T B_k (Horn & Johnson, Matrix Analysis, 2nd ed.,
-      ch. 8), valid for every x > 0 because B >= 0.
+    * lower^2 = x . y / x . x, a Rayleigh quotient of the symmetric G;
+    * upper^2 = max_i y_i / x_i, the Collatz-Wielandt bound (Horn &
+      Johnson, Matrix Analysis, 2nd ed., ch. 8), valid for every x > 0
+      because G >= 0;
 
-    B_k is a compression of B, so lower bounds ||B|| too, and
-    ||B|| <= ||B_k|| + dropped, so the upper end adds dropped; where no
-    row is cut, it adds nothing.
+    then x = y / max y, floored at _X_FLOOR.  B_k is a compression of B,
+    so lower bounds ||B|| too, and ||B|| <= ||B_k|| + dropped, so the upper
+    end adds dropped; where no row is cut, it adds nothing.
 
     The loop stops when upper^2 - lower^2 <= tol lower^2, so ``converged``
-    means the bracket is that tight.  In exact arithmetic the
-    Collatz-Wielandt bound never increases and the Rayleigh quotient never
-    decreases from step to step, so a gap that fails to shrink means
-    rounding has taken over: the loop stops there too, with ``converged``
-    false, instead of running to ``max_iter``.  Both ends carry derived rounding
-    terms, for the power step and for the entries themselves, and
+    means the bracket is that tight and ``iterations`` counts the steps on
+    G.  In exact arithmetic the Collatz-Wielandt bound never increases from
+    step to step, so a gap that fails to shrink means rounding has taken
+    over: the loop stops there too, with ``converged`` false, instead of
+    running to ``max_iter``.  Both ends carry derived rounding terms, for
+    the Gram matrix (see _gram_rounding) and for the steps, and
     outward-rounded square roots: whether or not the loop converged,
     [lower, upper - tail_bound] holds the norm of the exact truncation and
     [lower, upper] that of the full operator (upper is infinite for
-    boundary symbols).
+    boundary symbols).  A G of more entries than the cap that build_matrix
+    applies (see _max_entries) raises MatrixSizeError.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
         raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
-    n_rows, dropped = _significant_rows(m.symbol, m.i_max, m.j_max)
-    b = m._rows(n_rows)
-    n_cols = b.shape[1]
-    x = _perron_start(b)
+    sym = m.symbol
+    k, dropped = _significant_rows(sym, m.i_max, m.j_max)
+    cap = _max_entries()
+    if k * k > cap:
+        raise MatrixSizeError(
+            f"the norm's Gram matrix of {k} rows would hold {k * k} entries, cap is "
+            f"{cap} entries; set {MAX_ENTRIES_ENV} to raise it"
+        )
+    gram = _gram(_gram_moments(sym, k, m.j_max))
+    x = np.abs(np.linalg.eigh(gram)[1][:, -1])
+    x /= np.max(x)
     converged = False
     last_gap = math.inf
     for iterations in range(1, max_iter + 1):
-        np.maximum(x, _X_FLOOR, out=x)  # x > 0, and no z_j / x_j overflows
-        y = b @ x
-        z = y @ b
-        z_sq = float(z @ z)
-        lower_sq = z_sq / float(y @ y)
-        upper_sq = float(np.max(z / x))
+        np.maximum(x, _X_FLOOR, out=x)  # x > 0, and no y_i / x_i overflows
+        y = gram @ x
+        xy, xx = float(x @ y), float(x @ x)
+        lower_sq = xy / xx
+        upper_sq = float(np.max(y / x))
         gap = upper_sq - lower_sq
         if gap <= tol * lower_sq:
             converged = True
@@ -512,33 +591,31 @@ def operator_norm_estimate(
         if gap >= last_gap:  # in exact arithmetic the gap never grows
             break
         last_gap = gap
-        x = z / z[0]
+        x = y / np.max(y)
 
-    # Rounding (Higham 2002, ch. 3).  A computed sum of n nonnegative
-    # products, added in any order, is within gamma_n of its value plus
-    # n 2^-1075 from products that underflow.  x_1 = 1 and column 1 of B is
-    # (1, 0, ..., 0), so the computed y_1 = z_1 >= 1, and ||y||^2, ||z||^2 and
-    # max_j z_j / x_j are all at least 1.  With B <= 1 (see build_matrix),
-    # x >= _X_FLOOR and k (J+1) < 2^60, every absolute term is below
-    # 2^-60 u of them, the entries' own (see below) too: one u covers all
-    # of them on each end, and one more the rounding of the correction.
-    # lower: the computed y is a vector like any other, so z (k terms
-    # each) enters squared, ||z||^2 adds J terms and ||y||^2 k; the
-    # quotient, 1 - gamma and the product round once each.
-    # upper: y's error (J terms) passes into z (k terms); the quotient,
-    # 1 + gamma and the product round once each.  The sum with dropped is
-    # rounded up like the square root.
-    # Entries: the computed rows 0..k-1 are B_k (1 + theta) + e with
-    # |theta| <= eta (see _entry_rounding, taken at I = k - 1: no row below
-    # them enters their recurrence).  B >= 0 and the norm is monotone in the
-    # entries of a nonnegative matrix, so ||B|| is at least the computed
-    # block's norm over 1 + eta, whose square is at least 1 - 2 eta of
-    # it, and at most its norm over 1 - eta, whose square is at most
-    # 1 + 3 eta of it while eta <= 1/5; 1 + gamma + 4 eta covers
-    # (1 + gamma)(1 + 3 eta) while gamma <= 1/3.
-    eta = _entry_rounding(m.symbol, n_rows - 1, m.j_max)
-    lower_sq *= 1.0 - (_gamma(n_cols + 3 * n_rows + 5) + 2.0 * eta)
-    upper_sq *= 1.0 + (_gamma(n_cols + n_rows + 5) + 4.0 * eta)
+    # Rounding (Higham 2002, ch. 3).  The computed G is G (1 + theta) + e
+    # entrywise with |theta| <= delta and |e| <= eps (see _gram_rounding),
+    # so the exact G lies between max(G' - eps, 0) / (1 + delta) and
+    # (G' + eps) / (1 - delta), G' the computed one: nonnegative matrices
+    # whose Perron roots bracket ||B_k||^2, the root being monotone in the
+    # entries.  max x = 1 makes x . x >= 1 and sum x <= k, and x >= _X_FLOOR.
+    # lower: x^T max(G' - eps, 0) x >= x . G'x - eps k^2.  Each computed y_i
+    # is a sum of k nonnegative products, within gamma_k of its value plus
+    # k 2^-1075 from products that underflow; x . y adds k more of each, so
+    # the computed x . y is within gamma_2k of x . G'x plus (k^2 + k) 2^-1075,
+    # and x . x within gamma_k plus k 2^-1075, below u of it; the two
+    # subtractions, the quotient, the product and 1 - (gamma + delta), two
+    # roundings, round once each.  ||B|| >= B[0][0] = 1 bounds it too.
+    # upper: the Collatz-Wielandt bound of G' + eps 11^T at x exceeds that of
+    # G' by at most eps k / _X_FLOOR.  The computed max y_i / x_i is within
+    # gamma_(k+1) of its value plus k 2^-1075 / _X_FLOOR; 1 + gamma, the
+    # product, the sum, 1 - delta and the quotient round once each.
+    delta, eps = _gram_rounding(sym, k, m.j_max)
+    tiny = 2.0**-1074
+    lower_sq = (xy - (k * k + k) * tiny - eps * k * k) / xx
+    lower_sq = max(lower_sq * (1.0 - (_gamma(3 * k + 8) + delta)), 1.0)
+    upper_sq *= 1.0 + _gamma(k + 6)
+    upper_sq = (upper_sq + (k * tiny + eps * k) / _X_FLOOR) / (1.0 - delta)
     upper = math.nextafter(math.sqrt(upper_sq), math.inf)
     if dropped:  # ||B|| <= ||B_k|| + ||rows k..I||_F
         upper = math.nextafter(upper + dropped, math.inf)

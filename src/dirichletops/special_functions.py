@@ -329,6 +329,11 @@ def log_moment_tail_integral(s: float, i: int, x: float) -> float:
     return math.lgamma(i + 1.0) - z + log_mode + math.log(total) - (i + 1.0) * math.log(s - 1.0)
 
 
+# log_moment_tail's largest argument: its integral's (s - 1) ln J and the
+# rounding terms built on it stay finite up to J = 2^60
+_TAIL_S_MAX = 2.0**1000
+
+
 def log_moment_tail(s: float, i: int, j_max: int) -> float:
     """log of a certified upper bound on sum_{k>J} (log k)^i k^-s, s > 1, J >= 1.
 
@@ -348,8 +353,11 @@ def log_moment_tail(s: float, i: int, j_max: int) -> float:
       L = log(i/s)), and the log-sum-exp, which is 1-Lipschitz in its
       inputs and adds at most |log_tail| + 4 for its exp, log1p and sum.
 
-    The final addition of the bound is rounded up.
+    The final addition of the bound is rounded up.  Every term of the sum
+    falls as s grows (k >= 2), so past _TAIL_S_MAX, where the steps above
+    would overflow (at s = inf, say), the bound at _TAIL_S_MAX is returned.
     """
+    s = min(s, _TAIL_S_MAX)
     if i == 0:
         x = float(j_max + 1)
         tail, remainder, rounding = _euler_maclaurin_tail(s, x)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 import subprocess
 import sys
 
@@ -147,6 +148,29 @@ class TestMatrixNorm:
             result = doc["result"]
             assert result["upper_status"] == "certified"
             assert result["lower"] <= 1.0 <= result["upper"] <= 1.0 + 1e-11
+
+    @pytest.mark.parametrize(
+        "c2_abs, size",
+        [("1", ["--rows", "3", "--cols", "100"]), ("1e308", []), ("1e308", ["--rows", "3", "--cols", "100"])],
+    )
+    def test_huge_re_c1_answers(self, capsys, c2_abs, size):
+        # 2 Re c1 overflows: the column tails are taken at s = 2^1000, which
+        # bounds them since they fall as s grows; with |c2| = 1e308, a
+        # boundary symbol, |c2| ln j overflows past j = 6, where every entry
+        # lies below 2^-1074.  Both end certified, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["matrix-norm", "--c1-re", "1e308", "--c2-abs", c2_abs, *size]
+            code, doc, _ = run_json(capsys, argv)
+        assert code == 0
+        result = doc["result"]
+        assert 1.0 - 1e-15 <= result["lower"] <= 1.0
+        if c2_abs == "1":
+            assert result["upper_status"] == "certified"
+            assert 1.0 <= result["upper"] <= 1.0 + 1e-11
+        else:
+            assert result["upper_status"] == "uncertified"
+        assert result["within_theorem_bracket"] is True
 
     def test_boundary_upper_uncertified(self, capsys):
         code, out, _ = run_cli(

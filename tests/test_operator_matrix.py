@@ -317,10 +317,30 @@ class TestBuildMatrix:
         assert "1100 entries (8800 bytes at 8 B per entry)" in message
         assert "cap is 100 entries (800 bytes)" in message
         assert MAX_ENTRIES_ENV in message
-        assert build_matrix(sym, 4, 20)._filled == 0  # 100 entries: at the cap, no row filled
+        assert not build_matrix(sym, 4, 20)._filled  # 100 entries: at the cap, no row filled
         monkeypatch.setenv(MAX_ENTRIES_ENV, "not-a-number")
         with pytest.raises(MatrixSizeError):
             build_matrix(sym, 1, 1)
+
+
+def reference_fill(sym, i_max, j_max):
+    """B by whole-block numpy steps that round as operator_matrix._rows
+    does: row 0 as exp(-sigma1 ln j), then each row from the one above on
+    the columns with sigma1 ln j <= 700, and the log-space rows past them."""
+    b = np.zeros((i_max + 1, j_max))
+    b[0, 0] = 1.0
+    lj = np.log(np.arange(2, j_max + 1, dtype=np.float64))
+    b[0, 1:] = np.exp(-(sym.sigma1 * lj))
+    near = int(np.searchsorted(lj, 700.0 / sym.sigma1, side="right"))
+    g = sym.c2_abs * lj[:near]
+    for i in range(1, i_max + 1):
+        b[i, 1 : near + 1] = b[i - 1, 1 : near + 1] * g * (1.0 / i)
+    with np.errstate(divide="ignore"):  # log(0) = -inf when c2 = 0
+        log_g = np.log(sym.c2_abs * lj[near:])
+    i = np.arange(1.0, i_max + 1.0)[:, None]
+    far = i * log_g - log_factorials(i_max)[1:, None] - sym.sigma1 * lj[near:]
+    b[1:, near + 1 :] = np.exp(far)
+    return b
 
 
 class TestRowsOnDemand:
@@ -341,49 +361,60 @@ class TestRowsOnDemand:
 
     @pytest.mark.parametrize("c1, c2, i_max, j_max", [(*sym, i, j) for sym, i, j in CASES])
     def test_rows_on_demand_match_a_full_fill(self, c1, c2, i_max, j_max):
+        # the block is filled whole when its magnitudes are first read,
+        # bit for bit as the whole-block reference computes it
         sym = DirichletSymbol(c1, complex(c2))
-        full = build_matrix(sym, i_max, j_max).magnitudes
         m = build_matrix(sym, i_max, j_max)
-        for k in (1, 2, 7, i_max // 2, i_max + 1):
-            rows = m._rows(min(k, i_max + 1))
-            assert not rows.flags.writeable
-            assert np.array_equal(rows, full[: rows.shape[0]])
-        assert np.array_equal(m.magnitudes, full)
-        assert np.array_equal(m.entries, build_matrix(sym, i_max, j_max).entries)
+        assert not m._filled
+        block = m.magnitudes
+        assert m._filled and not block.flags.writeable
+        assert np.array_equal(block, reference_fill(sym, i_max, j_max))
+        assert m.magnitudes is block
 
     def test_fill_order_does_not_matter(self):
-        sym = DirichletSymbol(1.6, 0.3)
-        m = build_matrix(sym, 200, 2000)
-        first = m._rows(5).copy()
-        assert m._filled == 5
-        full = build_matrix(sym, 200, 2000).magnitudes
-        assert np.array_equal(first, full[:5])
-        assert np.array_equal(m.magnitudes, full)
-        assert m._filled == 201
-        assert m.magnitudes is m.magnitudes
+        # the entries read first fill the block through the magnitudes:
+        # the same bits as a block whose magnitudes are read first
+        sym = DirichletSymbol(1.6 + 2.0j, 0.3 * np.exp(1.0j))
+        first = build_matrix(sym, 200, 2000)
+        phased = first.entries
+        assert first._filled
+        second = build_matrix(sym, 200, 2000)
+        assert np.array_equal(second.magnitudes, first.magnitudes)
+        assert np.array_equal(second.entries, phased)
 
-    def test_norm_fills_only_the_rows_it_iterates(self):
+    def test_norm_fills_no_row(self):
+        # the norm reads the symbol and the truncation only: a built block
+        # stays empty, and a wrapped block, here all NaN, is never read
         sym = DirichletSymbol(1.6, 0.3)
         m = build_matrix(sym, 400, 50000)
-        assert m._filled == 0
         operator_norm_estimate(m)
-        k = operator_matrix._significant_rows(sym, 400, 50000)[0]
-        assert k < 30 and m._filled == k
+        assert not m._filled
+        wrapped = operator_matrix.TruncatedMatrix(np.full((41, 500), np.nan), sym)
+        assert operator_norm_estimate(wrapped) == operator_norm_estimate(build_matrix(sym, 40, 500))
 
-    def test_threads_read_identical_blocks(self):
-        # more threads than cores, switching every microsecond, ask for
-        # overlapping row counts: each gets the rows of a full fill, and the
-        # filled count ends at the most rows asked for
+    def test_threads_read_identical_blocks(self, monkeypatch):
+        # more threads than cores, switching every microsecond, read the
+        # magnitudes or the entries of one empty block: it is filled once,
+        # and every thread reads the bits of a reference fill
         sym = DirichletSymbol(2.0, 0.5)
-        full = build_matrix(sym, 100, 20000).magnitudes
+        reference = build_matrix(sym, 100, 20000)
+        expected = {"magnitudes": reference.magnitudes, "entries": reference.entries}
+        fills = []
+        rows = operator_matrix._rows
+
+        def counted(sym, count, out):
+            fills.append(count)
+            return rows(sym, count, out)
+
+        monkeypatch.setattr(operator_matrix, "_rows", counted)
         m = build_matrix(sym, 100, 20000)
-        wants = (101, 7, 101, 40, 3, 101)
+        wants = ("magnitudes", "entries", "magnitudes", "entries", "magnitudes", "magnitudes")
         barrier = threading.Barrier(len(wants))
         got = [None] * len(wants)
 
         def read(slot):
             barrier.wait(timeout=60)
-            got[slot] = m.magnitudes if wants[slot] == 101 else m._rows(wants[slot])
+            got[slot] = getattr(m, wants[slot])
 
         threads = [threading.Thread(target=read, args=(slot,)) for slot in range(len(wants))]
         interval = sys.getswitchinterval()
@@ -396,10 +427,10 @@ class TestRowsOnDemand:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        for k, rows in zip(wants, got):
-            assert np.array_equal(rows, full[:k])
-        assert got[0] is got[2] is got[5]
-        assert m._filled == 101
+        assert fills == [101]
+        for name, block in zip(wants, got):
+            assert np.array_equal(block, expected[name])
+        assert got[0] is got[2] is got[4] is got[5]
 
 
 class TestTailBounds:
@@ -530,26 +561,40 @@ class TestTailBounds:
         assert discarded <= tail_bounds(sym, i_max, j_max)
 
 
+def exact_dot(a, b):
+    """a . b for float vectors with entries in [0, 1], as an mpf good to
+    about 32 digits: every product split exactly into p + e (Dekker's
+    two-product; a product below about 2^-969 may lose e, an absolute error
+    under 2^-1000), the 2J parts summed by math.fsum, and the remainder of
+    that sum summed once more."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def halves(x):
+        t = 134217729.0 * x  # 2^27 + 1
+        high = t - (t - x)
+        return high, x - high
+
+    (ah, al), (bh, bl) = halves(a), halves(b)
+    p = a * b
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    parts = np.concatenate([p, e]).tolist()
+    total = math.fsum(parts)
+    return mpmath.mpf(total) + mpmath.mpf(math.fsum(parts + [-total]))
+
+
 def mp_top_singular_value(block, dps=60):
-    """Largest singular value of a float block, from the top eigenvalue of
-    its smaller Gram matrix in dps-digit arithmetic, as an mpf."""
+    """Largest singular value of a float block, as an mpf: the top
+    eigenvalue, in dps-digit arithmetic, of its smaller Gram matrix, each
+    entry an exact_dot."""
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
+    rows = block if block.shape[0] <= block.shape[1] else block.T
     with mp.workdps(dps):
-        m = mp.matrix(block.tolist())
-        gram = m * m.T if block.shape[0] <= block.shape[1] else m.T * m
+        gram = mp.matrix(rows.shape[0], rows.shape[0])
+        for i in range(rows.shape[0]):
+            for l in range(i, rows.shape[0]):
+                gram[i, l] = gram[l, i] = exact_dot(rows[i], rows[l])
         return mp.sqrt(max(mp.eigsy(gram, eigvals_only=True)))
-
-
-def tied_block(gap):
-    """A block like build_matrix's (B <= 1, column j = 1 is (1, 0, 0)) whose
-    top singular values 1 and 1 - gap belong to rows 0 and 2.  Its Gram
-    matrix is not Hankel, so the start vector mixes the two."""
-    b = np.zeros((3, 4))
-    b[0, 0] = 1.0
-    b[1, 1:3] = 0.1
-    b[2, 3] = 1.0 - gap
-    return b
 
 
 def mp_frobenius(sym, rows, j_max, dps=40):
@@ -684,16 +729,18 @@ class TestOperatorNormEstimate:
         assert lo_small <= lo_rows + 1e-14
         assert lo_small <= lo_cols + 1e-14
 
-    def test_non_convergence_is_flagged(self):
-        # top pair 1 and 1 - 1e-4: the weight of the second vector falls by
-        # (1 - 1e-4)^2 a step, far too slowly for three steps
-        m = operator_matrix.TruncatedMatrix(tied_block(1e-4), DirichletSymbol(2.0, 0.5))
+    def test_non_convergence_is_flagged(self, monkeypatch):
+        # a tied Gram matrix: its top pair 1 + 1e-20 and 1 - 1e-20 lies
+        # within rounding, so eigh returns a unit vector, and the gap then
+        # closes like 1/n, far too slowly for three steps
+        tied = np.array([[1.0, 1e-20], [1e-20, 1.0]])
+        monkeypatch.setattr(operator_matrix, "_gram", lambda d: tied)
+        m = build_matrix(DirichletSymbol(2.0, 0.5), 1, 5)
         est = operator_norm_estimate(m, max_iter=3)
         assert not est.converged
         assert est.iterations == 3
-        # the bracket is still proven
-        assert 0.99 < est.lower <= 1.0 <= est.upper - m.tail_bound
-        assert est.upper - m.tail_bound < 1.0 + 1e-14
+        # the bracket still holds the Perron root 1 + 1e-20
+        assert 0.99 < est.lower <= 1.0 <= est.upper - m.tail_bound < 1.5
 
     def test_rounding_terms_against_mpmath(self):
         # the bracket holds the block's exact norm; the plain Rayleigh
@@ -706,28 +753,35 @@ class TestOperatorNormEstimate:
         assert est.converged and est.iterations == 1
 
     @pytest.mark.parametrize("sigma1, c", [(2.0, 0.5), (51.0, 50.0)])
-    def test_bracket_covers_entry_rounding(self, sigma1, c):
-        # a block within the entry model of the built one, whose exact norm
-        # stands in for ||B||: every entry 0.99 eta above it, then every
-        # entry 0.99 eta below, eta that of the k rows the power step reads.
-        # (51, 50) keeps all 201 rows, where eta (1,660u) passes the power
-        # step's own rounding terms (about 630u and 230u on the two ends),
-        # so the bracket holds only if it charges eta
+    def test_bracket_covers_entry_rounding(self, sigma1, c, monkeypatch):
+        # moments within the Gram model of the computed ones stand in for
+        # the exact ones: every moment 0.99 delta above them, then every
+        # moment 0.99 delta below, and the computed block's 60-digit norm
+        # must stay in the bracket.  (51, 50) keeps all 201 rows, where delta
+        # (about 2,800u, mostly the entries' 2 eta) passes the steps' own
+        # rounding terms (at most 3k + 8 = 611u), so the bracket holds only
+        # if it charges delta
         sym = DirichletSymbol(sigma1, c)
         m = build_matrix(sym, 200, 20)
         exact = mp_top_singular_value(m.magnitudes)
         k, _ = operator_matrix._significant_rows(sym, 200, 20)
-        eta = operator_matrix._entry_rounding(sym, k - 1, 20)
-        high = operator_matrix.TruncatedMatrix(m.magnitudes * (1.0 + 0.99 * eta), sym)
-        low = operator_matrix.TruncatedMatrix(m.magnitudes * (1.0 - 0.99 * eta), sym)
-        assert operator_norm_estimate(high).lower <= exact
-        assert exact <= operator_norm_estimate(low).upper - exact.context.mpf(m.tail_bound)
+        delta, _ = operator_matrix._gram_rounding(sym, k, 20)
+        assert delta > operator_matrix._gamma(3 * k + 8) or k < 201
+        moments = operator_matrix._gram_moments
+        ends = []
+        for scale in (1.0 + 0.99 * delta, 1.0 - 0.99 * delta):
+            monkeypatch.setattr(operator_matrix, "_gram_moments", lambda *a, f=scale: moments(*a) * f)
+            ends.append(operator_norm_estimate(m))
+        high, low = ends
+        assert high.lower <= exact
+        assert exact <= low.upper - exact.context.mpf(m.tail_bound)
 
-    @pytest.mark.parametrize("tol", [1e-15, 1e-16])
+    @pytest.mark.parametrize("tol", [1e-16, 1e-30])
     def test_tolerance_below_rounding_stops_early(self, tol):
-        # the computed gap stops shrinking at about 1e-15: the loop stops
-        # there, unconverged, instead of running all max_iter steps
-        m = build_matrix(DirichletSymbol(2.0, 0.5), 40, 2000)
+        # the computed gap on the 46 x 46 Gram matrix stops shrinking at
+        # about 2e-16: the loop stops there, unconverged, instead of
+        # running all max_iter steps
+        m = build_matrix(DirichletSymbol(3.0, 1.5), 80, 4000)
         est = operator_norm_estimate(m, tol=tol)
         assert not est.converged and est.iterations <= 5
         top = float(np.linalg.svd(m.magnitudes, compute_uv=False)[0])
@@ -812,6 +866,58 @@ class TestOperatorNormEstimate:
 
         check()
         assert any(cut) and not all(cut)
+
+    def test_bracket_is_sound(self):
+        # lower <= sigma_max <= upper - tail_bound, sigma_max the 60-digit
+        # top singular value of the built block: gaps from 1e-12 to 10,
+        # |c2| up to 50, sigma1 up to 400, I <= 30, J <= 300; then columns
+        # past sigma1 ln j = 700 from j = 6312 (a boundary symbol, whose
+        # upper end is infinite) and from j = 6, and all 101 rows kept at
+        # 1e-12 above the boundary line
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def assert_sound(sym, i_max, j_max):
+            m = build_matrix(sym, i_max, j_max)
+            est = operator_norm_estimate(m)
+            sigma = mp_top_singular_value(m.magnitudes)
+            assert est.lower <= sigma, (sym, i_max, j_max)
+            if math.isfinite(est.upper):
+                assert sigma <= est.upper - sigma.context.mpf(m.tail_bound), (sym, i_max, j_max)
+
+        @st.composite
+        def symbols(draw):
+            c = math.exp(draw(st.floats(math.log(1e-3), math.log(50.0))))
+            if draw(st.booleans()):
+                return 0.5 + c + math.exp(draw(st.floats(math.log(1e-12), math.log(10.0)))), c
+            return draw(st.floats(0.5 + c + 10.0, 400.0)), c
+
+        @hypothesis.settings(
+            max_examples=30,
+            deadline=None,
+            derandomize=True,
+            database=None,
+            suppress_health_check=[hypothesis.HealthCheck.too_slow],
+        )
+        @hypothesis.given(symbols(), st.integers(0, 30), st.integers(1, 300))
+        def check(symbol, i_max, j_max):
+            assert_sound(DirichletSymbol(*symbol), i_max, j_max)
+
+        check()
+        for sigma1, c, i_max, j_max in [
+            (80.0, 79.5, 40, 20000), (400.0, 0.1, 40, 20000), (50.5 + 1e-12, 50.0, 100, 2000)
+        ]:
+            assert_sound(DirichletSymbol(sigma1, c), i_max, j_max)
+
+    def test_gram_matrix_under_the_entry_cap(self, monkeypatch):
+        # 31 x 3 = 93 entries fit under a cap of 100, but (5.5, 5) keeps all
+        # 31 rows, and their Gram matrix would hold 961
+        monkeypatch.setenv(MAX_ENTRIES_ENV, "100")
+        m = build_matrix(DirichletSymbol(5.5, 5.0), 30, 3)
+        with pytest.raises(MatrixSizeError, match="961 entries"):
+            operator_norm_estimate(m)
+        monkeypatch.setenv(MAX_ENTRIES_ENV, "961")
+        assert operator_norm_estimate(m).converged
 
     def test_parameter_validation(self):
         m = build_matrix(DirichletSymbol(2.0, 0.5), 2, 5)
