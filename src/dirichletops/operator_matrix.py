@@ -496,20 +496,21 @@ def _gram_rounding(sym: DirichletSymbol, k: int, j_max: int) -> tuple[float, flo
       |theta| <= eta = _entry_rounding(sym, k - 1, J) and
       |e| <= max(k - 1, 1) 2^-1074: no row below them enters their
       recurrence.  A product of two entries is off by (1 + eta)^2 and its
-      own rounding, and with B <= 1 by at most (2k + 1) 2^-1074 more.
+      own rounding, and, with B <= 1 and eta <= 1/5, by at most
+      (3k + 1) 2^-1074 more.
     * d_n adds J nonnegative products, within gamma_J of its value in any
       order (Higham 2002, ch. 3), plus 2^-1075 per product that underflows.
     * F: each integer quotient and each factor of the running product
       rounds once, at most 2k - 3 roundings; past k of about 1000 its
       entries underflow (F[0][l] >= 2^-l), which costs at most
-      k 2^-1074 d_n <= k J 2^-1074, since d_n <= J.  The product F d rounds
-      once more.
+      k 2^-1075 d_n <= 1.5 k J 2^-1074, since d_n <= 1.44 J.  The product
+      F d rounds once more.
 
     (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_(a+b), so
     1 + theta <= (1 + eta)^2 (1 + gamma_(J+2k)), and
     delta = 2 eta + eta^2 + gamma_(J+2k) (1 + eta)^2, computed as a sum of
     nonnegative terms and raised by 16 u for its own roundings.  The
-    absolute parts add up to at most (4k + 3) J + 1 <= 8 k J units of
+    absolute parts add up to at most (4.5 k + 2) J + 1 <= 8 k J units of
     2^-1074.  A delta above 1/2, past what operator_norm_estimate's proof
     assumes, raises DomainError.
     """
