@@ -54,12 +54,18 @@ def schur_radius(sigma1: float, c2_abs: float) -> float:
         raise DomainError(
             f"schur_radius requires sigma1 >= 1/2 + |c2|: {sigma1} < {0.5 + c}"
         )
-    n1, nc, d = _integers(sigma1, math.nextafter(c, math.inf))
-    big_b, big_c = 2 * n1 - d, 2 * nc
+    _, big_b, big_c, _ = _line_integers(sigma1, c, True)
     if big_b <= big_c:
         return 1.0
     root = math.isqrt((big_b * big_b - big_c * big_c) << 128)
     return min(_ceil_quotient(big_c << 64, (big_b << 64) + root), 1.0)
+
+
+def _line_integers(sigma1: float, c: float, raise_c: bool) -> tuple[int, int, int, int]:
+    """(n_1, B, C, d): 2 sigma1 = 2 n_1 / d, 2 sigma1 - 1 = B / d and 2c = C / d over
+    one power-of-two d, c first raised by its ulp if raise_c (DBL_MAX to 2^1024)."""
+    n1, nc, ulp, d = _integers(sigma1, c, math.ulp(c) if raise_c else 0.0)
+    return n1, 2 * n1 - d, 2 * (nc + ulp), d
 
 
 def _integers(*values: float) -> tuple[int, ...]:
@@ -248,9 +254,7 @@ def approx_number_bound(sym: DirichletSymbol) -> ApproxNumberBound:
     c2_abs_upper, rounded to the next float up, and the prefactor's
     correctly rounded square root is raised by one ulp.
     """
-    # over one denominator d: 2 sigma1 = 2 n_1 / d, 2 sigma1 - 1 = B / d, 2 |c2| = C / d
-    n1, nc, d = _integers(sym.sigma1, c2_abs_upper(sym))
-    big_b, big_c = 2 * n1 - d, 2 * nc
+    n1, big_b, big_c, d = _line_integers(sym.sigma1, sym.c2_abs, c2_abs_upper(sym) > sym.c2_abs)
     if big_b <= big_c or classify(sym) is SymbolClass.BOUNDARY:
         gap = 2.0 * sym.sigma1 - 2.0 * sym.c2_abs - 1.0
         raise NonCompactError(

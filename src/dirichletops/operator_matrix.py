@@ -36,8 +36,8 @@ import numpy as np
 from .bounds import approx_number_bound, c2_abs_upper, schur_exponent
 from .bounds import schur_polynomial_nonpositive
 from .errors import DomainError, MatrixSizeError, NonCompactError
-from .special_functions import DEFAULT_BUDGET, UNIT_ROUNDOFF, PrecisionBudget, log_moment_tail
-from .special_functions import lower_bound_h
+from .special_functions import DEFAULT_BUDGET, UNIT_ROUNDOFF, PrecisionBudget
+from .special_functions import _euler_maclaurin_tail, lower_bound_h
 from .special_functions import zeta as _certified_zeta
 from .symbol import DirichletSymbol, SymbolClass, classify
 
@@ -55,6 +55,7 @@ _X_FLOOR = 2.0**-900
 # most this: row 0 there is at least e^-700, far inside the normal range
 # (2^-1022 = e^-708.4)
 _ROW0_EXPONENT_MAX = 700.0
+_TINY = 2.0**-1022  # the least normal float
 # past this exponent x an exact entry e^-x lies below 2^-1076, and exp at a
 # computed exponent below -745.2 returns 0 or 2^-1074 (2^-1075 = e^-745.13)
 _UNDERFLOW_EXPONENT = 746.0
@@ -254,68 +255,123 @@ def _rows(sym: DirichletSymbol, count: int, out: np.ndarray) -> Iterator[np.ndar
 def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     """Certified operator-norm bound on the discarded rows and columns.
 
-    Root-sum of two Hilbert-Schmidt pieces:
+    The root of a Hilbert-Schmidt sum, with c = |c2| from c2_abs_upper and
+    s = 2 sigma1 taken as min(s, 2^1000): every piece grows with c and falls
+    as s grows.
 
-    * rows i >= k_t, over all columns: each squared row norm is
-      |c2|^2i/(i!)^2 times the 2i-th log moment of j^(-2 sigma1), which the
-      factorial-moment chain bounds by rho^2i * 2 sigma1/(2 sigma1 - 1) with
-      rho = 2|c2|/(2 sigma1 - 1); the geometric sum from k_t is
-      (s/(s-1)) rho^(2 k_t) / (1 - rho^2), s = 2 sigma1, and infinite for
-      boundary symbols where rho = 1.  That is the square of
-      approx_number_bound's prefactor * ratio^k_t, which bound_at rounds up.
-    * columns j > J within rows i < k_t: log-moment tails of order 2i, each
-      bounded by its incomplete-gamma integral (plus peak term when J is left
-      of the summand's peak).
+    * Row 0 past column J: its Euler-Maclaurin tail at n = J + 1 with the
+      remainder bound (special_functions._euler_maclaurin_tail), at s up to
+      2^11, past which every term lies below 2^-2047.
+    * Rows 1 <= i < k_t past column J: c^2i / (i!)^2 sum_(j>J) (ln j)^2i j^-s
+      is at most the integral from J, T_i = b_i Q_2i(z) with
+      b_i = C(2i, i) r^2i / (s-1) <= rho^2i / (s-1), r = c / (s-1),
+      rho = 2r, z = (s-1) ln J and Q_n(z) = e^-z sum_(m<=n) z^m / m! (the
+      regularized upper incomplete gamma function), plus the summand's peak
+      P_i = c^2i (2i / (s e))^2i / (i!)^2 while ln J < 2i/s.
+    * Rows i >= k_t: approx_number_bound(sym).bound_at(k_t) squared, at
+      least (s/(s-1)) rho^2k_t / (1 - rho^2), +inf for boundary symbols.
 
-    k_t is I + 1, or the first row at which the row piece is at most u times
-    the i = 0 column tail, from logs, if that comes sooner: rows k_t..I
-    then cost no log-moment tail, and a superset of the discarded part is
-    still charged.
+    One pass adds the rows to a running sum S with O(1) work a row:
+    b_i = b_(i-1) 2 (2i-1) r^2 / i, and Q_2i adds the Poisson terms
+    p_m = e^-z z^m / m!, m = 2i-1, 2i, each the exp of its log, so that no
+    row needs e^-z in the normal range.  k_t is the first row whose row
+    piece is at most max(u S, 2^-1074), or I + 1; any k_t gives a bound.
 
-    Rounded outward, in units of u = 2^-53, with |c2| from c2_abs_upper
-    (every term grows with it) and each log-moment tail L_i already an
-    upper bound.  The exponent 2i log|c2| - 2 log i! + L_i of column term
-    i >= 1 is raised by its rounding: log within 2u and the product by 2i
-    one more, 3 |2i log|c2||; lgamma within 2 ulps plus 2u (see
-    special_functions._log_tail_rounding), doubled; the two additions and
-    the padding's own, each within one rounding of their result; one unit
-    covers the second-order terms.  Term 0 is exp(L_0), exactly its
-    exponent.  Then 1 + 8u covers exp (2u), the correctly rounded fsum,
-    the square of the row piece, its sum with the column piece, and the
-    product by 1 + 8u itself; (k_t + 1) 2^-1074 covers the subnormal
-    results, whose addition, if not exact, is covered by the remaining
-    units; the square root is rounded up.
+    Rounded outward in units of u = 2^-53, with gamma_n as in _gamma, exp,
+    log and pow within 2u, lgamma(m+1) within 4 log m! + 2 (see
+    special_functions._log_tail_rounding), and the root rounded up:
+
+    * z is rounded down, as Q_n falls when z grows: the factor 1 - 6u
+      undoes the four units of s - 1, ln J and their product.
+    * p_m's exponent, m >= 1, is off by at most
+      E_m = 5m |ln z| + 2z + 5 log m! + 3.  Where p_m >= e^-746, either
+      z < 1 and m |ln z| + z + log m! <= 746, or m ln z <= z + log m! and
+      z <= 2m + 1490, so E_m <= 14m + 10 log m! + 10433 too; a smaller
+      term comes out below 2^-1022 and costs only the floor.
+    * P_i's exponent is off by at most 2i (5 |L| + 5) + 10 log i! + 6,
+      L = ln(2i c / s), largest at i = 1 or k_t - 1.  Below c / s = 2^-1022
+      every P_i is below 2^-1074 and none is added.
+    * With k = k_t and E the largest exponent bound used, b_i (8i + 2
+      roundings), Q_2i (a sum of 2i + 1 terms) and their product put each
+      T_i, and each P_i, within (1 + gamma_10k) e^(E u).  Row 0 takes its
+      own rounding bound, (8 + (s+3) ln n) u of its remainder (five
+      roundings of the coefficient, its exponent's, pow and the product)
+      and gamma_5, and S gamma_2k: eps = gamma_12k + (1 + gamma_12k)
+      expm1(E u), raised by 16u for its own roundings.  1 + 8u covers the
+      square of the row piece, the product by 1 + eps, the sum and the
+      floor's addition.
+    * The floor, in units of 2^-1074: a result below 2^-1022 is off by at
+      most one unit past its relative bound, times what multiplies it
+      later.  The pass tracks how far b and Q may fall short: a step below
+      2^-1020 (r^2 may be subnormal) adds 3 b_(i-1), a b_i below 2^-1022
+      adds 1, both carried by later steps, and each Poisson term below
+      2^-1022 adds 1 to Q's.  Row i costs 2 (b_i Q's + b's Q_2i), the 2
+      covering e^(E u) and the gammas, plus 1 for T_i and 2 for P_i below
+      2^-1022.  Row 0's pieces and the square cost 5, and K = (s+2)^3 / 500
+      more (past s = 12 at least the coefficients s/12 + s (s+1) (s+2) / 720
+      of its powers n^-(s+1), n^-(s+3)) where one may be subnormal
+      ((s+3) ln n > 700) and its piece pass 2^-1075 ((s+1) ln n < 746 +
+      ln K; never past s = 1100, where K is capped).
     """
     _check_truncation(i_max, j_max)
-    s = 2.0 * sym.sigma1
+    s = min(2.0 * sym.sigma1, 2.0**1000)
+    if not s > 1.0:  # sigma1 within EQ_TOL of 1/2 or below: row 0 has no finite tail
+        return math.inf
     c = c2_abs_upper(sym)
-    log_col0 = log_moment_tail(s, 0, j_max)
-    rows, row_sq = 1, 0.0  # with c2 = 0 only the row-0 column tail survives
+    s0, log_n = min(s, 2048.0), math.log(j_max + 1.0)
+    tail, remainder, rounding = _euler_maclaurin_tail(s0, j_max + 1.0)
+    col = tail + rounding + remainder * (1.0 + (8.0 + (s0 + 3.0) * log_n) * UNIT_ROUNDOFF)
+    k = (min(s, 1100.0) + 2.0) ** 3 / 500.0
+    band = 700.0 < (s + 3.0) * log_n and (s + 1.0) * log_n < 746.0 + math.log(k)
+    floor = 5.0 + (k if band else 0.0)
+
+    i, row_sq, drift = 1, 0.0, 0.0  # with c2 = 0 rows i >= 1 of B vanish
     if c > 0.0:
         try:
             law = approx_number_bound(sym)
         except NonCompactError:  # boundary symbols: the rows do not decay
             return math.inf
-        rho_sq = law.ratio**2
-        rows = i_max + 1
-        if log_col0 > -math.inf and rho_sq > 0.0:
-            # least k with (s/(s-1)) rho^2k / (1 - rho^2) <= u e^log_col0
-            log_room = math.log(UNIT_ROUNDOFF * (1.0 - rho_sq) * (s - 1.0) / s) + log_col0
-            rows = min(rows, max(1, math.ceil(log_room / math.log(rho_sq))))
-        row = law.bound_at(rows)
-        row_sq = row * row
+        s1, log_j, v = s - 1.0, math.log(j_max), c / s
+        z = s1 * log_j * (1.0 - 6.0 * UNIT_ROUNDOFF)
+        log_z = math.log(z) if z > 0.0 else -math.inf  # J = 1: Q_n(0) = 1
+        r_sq = (c / s1) ** 2
+        peak_row = math.inf if v < _TINY else 0.5 * s * log_j * (1.0 - 8.0 * UNIT_ROUNDOFF)
+        b, q = 1.0 / s1, math.exp(-z)
+        b_low, q_low = 0.0, float(q < _TINY)  # shortfalls in units of 2^-1074
+        while True:
+            row = law.bound_at(i)  # rows i.. are charged by this piece if the pass ends
+            row_sq = row * row
+            if i > i_max or row_sq <= max(UNIT_ROUNDOFF * col, 2.0**-1074):
+                break
+            step = 2.0 * (2 * i - 1) / i * r_sq
+            b_low = b_low * step + 3.0 * b * (step < 4.0 * _TINY)  # r_sq may be subnormal
+            b *= step
+            b_low += b < _TINY
+            for m in (2 * i - 1, 2 * i):
+                p = math.exp(m * log_z - z - math.lgamma(m + 1.0))
+                q += p
+                q_low += p < _TINY
+            t = b * q
+            col += t
+            floor += 2.0 * (b * q_low + b_low * q) + (t < _TINY)
+            if i > peak_row:
+                p = math.exp(2 * i * (math.log(2 * i * v) - 1.0) - 2.0 * math.lgamma(i + 1.0))
+                col += p
+                floor += 2.0 * (p < _TINY)
+            i += 1
+        top = i - 1
+        if z > 0.0 and top:
+            n, lgam = 2 * top, math.lgamma(2 * top + 1.0)
+            drift = min(5.0 * n * abs(log_z) + 2.0 * z, 14.0 * n + 5.0 * lgam + 10430.0)
+            drift += 5.0 * lgam + 3.0
+        if peak_row < top:
+            size = 5.0 * max(abs(math.log(2.0 * v)), abs(math.log(2.0 * top * v))) + 5.0
+            drift = max(drift, 2.0 * top * size + 10.0 * math.lgamma(top + 1.0) + 6.0)
 
-    log_c = math.log(c) if c > 0.0 else 0.0
-    terms = [math.exp(log_col0)]
-    for i in range(1, rows):
-        power = 2.0 * i * log_c
-        log_fact = 2.0 * math.lgamma(i + 1.0)
-        log_term = power - log_fact + log_moment_tail(s, 2 * i, j_max)
-        units = 3.0 * abs(power) + 4.0 * log_fact + 4.0 + abs(power - log_fact)
-        units += 2.0 * abs(log_term) + 1.0
-        terms.append(math.exp(log_term + units * UNIT_ROUNDOFF))
-    total = (row_sq + math.fsum(terms)) * (1.0 + 8.0 * UNIT_ROUNDOFF) + (rows + 1) * 2.0**-1074
-    return math.nextafter(math.sqrt(total), math.inf)
+    gamma = _gamma(12 * i)
+    eps = (gamma + (1.0 + gamma) * math.expm1(drift * UNIT_ROUNDOFF)) * (1 + 16 * UNIT_ROUNDOFF)
+    total = (row_sq + col * (1.0 + eps)) * (1.0 + 8.0 * UNIT_ROUNDOFF)
+    return math.nextafter(math.sqrt(total + floor * 2.0**-1074), math.inf)
 
 
 class NormEstimate(NamedTuple):

@@ -6,9 +6,8 @@ CertifiedValue, a (value, error_bound) pair guaranteeing
     |value - exact| <= error_bound.
 
 Error bounds account for truncation, and the series' bounds add an
-a-priori rounding term; the moment tails are assembled in log space, where
-rounding scales with the size of the logs, so ``log_moment_tail`` is rounded
-outward.  The module is plain Python; numpy is left to the matrix layer.
+a-priori rounding term.  The module is plain Python; numpy is left to the
+matrix layer.
 
 Contents:
 
@@ -17,8 +16,6 @@ Contents:
   first omitted Bernoulli term, plus a bound on the rounding.
 * ``log_moment_sum(s, i)``: sum_{k>=1} (log k)^i k^(-s) by the same engine
   (zeta is its i = 0 case), with the incomplete-gamma integral and the B4 term.
-* ``log_moment_tail(s, i, J)``: a certified upper bound on the tail
-  sum_{k>J} (log k)^i k^(-s), shared by the series and the matrix layer.
 * ``lower_bound_h``, ``lower_bound_g``, ``lower_bound_f``: closed-form
   comparison functions for zeta lower bounds,
 
@@ -188,10 +185,11 @@ def _euler_maclaurin_tail(
 
     while f'''' keeps one sign on [n, inf): for i >= 1 past
     ``_moment_root_bound``; left of it, the f(n)/2 form alone leaves at most
-    half the variation of f, at most max f (f is unimodal), and the two
-    derivative terms are added.  For i = 0 (zeta) f is completely monotone:
-    the remainder without the f''' term has its sign and is smaller, so the
-    term is left out.  ``head`` is added first, in a fixed order.
+    half the variation of f, at most max f = (i / (s e))^i (f is unimodal),
+    and the two derivative terms are added.  For i = 0 (zeta) f is
+    completely monotone: the remainder without the f''' term has its sign
+    and is smaller, so the term is left out.  ``head`` is added first, in a
+    fixed order.
     """
     if i == 0:
         value = head + n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** (-s) + s * n ** (-s - 1.0) / 12.0
@@ -202,7 +200,7 @@ def _euler_maclaurin_tail(
     value = head + integral + 0.5 * d0 - d1 / 12.0 + d3 / 720.0
     remainder = abs(d3) / 720.0
     if math.log(n) <= _moment_root_bound(polys[4]):
-        remainder += math.exp(_log_summand_peak(s, i)) + abs(d1) / 12.0
+        remainder += math.exp(i * (math.log(i / s) - 1.0)) + abs(d1) / 12.0
     size = sum(_moment_derivative(s, i, m, [abs(c) for c in polys[m]], n) / w
                for m, w in ((0, 2.0), (1, 12.0), (3, 720.0)))
     return value, remainder, _moment_rounding(s, i, n, head, integral, integral_rounding, size)
@@ -329,60 +327,6 @@ def log_moment_tail_integral(s: float, i: int, x: float) -> float:
     return math.lgamma(i + 1.0) - z + log_mode + math.log(total) - (i + 1.0) * math.log(s - 1.0)
 
 
-# log_moment_tail's largest argument: its integral's (s - 1) ln J and the
-# rounding terms built on it stay finite up to J = 2^60
-_TAIL_S_MAX = 2.0**1000
-
-
-def log_moment_tail(s: float, i: int, j_max: int) -> float:
-    """log of a certified upper bound on sum_{k>J} (log k)^i k^-s, s > 1, J >= 1.
-
-    For i = 0 this is the Euler-Maclaurin tail at n = J+1 plus its remainder
-    bound.  For i >= 1 it is the integral from J, which dominates the sum
-    wherever the summand decreases; while J sits left of the summand's peak
-    at k = e^(i/s), the peak value is added.  The result is rounded outward
-    by a derived bound on each step's rounding, in units of u = 2^-53:
-
-    * i = 0: the tail's own bound from ``_zeta_rounding``; the remainder
-      s (s+1) (s+2) n^(-s-3) / 720 within (8 + (s+3) ln n) u relatively
-      (five roundings in the coefficient, the rounded exponent, pow and the
-      product); the sum u; log 2 |log_tail|;
-    * i >= 1: ``_log_tail_rounding`` for the integral; where the peak
-      i (log(i/s) - 1) is added, its own rounding (i/s, log, the
-      subtraction and the product: i (1 + 2 |L| + |L - 1|) + |peak|,
-      L = log(i/s)), and the log-sum-exp, which is 1-Lipschitz in its
-      inputs and adds at most |log_tail| + 4 for its exp, log1p and sum.
-
-    The final addition of the bound is rounded up.  Every term of the sum
-    falls as s grows (k >= 2), so past _TAIL_S_MAX, where the steps above
-    would overflow (at s = inf, say), the bound at _TAIL_S_MAX is returned.
-    """
-    s = min(s, _TAIL_S_MAX)
-    if i == 0:
-        x = float(j_max + 1)
-        tail, remainder, rounding = _euler_maclaurin_tail(s, x)
-        total = tail + remainder
-        if not total > 0.0:
-            return -math.inf
-        log_tail = math.log(total)
-        remainder_units = 8.0 + (s + 3.0) * math.log(x)
-        rho = (rounding + UNIT_ROUNDOFF * remainder_units * remainder) / total
-        rho += UNIT_ROUNDOFF * (2.0 * abs(log_tail) + 1.0)
-    else:
-        x = float(j_max)
-        log_tail = log_moment_tail_integral(s, i, x)
-        rho = _log_tail_rounding(s, i, x, log_tail)
-        if math.log(x) < i / s:  # log(e^log_tail + peak value)
-            peak = _log_summand_peak(s, i)
-            log_ratio = math.log(i / s)
-            peak_units = i * (1.0 + 2.0 * abs(log_ratio) + abs(log_ratio - 1.0)) + abs(peak)
-            low, high = sorted((log_tail, peak))
-            log_tail = high + math.log1p(math.exp(low - high))
-            rho = max(rho, UNIT_ROUNDOFF * peak_units)
-            rho += UNIT_ROUNDOFF * (abs(log_tail) + 4.0)
-    return math.nextafter(log_tail + rho, math.inf)
-
-
 def _log_tail_rounding(s: float, i: int, x: float, log_integral: float) -> float:
     """A-priori bound on the rounding error of ``log_moment_tail_integral``.
 
@@ -433,11 +377,6 @@ def _log_tail_rounding(s: float, i: int, x: float, log_integral: float) -> float
     units += max(i + 2.0 * max(mode, i - mode) - 1.0, 0.0) + 2.0 * abs(log_total)
     units += abs(partial) + abs(partial + log_total) + abs(log_integral) + 2.0
     return units * UNIT_ROUNDOFF
-
-
-def _log_summand_peak(s: float, i: int) -> float:
-    """log max_x (log x)^i x^-s = i (log(i/s) - 1), attained at x = e^(i/s)."""
-    return i * (math.log(i / s) - 1.0)
 
 
 def log_moment_sum(

@@ -15,6 +15,7 @@ import scipy.special as sp
 
 from dirichletops.bounds import (
     ApproxNumberBound,
+    _line_integers,
     approx_number_bound,
     kernel_lower_bound,
     norm_bounds,
@@ -85,6 +86,20 @@ class TestSchurRadius:
     def test_boundary_symbols_give_radius_one(self):
         for t in (0.1, 0.3, 0.5):
             assert schur_radius(0.5 + t, t) == pytest.approx(1.0, abs=1e-12)
+
+    def test_radius_at_the_largest_float(self):
+        # |c2| is raised by its ulp on the integer side: to the next float up,
+        # and past DBL_MAX, which has none, to 2^1024
+        big = 1.7976931348623157e308
+        n1, big_b, big_c, d = _line_integers(big, big, True)
+        assert Fraction(big_c, 2 * d) == 2**1024 and Fraction(n1, d) == big
+        assert schur_radius(big, big) == 1.0
+        for sigma1, c in random_admissible_pairs(200, seed=4):
+            n1, big_b, big_c, d = _line_integers(sigma1, c, True)
+            assert Fraction(big_c, 2 * d) == Fraction(math.nextafter(c, math.inf))
+            assert Fraction(big_b, d) == 2 * Fraction(sigma1) - 1 == Fraction(2 * n1 - d, d)
+            _, _, big_c, d = _line_integers(sigma1, c, False)
+            assert Fraction(big_c, 2 * d) == Fraction(c)
 
     def test_quadratic_root_property(self):
         for sigma1, c in random_admissible_pairs(1000, seed=11):
@@ -290,6 +305,12 @@ class TestApproxNumberBound:
                     assert ab.ratio >= ratio and ab.prefactor >= prefactor, (sigma1, c2)
                     for n in (1, 2, 7, 60, 400):
                         assert ab.bound_at(n) >= prefactor * ratio**n, (sigma1, c2, n)
+
+    def test_largest_float_symbol_rejected_as_boundary(self):
+        big = 1.7976931348623157e308
+        for c2 in (big, big * cmath.exp(0.5j)):
+            with pytest.raises(NonCompactError):
+                approx_number_bound(DirichletSymbol(big, c2))
 
     def test_negative_index_rejected(self):
         ab = ApproxNumberBound(prefactor=2.0, ratio=0.5)

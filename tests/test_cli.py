@@ -12,6 +12,7 @@ import math
 import warnings
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -92,6 +93,19 @@ class TestBounds:
         assert result["symbol_class"] == symbol_class
         assert result["lower_sq"] == result["upper_sq"] == result["kernel_lower_sq"] == 1.0
 
+    @pytest.mark.parametrize("c2_arg", ["0", "0.5"])
+    def test_largest_float_symbol_answers(self, capsys, c2_arg):
+        # |c2| = DBL_MAX: raised by an ulp it has no float above it, so the
+        # boundary-line integers raise it to 2^1024 instead
+        big = "1.7976931348623157e308"
+        argv = ["bounds", "--c1-re", big, "--c2-abs", big, "--c2-arg", c2_arg]
+        code, doc, _ = run_json(capsys, argv)
+        assert code == 0
+        result = doc["result"]
+        assert result["symbol_class"] == "boundary"
+        assert result["schur_r"] == 1.0
+        assert result["lower_sq"] == result["upper_sq"] == 1.0
+
     def test_invalid_symbol_exits_2(self, capsys):
         code, out, err = run_cli(capsys, ["bounds", "--c1-re", "0.6", "--c2-abs", "0.5"])
         assert code == 2
@@ -171,6 +185,30 @@ class TestMatrixNorm:
         else:
             assert result["upper_status"] == "uncertified"
         assert result["within_theorem_bracket"] is True
+
+    @pytest.mark.parametrize("c2_arg", ["0", "0.5"])
+    def test_largest_float_symbol_answers(self, capsys, c2_arg):
+        big = "1.7976931348623157e308"
+        argv = ["matrix-norm", "--c1-re", big, "--c2-abs", big, "--c2-arg", c2_arg]
+        code, doc, _ = run_json(capsys, argv)
+        assert code == 0
+        result = doc["result"]
+        assert result["upper_status"] == "uncertified"
+        assert result["within_theorem_bracket"] is True
+
+    @pytest.mark.parametrize("c1_re", ["1e10", "1e300"])
+    def test_underflowing_row0_tail_answers_at_once(self, capsys, c1_re):
+        # the tail's pass ends a few rows in, though row 0's column tail
+        # underflows, so 20001 rows cost no more than 17
+        start = time.perf_counter()
+        argv = ["matrix-norm", "--c1-re", c1_re, "--c2-abs", "1", "--rows", "20000", "--cols", "10"]
+        code, doc, _ = run_json(capsys, argv)
+        assert time.perf_counter() - start < 10.0
+        assert code == 0
+        result = doc["result"]
+        assert result["upper_status"] == "certified"
+        assert result["lower"] == result["upper"] == 1.0
+        assert 0.0 < result["tail_bound"] < 1e-160
 
     def test_boundary_upper_uncertified(self, capsys):
         code, out, _ = run_cli(

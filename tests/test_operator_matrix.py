@@ -12,6 +12,7 @@ import math
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from dirichletops import operator_matrix
-from dirichletops.bounds import approx_number_bound, c2_abs_upper, norm_bounds, schur_radius
+from dirichletops.bounds import c2_abs_upper, norm_bounds, schur_radius
 from dirichletops.errors import DomainError, MatrixSizeError
 from dirichletops.operator_matrix import (
     MAX_ENTRIES_ENV,
@@ -33,8 +34,9 @@ from dirichletops.operator_matrix import (
     tail_bounds,
     write_matrix,
 )
-from dirichletops.special_functions import UNIT_ROUNDOFF, log_moment_tail, zeta
-from dirichletops.symbol import DirichletSymbol
+from dirichletops.special_functions import UNIT_ROUNDOFF, zeta
+from dirichletops.symbol import DirichletSymbol, SymbolClass, classify
+from mp_tails import mp_moment_tails, mp_tail_sq
 
 
 def mp_singular_values(a, dps=80):
@@ -63,17 +65,22 @@ def column_norm_sq_oracle(sym, j):
 
 
 def log_row_tails(sym, s, i_max, j_max):
-    return np.array(
-        [
-            i * math.log(sym.c2_abs) - math.lgamma(i + 1.0) + log_moment_tail(s, i, j_max)
-            for i in range(1, i_max + 1)
-        ]
-    )
+    """log of |c2|^i / i! times the closed-form column tail of order i past
+    J (mp_moment_tails at 30 digits), for the rows i = 1..I."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        tails = mp_moment_tails(s, i_max, j_max)[1:]
+        return np.array(
+            [
+                i * math.log(sym.c2_abs) - math.lgamma(i + 1.0) + float(mpmath.log(tail))
+                for i, tail in enumerate(tails, start=1)
+            ]
+        )
 
 
 def dense_schur_ratio(sym, r, i_max, j_max):
     """Largest ratio over rows 1..I of a Schur row's left side (its sum over
-    j <= J plus the certified column tail) to beta_low r^i, from the whole
+    j <= J plus the closed-form column tail) to beta_low r^i, from the whole
     I x (J-1) log-space block at once, each row shifted by its largest term
     as np.max finds it, then one exp and one sum.  (A sequential
     np.logaddexp.reduce drops every increment below half an ulp of its
@@ -100,6 +107,23 @@ def assert_dominates_dense(sym, r, i_max, j_max):
     ratio = dense_schur_ratio(sym, r, i_max, j_max)
     assert cert.row_bound >= ratio * (1.0 - 1e-12), (sym, r, cert, ratio)
     assert cert.max_row_residual >= ratio - 1.0 - 1e-12, (sym, r, cert, ratio)
+
+
+def assert_tail_matches_closed_form(sym, i_max, j_max):
+    """tail_bounds against its closed form at 50 digits (mp_tail_sq): never
+    below it at the exact |c2| of the float components, and within 1e-11
+    relative above it at c2_abs_upper, the |c2| it computes with, plus
+    1e-150 for a sum at the subnormal floor.  Returns the bound."""
+    mpmath = pytest.importorskip("mpmath")
+    t = tail_bounds(sym, i_max, j_max)
+    with mpmath.workdps(50):
+        c = mpmath.sqrt(mpmath.mpf(sym.c2.real) ** 2 + mpmath.mpf(sym.c2.imag) ** 2)
+        _, high = mp_tail_sq(sym.sigma1, c, i_max, j_max)
+        low, _ = mp_tail_sq(sym.sigma1, c2_abs_upper(sym), i_max, j_max)
+        assert mpmath.mpf(t) >= mpmath.sqrt(high), (sym, i_max, j_max, t)
+        assert mpmath.mpf(t) <= mpmath.sqrt(low) * (1 + mpmath.mpf(1e-11)) + mpmath.mpf(1e-150), (
+            sym, i_max, j_max, t, mpmath.nstr(mpmath.sqrt(low), 17))
+    return t
 
 
 def assert_entries_within_model(m, positions):
@@ -479,36 +503,21 @@ class TestTailBounds:
     def test_boundary_symbol_infinite(self):
         assert tail_bounds(DirichletSymbol(1.0, 0.5), 10, 100) == math.inf
 
+    @pytest.mark.parametrize("sigma1", [0.5, 0.5 - 1e-13])
+    def test_critical_line_constant_symbol_infinite(self, sigma1):
+        # sum_(j>J) j^(-2 sigma1) diverges for sigma1 <= 1/2, which EQ_TOL admits
+        assert tail_bounds(DirichletSymbol(sigma1, 0.0), 0, 100) == math.inf
+
     @pytest.mark.parametrize("sigma1, c, j_max", [(2.0, 0.5, 50), (1.6, 0.3, 20000), (3.0, 1.5, 20000)])
-    def test_negligible_rows_cost_no_moment_tail(self, sigma1, c, j_max, monkeypatch):
-        # past the row k_t where the closed-form row tail falls below u times
-        # the i = 0 column tail, rows are charged by that closed form alone:
-        # no moment tail is computed for them, the bound stops depending on
-        # I, and it stays above the row-by-row sum over every column tail by
-        # no more than its own rounding terms (27u to 188u here)
+    def test_negligible_rows_cost_no_moment_tail(self, sigma1, c, j_max):
+        # past the first row k_t whose closed-form row tail is at most u
+        # times the running column sum, rows are charged by that closed form
+        # alone: the pass ends there, so the bound stops depending on I (a
+        # billion rows cost no more than 150), and it stays within 1e-11 of
+        # the closed form that charges every row's column tail
         sym = DirichletSymbol(sigma1, c)
-        s, rho_sq = 2.0 * sigma1, (2.0 * c / (2.0 * sigma1 - 1.0)) ** 2
-        i_max = 300
-        col_sq = sum(
-            math.exp(2.0 * i * math.log(c) - 2.0 * math.lgamma(i + 1.0) + log_moment_tail(s, 2 * i, j_max))
-            for i in range(i_max + 1)
-        )
-        full = math.sqrt((s / (s - 1.0)) * rho_sq ** (i_max + 1) / (1.0 - rho_sq) + col_sq)
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return log_moment_tail(*args)
-
-        monkeypatch.setattr(operator_matrix, "log_moment_tail", counted)
-        t = tail_bounds(sym, i_max, j_max)
-        k_t = len(calls)
-        assert k_t < 150
-        assert t == tail_bounds(sym, 150, j_max) and len(calls) == 2 * k_t
-        assert full <= t <= full * (1.0 + 256.0 * UNIT_ROUNDOFF)
-        # the closed form charged for rows k_t.. is at most u times column 0
-        row = approx_number_bound(sym).bound_at(k_t)
-        assert row**2 <= UNIT_ROUNDOFF * math.exp(log_moment_tail(s, 0, j_max)) * (1.0 + 1e-12)
+        t = assert_tail_matches_closed_form(sym, 300, j_max)
+        assert t == tail_bounds(sym, 150, j_max) == tail_bounds(sym, 10**9, j_max)
 
     @pytest.mark.parametrize(
         "sigma1, c2, i_max, j_max",
@@ -521,33 +530,50 @@ class TestTailBounds:
             (20.5 + 1e-3, 20.0 * cmath.exp(-2.1j), 300, 20000),
             (3.0, 1.5 * cmath.exp(1.3j), 1, 1),
             (0.75, 0.0, 0, 1000),
+            (80.0 + 1e-6, 79.5, 40, 20000),  # every row's column mass lies far out
+            (50.5 + 2e-12, 50.0, 200, 20000),
+            (1e10, 1.0, 300, 10),  # row 0's tail underflows
+            (1e300, 1.0, 40, 1000),
         ],
     )
-    def test_rounded_outward_against_mpmath(self, sigma1, c2, i_max, j_max, monkeypatch):
-        # the float bound is at least its own closed form at 50 digits, on
-        # the exact |c2| of the float components, with the certified
-        # log-moment tails it computed (their count is k_t) taken as exact
-        mpmath = pytest.importorskip("mpmath")
-        sym = DirichletSymbol(sigma1, c2)
-        logs = []
+    def test_rounded_outward_against_mpmath(self, sigma1, c2, i_max, j_max):
+        assert_tail_matches_closed_form(DirichletSymbol(sigma1, c2), i_max, j_max)
 
-        def recorded(*args):
-            logs.append(log_moment_tail(*args))
-            return logs[-1]
+    def test_closed_form_sweep(self):
+        # gaps from 1e-12 (boundary symbols within EQ_TOL: +inf) to 10,
+        # |c2| in [1e-3, 1e3], some phased, Re c1 up to 1e300, I <= 60 and
+        # 1 <= J <= 1e6
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
 
-        monkeypatch.setattr(operator_matrix, "log_moment_tail", recorded)
-        t = tail_bounds(sym, i_max, j_max)
-        with mpmath.workdps(50):
-            c = mpmath.sqrt(mpmath.mpf(sym.c2.real) ** 2 + mpmath.mpf(sym.c2.imag) ** 2)
-            s = 2 * mpmath.mpf(sym.sigma1)
-            rho_sq = (2 * c / (s - 1)) ** 2
-            row_sq = s / (s - 1) * rho_sq ** len(logs) / (1 - rho_sq)
-            col_sq = mpmath.fsum(
-                c ** (2 * i) / mpmath.factorial(i) ** 2 * mpmath.exp(log_tail)
-                for i, log_tail in enumerate(logs)
-            )
-            exact = mpmath.sqrt(row_sq + col_sq) if c else mpmath.sqrt(col_sq)
-        assert t >= exact
+        @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            st.floats(-12.0, 1.0),
+            st.floats(-3.0, 3.0),
+            st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+            st.one_of(st.just(0.0), st.floats(0.0, 300.0)),
+            st.integers(0, 60),
+            st.floats(0.0, 6.0),
+        )
+        def check(log_gap, log_c, arg, log_sigma1, i_max, log_j):
+            c = 10.0**log_c
+            sigma1 = max(0.5 + c + 10.0**log_gap, 10.0**log_sigma1)
+            sym = DirichletSymbol(sigma1, c * cmath.exp(1j * arg))
+            j_max = int(10.0**log_j)
+            if classify(sym) is SymbolClass.BOUNDARY:
+                assert tail_bounds(sym, i_max, j_max) == math.inf
+            else:
+                assert_tail_matches_closed_form(sym, i_max, j_max)
+
+        check()
+
+    def test_underflowing_row0_tail_ends_the_pass_early(self):
+        # at (1e10, 1) and J = 10 row 0's column tail underflows, so the cut
+        # compares the row piece with 2^-1074: 17 of 20001 rows are summed
+        start = time.perf_counter()
+        t = tail_bounds(DirichletSymbol(1e10, 1.0), 20000, 10)
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 < t < 1e-160
 
     def test_certifies_actual_discarded_mass(self):
         # the bound must dominate the Hilbert-Schmidt norm of everything a

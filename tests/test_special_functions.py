@@ -31,10 +31,10 @@ from dirichletops.special_functions import (
     CertifiedValue,
     _log_tail_rounding,
     _moment_tail_integral,
-    log_moment_tail,
     log_moment_tail_integral,
     verification_suite,
 )
+from mp_tails import mp_moment_tails
 
 LOOSE = PrecisionBudget(abs_tol=1e-12, rel_tol=1e-7, max_terms=10**6)
 
@@ -187,11 +187,12 @@ def test_log_moment_tail_integral_vs_scipy():
 
 
 def test_log_moment_tail_bounds_hurwitz_oracle():
-    # sum_{k>J} (log k)^i k^-s = (-1)^i d^i/ds^i zeta(s, J+1), at 30 digits;
-    # J = 3 sits left of the summand's peak for the larger orders.  The
-    # bound is rounded outward, so it must hold with no slack, also where
-    # the true margin is below the rounding level: (1.1, 12, 10^5) has
-    # 3e-15 relative, and (1.05, 21, J) fell up to 1.5e-14 short unrounded.
+    # sum_{k>J} (log k)^i k^-s = (-1)^i d^i/ds^i zeta(s, J+1) against the
+    # closed-form bounds the matrix layer's tails rest on (mp_moment_tails:
+    # Euler-Maclaurin for i = 0, the integral from J plus the peak term for
+    # i >= 1); J = 3 sits left of the summand's peak for the larger orders.
+    # The margin can be tiny: (1.1, 12, 10^5) has 1.8e-15 relative and
+    # (1.05, 21, J) 7e-31 to 1e-30, so the check runs at 50 digits
     mpmath = pytest.importorskip("mpmath")
     cases = [
         (s, i, j_max)
@@ -200,16 +201,14 @@ def test_log_moment_tail_bounds_hurwitz_oracle():
         for j_max in (3, 100, 10**5)
     ]
     cases += [(1.05, 21, j_max) for j_max in (3, 50, 2000, 10**5, 10**7)]
-    with mpmath.workdps(30):
+    with mpmath.workdps(50):
         for s, i, j_max in cases:
             exact = (-1) ** i * mpmath.zeta(s, j_max + 1, i)
-            log_bound = log_moment_tail(s, i, j_max)
-            assert exact <= mpmath.e**log_bound, (s, i, j_max)
-            if i == 0:  # over by at most twice the remainder bound, plus
-                # the outward rounding of a few ulps per unit of |log|
+            bound = mp_moment_tails(s, i, j_max)[i]
+            assert exact <= bound, (s, i, j_max)
+            if i == 0:  # over by at most twice the remainder bound
                 slack = s * (s + 1) * (s + 2) / 360 * (j_max + 1.0) ** (-s - 3)
-                rounding = 1e-15 * (abs(log_bound) + 10.0)
-                assert mpmath.e**log_bound <= exact * (1 + rounding) + slack, (s, j_max)
+                assert bound <= exact + slack, (s, j_max)
 
 
 def test_log_tail_rounding_covers_the_error():
