@@ -256,15 +256,17 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     """Certified operator-norm bound on the discarded rows and columns.
 
     The root of a Hilbert-Schmidt sum, with c = |c2| from c2_abs_upper and
-    s = 2 sigma1 taken as min(s, 2^1000): every piece grows with c and falls
-    as s grows.
+    s = 2 sigma1 taken as min(s, 2^1000) in row 0, 1/(s-1), z and the peak
+    test, each of which grows with c and falls as s grows.  The ratios r
+    and c/s come from sigma1 itself, so that b_i stays at most
+    rho^2i/(s-1), rho < 1, also where s is clamped.
 
     * Row 0 past column J: its Euler-Maclaurin tail at n = J + 1 with the
       remainder bound (special_functions._euler_maclaurin_tail), at s up to
       2^11, past which every term lies below 2^-2047.
     * Rows 1 <= i < k_t past column J: c^2i / (i!)^2 sum_(j>J) (ln j)^2i j^-s
       is at most the integral from J, T_i = b_i Q_2i(z) with
-      b_i = C(2i, i) r^2i / (s-1) <= rho^2i / (s-1), r = c / (s-1),
+      b_i = C(2i, i) r^2i / (s-1) <= rho^2i / (s-1), r = c / (2 sigma1 - 1),
       rho = 2r, z = (s-1) ln J and Q_n(z) = e^-z sum_(m<=n) z^m / m! (the
       regularized upper incomplete gamma function), plus the summand's peak
       P_i = c^2i (2i / (s e))^2i / (i!)^2 while ln J < 2i/s.
@@ -291,9 +293,12 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     * P_i's exponent is off by at most 2i (5 |L| + 5) + 10 log i! + 6,
       L = ln(2i c / s), largest at i = 1 or k_t - 1.  Below c / s = 2^-1022
       every P_i is below 2^-1074 and none is added.
-    * With k = k_t and E the largest exponent bound used, b_i (8i + 2
-      roundings), Q_2i (a sum of 2i + 1 terms) and their product put each
-      T_i, and each P_i, within (1 + gamma_10k) e^(E u).  Row 0 takes its
+    * r = (c / (sigma1 - 1/2)) / 2 and c/s = (c / sigma1) / 2 take two
+      roundings and one (halving is exact in the normal range, and a
+      subnormal r gives r^2 = 0, covered below).  With k = k_t and E the
+      largest exponent bound used, b_i (8i + 2 roundings), Q_2i (a sum of
+      2i + 1 terms) and their product put each T_i, and each P_i, within
+      (1 + gamma_10k) e^(E u).  Row 0 takes its
       own rounding bound, (8 + (s+3) ln n) u of its remainder (five
       roundings of the coefficient, its exponent's, pow and the product)
       and gamma_5, and S gamma_2k: eps = gamma_12k + (1 + gamma_12k)
@@ -321,9 +326,9 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     s0, log_n = min(s, 2048.0), math.log(j_max + 1.0)
     tail, remainder, rounding = _euler_maclaurin_tail(s0, j_max + 1.0)
     col = tail + rounding + remainder * (1.0 + (8.0 + (s0 + 3.0) * log_n) * UNIT_ROUNDOFF)
-    k = (min(s, 1100.0) + 2.0) ** 3 / 500.0
-    band = 700.0 < (s + 3.0) * log_n and (s + 1.0) * log_n < 746.0 + math.log(k)
-    floor = 5.0 + (k if band else 0.0)
+    big_k = (min(s, 1100.0) + 2.0) ** 3 / 500.0
+    band = 700.0 < (s + 3.0) * log_n and (s + 1.0) * log_n < 746.0 + math.log(big_k)
+    floor = 5.0 + (big_k if band else 0.0)
 
     i, row_sq, drift = 1, 0.0, 0.0  # with c2 = 0 rows i >= 1 of B vanish
     if c > 0.0:
@@ -331,10 +336,12 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
             law = approx_number_bound(sym)
         except NonCompactError:  # boundary symbols: the rows do not decay
             return math.inf
-        s1, log_j, v = s - 1.0, math.log(j_max), c / s
+        s1, log_j = s - 1.0, math.log(j_max)
+        # from sigma1 itself, not the clamped s: c / (sigma1 - 1/2) = rho < 1
+        # (equal to 2 c / (s - 1) wherever s is not clamped)
+        v, r_sq = 0.5 * (c / sym.sigma1), (0.5 * (c / (sym.sigma1 - 0.5))) ** 2
         z = s1 * log_j * (1.0 - 6.0 * UNIT_ROUNDOFF)
         log_z = math.log(z) if z > 0.0 else -math.inf  # J = 1: Q_n(0) = 1
-        r_sq = (c / s1) ** 2
         peak_row = math.inf if v < _TINY else 0.5 * s * log_j * (1.0 - 8.0 * UNIT_ROUNDOFF)
         b, q = 1.0 / s1, math.exp(-z)
         b_low, q_low = 0.0, float(q < _TINY)  # shortfalls in units of 2^-1074

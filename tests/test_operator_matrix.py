@@ -534,6 +534,9 @@ class TestTailBounds:
             (50.5 + 2e-12, 50.0, 200, 20000),
             (1e10, 1.0, 300, 10),  # row 0's tail underflows
             (1e300, 1.0, 40, 1000),
+            (1e308, 1e307, 60, 10),  # s is clamped far below 2 sigma1, rho = 0.1
+            (1e302, 9e301, 300, 2),
+            (1e302, 9e301, 300, 1),
         ],
     )
     def test_rounded_outward_against_mpmath(self, sigma1, c2, i_max, j_max):
@@ -541,8 +544,9 @@ class TestTailBounds:
 
     def test_closed_form_sweep(self):
         # gaps from 1e-12 (boundary symbols within EQ_TOL: +inf) to 10,
-        # |c2| in [1e-3, 1e3], some phased, Re c1 up to 1e300, I <= 60 and
-        # 1 <= J <= 1e6
+        # |c2| in [1e-3, 1e3] or a fraction rho/2 of 2 Re c1 - 1, some
+        # phased, Re c1 up to 1e308 (often past 1e300, where the tail clamps
+        # s = 2 Re c1), I <= 60 and 1 <= J <= 1e6
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
 
@@ -551,13 +555,16 @@ class TestTailBounds:
             st.floats(-12.0, 1.0),
             st.floats(-3.0, 3.0),
             st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
-            st.one_of(st.just(0.0), st.floats(0.0, 300.0)),
+            st.one_of(st.just(0.0), st.floats(0.0, 308.0), st.floats(300.0, 308.0)),
             st.integers(0, 60),
             st.floats(0.0, 6.0),
+            st.one_of(st.just(0.0), st.floats(0.01, 0.99)),
         )
-        def check(log_gap, log_c, arg, log_sigma1, i_max, log_j):
+        def check(log_gap, log_c, arg, log_sigma1, i_max, log_j, rho):
             c = 10.0**log_c
             sigma1 = max(0.5 + c + 10.0**log_gap, 10.0**log_sigma1)
+            if rho:  # |c2| on the scale of Re c1, however large
+                c = rho * (sigma1 - 0.5)
             sym = DirichletSymbol(sigma1, c * cmath.exp(1j * arg))
             j_max = int(10.0**log_j)
             if classify(sym) is SymbolClass.BOUNDARY:
