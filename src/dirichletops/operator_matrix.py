@@ -256,10 +256,8 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     """Certified operator-norm bound on the discarded rows and columns.
 
     The root of a Hilbert-Schmidt sum, with c = |c2| from c2_abs_upper and
-    s = 2 sigma1 taken as min(s, 2^1000) in row 0, 1/(s-1), z and the peak
-    test, each of which grows with c and falls as s grows.  The ratios r
-    and c/s come from sigma1 itself, so that b_i stays at most
-    rho^2i/(s-1), rho < 1, also where s is clamped.
+    s = 2 sigma1 taken as min(s, 2^1000) in all but r and c/s: every piece
+    grows with c and falls as s grows.
 
     * Row 0 past column J: its Euler-Maclaurin tail at n = J + 1 with the
       remainder bound (special_functions._euler_maclaurin_tail), at s up to
@@ -293,12 +291,9 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     * P_i's exponent is off by at most 2i (5 |L| + 5) + 10 log i! + 6,
       L = ln(2i c / s), largest at i = 1 or k_t - 1.  Below c / s = 2^-1022
       every P_i is below 2^-1074 and none is added.
-    * r = (c / (sigma1 - 1/2)) / 2 and c/s = (c / sigma1) / 2 take two
-      roundings and one (halving is exact in the normal range, and a
-      subnormal r gives r^2 = 0, covered below).  With k = k_t and E the
-      largest exponent bound used, b_i (8i + 2 roundings), Q_2i (a sum of
-      2i + 1 terms) and their product put each T_i, and each P_i, within
-      (1 + gamma_10k) e^(E u).  Row 0 takes its
+    * With k = k_t and E the largest exponent bound used, b_i (8i + 2
+      roundings), Q_2i (a sum of 2i + 1 terms) and their product put each
+      T_i, and each P_i, within (1 + gamma_10k) e^(E u).  Row 0 takes its
       own rounding bound, (8 + (s+3) ln n) u of its remainder (five
       roundings of the coefficient, its exponent's, pow and the product)
       and gamma_5, and S gamma_2k: eps = gamma_12k + (1 + gamma_12k)
@@ -308,7 +303,7 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     * The floor, in units of 2^-1074: a result below 2^-1022 is off by at
       most one unit past its relative bound, times what multiplies it
       later.  The pass tracks how far b and Q may fall short: a step below
-      2^-1020 (r^2 may be subnormal) adds 3 b_(i-1), a b_i below 2^-1022
+      2^-1020 (r or r^2 may be subnormal) adds 3 b_(i-1), a b_i below 2^-1022
       adds 1, both carried by later steps, and each Poisson term below
       2^-1022 adds 1 to Q's.  Row i costs 2 (b_i Q's + b's Q_2i), the 2
       covering e^(E u) and the gammas, plus 1 for T_i and 2 for P_i below
@@ -337,9 +332,7 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
         except NonCompactError:  # boundary symbols: the rows do not decay
             return math.inf
         s1, log_j = s - 1.0, math.log(j_max)
-        # from sigma1 itself, not the clamped s: c / (sigma1 - 1/2) = rho < 1
-        # (equal to 2 c / (s - 1) wherever s is not clamped)
-        v, r_sq = 0.5 * (c / sym.sigma1), (0.5 * (c / (sym.sigma1 - 0.5))) ** 2
+        v, r_sq = 0.5 * (c / sym.sigma1), (0.5 * (c / (sym.sigma1 - 0.5))) ** 2  # sigma1, unclamped
         z = s1 * log_j * (1.0 - 6.0 * UNIT_ROUNDOFF)
         log_z = math.log(z) if z > 0.0 else -math.inf  # J = 1: Q_n(0) = 1
         peak_row = math.inf if v < _TINY else 0.5 * s * log_j * (1.0 - 8.0 * UNIT_ROUNDOFF)
