@@ -252,13 +252,16 @@ def approx_number_bound(sym: DirichletSymbol) -> ApproxNumberBound:
     boundary symbols.  Both
     numbers grow with |c2| and are rounded up: they are exact rationals at
     c2_abs_upper, rounded to the next float up, and the prefactor's
-    correctly rounded square root is raised by one ulp.
+    correctly rounded square root is raised by one ulp.  A rejected
+    symbol's gap is reported from the exact integers at the float |c2|,
+    correctly rounded, so it is finite even where 2 sigma1 overflows.
     """
     n1, big_b, big_c, d = _line_integers(sym.sigma1, sym.c2_abs, c2_abs_upper(sym) > sym.c2_abs)
     if big_b <= big_c or classify(sym) is SymbolClass.BOUNDARY:
-        gap = 2.0 * sym.sigma1 - 2.0 * sym.c2_abs - 1.0
+        _, gap_b, gap_c, gap_d = _line_integers(sym.sigma1, sym.c2_abs, False)
         raise NonCompactError(
-            f"approximation-number bound needs 2 Re c1 - 2 |c2| - 1 > 0, got {gap}"
+            "approximation-number bound needs 2 Re c1 - 2 |c2| - 1 > 0, "
+            f"got {(gap_b - gap_c) / gap_d}"
         )
     den = big_b * big_b - big_c * big_c
     prefactor = math.nextafter(math.sqrt(_ceil_quotient(big_b * 2 * n1, den)), math.inf)

@@ -109,34 +109,41 @@ def _check_truncation(i_max: int, j_max: int) -> None:
 
 
 class TruncatedMatrix:
-    """Dense (I+1) x J slice of the operator matrix.
+    """The symbol's (I+1) x J truncation of the operator matrix.
 
-    ``magnitudes`` is the real nonnegative block B = |A|, read-only and safe
-    to share across threads.  A block from build_matrix starts empty and is
-    filled whole, under a lock, on the first read of ``magnitudes`` (or of
-    ``entries``, which reads it); a block passed in is taken as filled.
-    operator_norm_estimate brackets the norm of the symbol's (I+1) x J
-    truncation from its Gram matrix and reads no block, not even a wrapped
-    one.  ``entries`` is the phased complex block A = D_row B D_col,
+    The truncation and the entry cap (see _max_entries) are checked here,
+    and no array is held until ``magnitudes`` is first read: then the real
+    nonnegative block B = |A| is allocated (see _zeros), filled by _rows
+    under a lock and kept read-only, so a shared matrix is safe across
+    threads.  ``entries`` is the phased complex block A = D_row B D_col,
     computed on first access and cached read-only.
     """
 
-    def __init__(self, magnitudes: np.ndarray, symbol: DirichletSymbol) -> None:
-        self.symbol = symbol
-        self._block = magnitudes
-        self._view = magnitudes.view()
-        self._view.flags.writeable = False
-        self._filled = True
+    def __init__(self, symbol: DirichletSymbol, i_max: int, j_max: int) -> None:
+        _check_truncation(i_max, j_max)
+        total = (i_max + 1) * j_max
+        cap = _max_entries()
+        if total > cap:
+            raise MatrixSizeError(
+                f"matrix would hold {total} entries ({total * _ENTRY_BYTES} bytes at "
+                f"{_ENTRY_BYTES} B per entry), cap is {cap} entries ({cap * _ENTRY_BYTES} "
+                f"bytes); set {MAX_ENTRIES_ENV} to raise it"
+            )
+        self.symbol, self.i_max, self.j_max = symbol, i_max, j_max
+        self.row_count, self.col_count = i_max + 1, j_max
+        self._block: np.ndarray | None = None
         self._lock = threading.Lock()
 
     @property
     def magnitudes(self) -> np.ndarray:
         with self._lock:
-            if not self._filled:
-                for _ in _rows(self.symbol, self.row_count, self._block):
+            if self._block is None:
+                block = _zeros((self.row_count, self.col_count), np.float64)
+                for _ in _rows(self.symbol, self.row_count, block):
                     pass
-                self._filled = True
-        return self._view
+                block.flags.writeable = False
+                self._block = block
+        return self._block
 
     @cached_property
     def tail_bound(self) -> float:
@@ -159,46 +166,18 @@ class TruncatedMatrix:
         a.flags.writeable = False
         return a
 
-    @property
-    def row_count(self) -> int:
-        return self._block.shape[0]
-
-    @property
-    def col_count(self) -> int:
-        return self._block.shape[1]
-
-    @property
-    def i_max(self) -> int:
-        return self.row_count - 1
-
-    @property
-    def j_max(self) -> int:
-        return self.col_count
-
 
 def build_matrix(sym: DirichletSymbol, i_max: int, j_max: int) -> TruncatedMatrix:
     """Magnitudes B[i][j] = j^(-sigma1) (|c2| log j)^i / i! for i <= I, j <= J.
 
     The block takes 8 bytes per entry; a large one sits in its own memory
-    mapping (see _zeros).  Only the size is checked here: the rows, as
-    _rows computes them, are filled on the first read of ``magnitudes``
-    (see TruncatedMatrix), so a block whose entries are never read costs
-    no time and no resident pages.  The tail bound is computed on first
-    access.
+    mapping (see _zeros).  Only the truncation and the size are checked
+    here, and nothing is allocated: the rows, as _rows computes them, are
+    filled on the first read of ``magnitudes`` (see TruncatedMatrix), so a
+    block whose entries are never read costs no time and no resident
+    pages.  The tail bound is computed on first access.
     """
-    _check_truncation(i_max, j_max)
-    total = (i_max + 1) * j_max
-    cap = _max_entries()
-    if total > cap:
-        raise MatrixSizeError(
-            f"matrix would hold {total} entries ({total * _ENTRY_BYTES} bytes at "
-            f"{_ENTRY_BYTES} B per entry), cap is {cap} entries ({cap * _ENTRY_BYTES} "
-            f"bytes); set {MAX_ENTRIES_ENV} to raise it"
-        )
-
-    m = TruncatedMatrix(_zeros((i_max + 1, j_max), np.float64), sym)
-    m._filled = False
-    return m
+    return TruncatedMatrix(sym, i_max, j_max)
 
 
 def _rows(sym: DirichletSymbol, count: int, out: np.ndarray) -> Iterator[np.ndarray]:
@@ -266,8 +245,10 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
       is at most the integral from J, T_i = b_i Q_2i(z) with
       b_i = C(2i, i) r^2i / (s-1) <= rho^2i / (s-1), r = c / (2 sigma1 - 1),
       rho = 2r, z = (s-1) ln J and Q_n(z) = e^-z sum_(m<=n) z^m / m! (the
-      regularized upper incomplete gamma function), plus the summand's peak
-      P_i = c^2i (2i / (s e))^2i / (i!)^2 while ln J < 2i/s.
+      regularized upper incomplete gamma function), plus, while
+      ln J < 2i/s, the summand's largest value right of column J,
+      P_i = c^2i t^2i e^-st / (i!)^2 at t = max(2i/s, ln(J+1)): a unimodal
+      f has sum_(j>J) f(j) <= integral_J^inf f + max_(x>=J+1) f(x).
     * Rows i >= k_t: approx_number_bound(sym).bound_at(k_t) squared, at
       least (s/(s-1)) rho^2k_t / (1 - rho^2), +inf for boundary symbols.
 
@@ -288,9 +269,17 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
       z < 1 and m |ln z| + z + log m! <= 746, or m ln z <= z + log m! and
       z <= 2m + 1490, so E_m <= 14m + 10 log m! + 10433 too; a smaller
       term comes out below 2^-1022 and costs only the floor.
-    * P_i's exponent is off by at most 2i (5 |L| + 5) + 10 log i! + 6,
-      L = ln(2i c / s), largest at i = 1 or k_t - 1.  Below c / s = 2^-1022
-      every P_i is below 2^-1074 and none is added.
+    * P_i = exp(2i (L + log w - w) - 2 log i!), L = ln(2i c / s) and
+      w = s t / (2i) = max(1, s ln(J+1) / (2i)), which takes the clamped s
+      (that lowers w and raises log w - w).  At w = 1, the peak itself,
+      the exponent is off by at most 2i (5 |L| + 5) + 10 log i! + 6,
+      largest at i = 1 or k_t - 1.  Past it, w is within 4u, which moves
+      log w - w by at most 4u (w - 1), and log w, the two new sums and
+      the larger terms rounded later add at most 2 |L| + 7 log w + 4w - 3
+      more per unit of 2i, at most 2 |L| + 15 (w - 1) + 1: L + log w - w
+      is raised by (2 |L| + 16 w) u, so the bound at w = 1 holds for every
+      row.  Below c / s = 2^-1022 every P_i is below 2^-1074 and none is
+      added.
     * With k = k_t and E the largest exponent bound used, b_i (8i + 2
       roundings), Q_2i (a sum of 2i + 1 terms) and their product put each
       T_i, and each P_i, within (1 + gamma_10k) e^(E u).  Row 0 takes its
@@ -354,8 +343,12 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
             t = b * q
             col += t
             floor += 2.0 * (b * q_low + b_low * q) + (t < _TINY)
-            if i > peak_row:
-                p = math.exp(2 * i * (math.log(2 * i * v) - 1.0) - 2.0 * math.lgamma(i + 1.0))
+            if i > peak_row:  # the summand's largest value from column J + 1 on
+                big_l, w = math.log(2 * i * v), max(s * log_n / (2 * i), 1.0)
+                lead = big_l + math.log(w) - w
+                if w > 1.0:  # column J + 1 lies right of the peak
+                    lead += (2.0 * abs(big_l) + 16.0 * w) * UNIT_ROUNDOFF
+                p = math.exp(2 * i * lead - 2.0 * math.lgamma(i + 1.0))
                 col += p
                 floor += 2.0 * (p < _TINY)
             i += 1
@@ -381,15 +374,13 @@ class NormEstimate(NamedTuple):
     converged: bool
 
 
-def _gamma(n):
+def _gamma(n: int) -> float:
     """Higham's gamma_n = n u / (1 - n u) (Accuracy and Stability of Numerical
     Algorithms, 2002, ch. 3): a sum of n nonnegative products, added in any
     order, is off by at most gamma_n of its value.  The bound holds only
-    while n u < 1; past that it is +inf.  n may be a scalar or an array."""
-    nu = np.asarray(n, dtype=np.float64) * UNIT_ROUNDOFF
-    out = np.full_like(nu, math.inf)
-    np.divide(nu, 1.0 - nu, out=out, where=nu < 1.0)
-    return out if out.ndim else float(out)
+    while n u < 1; past that it is +inf."""
+    nu = n * UNIT_ROUNDOFF
+    return nu / (1.0 - nu) if nu < 1.0 else math.inf
 
 
 def _entry_rounding(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
@@ -586,7 +577,7 @@ def operator_norm_estimate(
 
     The norm bracketed is that of the symbol's (I+1) x J truncation
     B = |A|, which has the singular values of A: only ``m.symbol``,
-    ``m.i_max`` and ``m.j_max`` are read, and no block is filled or read.
+    ``m.i_max`` and ``m.j_max`` are read, and no block is made.
     Rows k..I of B have Frobenius norm at most ``dropped`` <= u ||B|| (see
     _significant_rows).  ||B_k||^2, B_k the first k rows, is the Perron
     root of the k x k Gram matrix G = B_k B_k^T >= 0, assembled from 2k - 1

@@ -330,6 +330,16 @@ class TestApproxNumbers:
         assert out == ""
         assert "2 Re c1 - 2 |c2| - 1" in err
 
+    def test_largest_float_symbol_reports_a_finite_gap(self, capsys):
+        # 2 Re c1 overflows at Re c1 = |c2| = DBL_MAX: the gap comes from
+        # the exact integers, 2 DBL_MAX - 2 DBL_MAX - 1 = -1
+        big = "1.7976931348623157e308"
+        code, out, err = run_cli(capsys, ["approx-numbers", "--c1-re", big, "--c2-abs", big])
+        assert code == 2
+        assert out == ""
+        gap = float(err.strip().rpartition("got ")[2])
+        assert gap == -1.0
+
     def test_n_max_zero_empty_table(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -341,7 +341,7 @@ class TestBuildMatrix:
         assert "1100 entries (8800 bytes at 8 B per entry)" in message
         assert "cap is 100 entries (800 bytes)" in message
         assert MAX_ENTRIES_ENV in message
-        assert not build_matrix(sym, 4, 20)._filled  # 100 entries: at the cap, no row filled
+        assert build_matrix(sym, 4, 20).row_count == 5  # 100 entries: at the cap
         monkeypatch.setenv(MAX_ENTRIES_ENV, "not-a-number")
         with pytest.raises(MatrixSizeError):
             build_matrix(sym, 1, 1)
@@ -389,9 +389,8 @@ class TestRowsOnDemand:
         # bit for bit as the whole-block reference computes it
         sym = DirichletSymbol(c1, complex(c2))
         m = build_matrix(sym, i_max, j_max)
-        assert not m._filled
         block = m.magnitudes
-        assert m._filled and not block.flags.writeable
+        assert not block.flags.writeable
         assert np.array_equal(block, reference_fill(sym, i_max, j_max))
         assert m.magnitudes is block
 
@@ -401,20 +400,42 @@ class TestRowsOnDemand:
         sym = DirichletSymbol(1.6 + 2.0j, 0.3 * np.exp(1.0j))
         first = build_matrix(sym, 200, 2000)
         phased = first.entries
-        assert first._filled
         second = build_matrix(sym, 200, 2000)
         assert np.array_equal(second.magnitudes, first.magnitudes)
         assert np.array_equal(second.entries, phased)
 
-    def test_norm_fills_no_row(self):
-        # the norm reads the symbol and the truncation only: a built block
-        # stays empty, and a wrapped block, here all NaN, is never read
-        sym = DirichletSymbol(1.6, 0.3)
-        m = build_matrix(sym, 400, 50000)
+    @pytest.fixture
+    def made(self, monkeypatch):
+        # every block, real or complex, is allocated by _zeros: the shapes
+        # and dtypes of the calls, in order
+        made = []
+        zeros = operator_matrix._zeros
+
+        def counted(shape, dtype):
+            made.append((shape, np.dtype(dtype)))
+            return zeros(shape, dtype)
+
+        monkeypatch.setattr(operator_matrix, "_zeros", counted)
+        return made
+
+    def test_norm_fills_no_row(self, made):
+        # the norm reads the symbol and the truncation only: no block is made
+        m = build_matrix(DirichletSymbol(1.6, 0.3), 400, 50000)
+        assert operator_norm_estimate(m).converged
+        assert made == []
+
+    def test_block_is_made_on_first_read(self, made):
+        # the build, the norm and the tail make no block; the first read of
+        # the magnitudes makes the real one, the entries the complex one
+        m = build_matrix(DirichletSymbol(2.0 + 1.0j, 0.5), 30, 400)
         operator_norm_estimate(m)
-        assert not m._filled
-        wrapped = operator_matrix.TruncatedMatrix(np.full((41, 500), np.nan), sym)
-        assert operator_norm_estimate(wrapped) == operator_norm_estimate(build_matrix(sym, 40, 500))
+        assert m.tail_bound > 0.0
+        assert made == []
+        block = m.magnitudes
+        assert made == [((31, 400), np.dtype(np.float64))]
+        assert m.magnitudes is block
+        assert m.entries.shape == (31, 400)
+        assert made[1:] == [((31, 400), np.dtype(np.complex128))]
 
     def test_threads_read_identical_blocks(self, monkeypatch):
         # more threads than cores, switching every microsecond, read the
@@ -537,6 +558,7 @@ class TestTailBounds:
             (1e308, 1e307, 60, 10),  # s is clamped far below 2 sigma1, rho = 0.1
             (1e302, 9e301, 300, 2),
             (1e302, 9e301, 300, 1),
+            (20.0, 10.0, 30, 1),  # rows 1..13 peak in (J, J + 1)
         ],
     )
     def test_rounded_outward_against_mpmath(self, sigma1, c2, i_max, j_max):
@@ -573,6 +595,28 @@ class TestTailBounds:
                 assert_tail_matches_closed_form(sym, i_max, j_max)
 
         check()
+
+    def test_peak_left_of_the_first_summed_column(self):
+        # at (20, 10) and J = 1 the summands of rows 1..13 peak in (1, 2),
+        # left of column 2, the first one summed: each row is charged its
+        # largest summand from column 2 on, and every row's closed form
+        # still bounds its true 50-digit tail past column J, by the Hurwitz
+        # zeta derivative sum_(j>J) (ln j)^2i j^-s = zeta^(2i)(s, J + 1)
+        mpmath = pytest.importorskip("mpmath")
+        sym, i_max, j_max = DirichletSymbol(20.0, 10.0), 30, 1
+        with mpmath.workdps(50):
+            s, c = 2 * mpmath.mpf(sym.sigma1), mpmath.mpf(sym.c2_abs)
+            closed = mp_moment_tails(s, 2 * i_max, j_max)[::2]
+            exact = [mpmath.zeta(s, j_max + 1, 2 * i) for i in range(i_max + 1)]
+            for i, (bound, tail) in enumerate(zip(closed, exact)):
+                assert tail <= bound, (i, tail, bound)
+            true_sq = sum(c ** (2 * i) / mpmath.factorial(i) ** 2 * tail for i, tail in enumerate(exact))
+        t = assert_tail_matches_closed_form(sym, i_max, j_max)
+        assert mpmath.mpf(t) ** 2 >= true_sq
+        assert t < 0.07  # 0.21 with each row's peak taken at t = 2i/s
+        # every row of (1e302, 9e301) peaks left of column 2, where the
+        # summands vanish: only the row piece of rows past I is left
+        assert tail_bounds(DirichletSymbol(1e302, 9e301), 300, 1) < 1e-13
 
     def test_underflowing_row0_tail_ends_the_pass_early(self):
         # at (1e10, 1) and J = 10 row 0's column tail underflows, so the cut
@@ -971,15 +1015,6 @@ class TestSingularValues:
             assert abs(mine - ref) <= 1e-8 * ref + 1e-14 * top
         assert spec.truncation == (30, 120)
 
-    def test_random_dense_oracle(self):
-        # the SVD reads the nonnegative block, so a random one is injected there
-        rng = np.random.default_rng(42)
-        a = rng.random((40, 40))
-        m = operator_matrix.TruncatedMatrix(a, DirichletSymbol(2.0, 0.5))
-        spec = singular_values(m, 40)
-        oracle = mp_singular_values(a)
-        assert np.max(np.abs(spec.values - oracle) / oracle) < 1e-10
-
     def test_phased_block_matches_dense_svd(self):
         # the norm and the spectrum come from B; the phased complex export
         # must have the same ones, to within the spectrum's resolution
@@ -1086,7 +1121,7 @@ class TestSchurCertificate:
     def test_gamma_is_infinite_past_its_model(self):
         assert operator_matrix._gamma(5) == 5 * UNIT_ROUNDOFF / (1.0 - 5 * UNIT_ROUNDOFF)
         assert operator_matrix._gamma(2**53) == math.inf
-        assert operator_matrix._gamma(np.array([2.0**60]))[0] == math.inf
+        assert operator_matrix._gamma(2**60) == math.inf
 
     def test_boundary_symbol_at_r_one(self):
         cert = schur_certificate(DirichletSymbol(1.0, 0.5), 1.0, 60, 5000)
