@@ -60,6 +60,26 @@ _TINY = 2.0**-1022  # the least normal float
 # computed exponent below -745.2 returns 0 or 2^-1074 (2^-1075 = e^-745.13)
 _UNDERFLOW_EXPONENT = 746.0
 
+# Euler-Maclaurin sums of the Gram moments past column N (see _gram_moments):
+# p = 8 Bernoulli numbers B_2r as (numerator, denominator), beta_r =
+# B_2r / (2r)! correctly rounded (int / int is), and |B_2p| / (2p)!,
+# rounded up, which bounds the remainder's periodic factor
+_EM_TERMS = 8
+_EM_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
+_EM_BETA = tuple(num / (den * math.factorial(2 * r)) for r, (num, den) in enumerate(_EM_BERNOULLI, 1))
+_EM_REMAINDER = math.nextafter(3617 / (510 * math.factorial(2 * _EM_TERMS)), 1.0)
+_EM_BETA_COLUMN = np.array(_EM_BETA)[:, None]
+_EM_ORDERS = np.arange(1.0, 2 * _EM_TERMS, 2.0)[:, None]  # the derivative orders 2r - 1
+# N is the least power of two from _EM_FIRST with Lambda / N at most this
+# theta, K theta^2p = u: then the remainder is about u of the integral
+_EM_RATIO = (2.0**-53 / _EM_REMAINDER) ** (1.0 / (2 * _EM_TERMS))
+_EM_FIRST = 64
+# (s - 1) ln J at most this keeps e^-z, z = (s - 1) ln x, in the normal range
+_EM_EXPONENT_MAX = 700.0
+# Euler-Maclaurin errors up to this are charged as absolute ones: k times
+# it, over _X_FLOOR, stays far below u in the norm's bracket
+_EM_ABSOLUTE = 2.0**-1000
+
 
 def _max_entries() -> int:
     raw = os.environ.get(MAX_ENTRIES_ENV)
@@ -98,7 +118,7 @@ def _zeros(shape: tuple[int, int], dtype) -> np.ndarray:
 
 def log_factorials(n: int) -> np.ndarray:
     """lgamma(i+1) = log(i!) for i = 0..n, each entry computed by math.lgamma."""
-    return np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    return np.fromiter(map(math.lgamma, np.arange(1.0, n + 2.0).tolist()), np.float64, n + 1)
 
 
 def _check_truncation(i_max: int, j_max: int) -> None:
@@ -180,10 +200,13 @@ def build_matrix(sym: DirichletSymbol, i_max: int, j_max: int) -> TruncatedMatri
     return TruncatedMatrix(sym, i_max, j_max)
 
 
-def _rows(sym: DirichletSymbol, count: int, out: np.ndarray) -> Iterator[np.ndarray]:
+def _rows(
+    sym: DirichletSymbol, count: int, out: np.ndarray, columns: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
     """Compute rows 0..count-1 of B in order and yield each, row i written
     to out[i % len(out)]: an (I+1) x J buffer receives the whole block, a
-    2 x J one streams it.
+    2 x J one streams it.  ``columns`` lists the column indices j >= 1 the
+    buffer holds, ascending, and defaults to 1..J.
 
     Row 0 is exp(-sigma1 ln j), one exp per column.  Each later row follows
     from the one above by the exact recurrence
@@ -198,10 +221,12 @@ def _rows(sym: DirichletSymbol, count: int, out: np.ndarray) -> Iterator[np.ndar
     overflows, sigma1 ln j is at least about 1.8e308 (sigma1 >= |c2|), so
     every entry of the column lies below 2^-1074, and its log is taken as
     -inf too.  No entry exceeds 1 because sigma1 >= |c2|, and
-    _entry_rounding bounds the error of every entry.  Column j = 1 is
-    (1, 0, 0, ...).
+    _entry_rounding bounds the error of every entry.  Column j = 1 has
+    ln j = 0, so the recurrence makes it (1, 0, 0, ...) exactly.
     """
-    lj = np.log(np.arange(2, out.shape[1] + 1, dtype=np.float64))
+    if columns is None:
+        columns = np.arange(1, out.shape[1] + 1, dtype=np.float64)
+    lj = np.log(columns)
     near = int(np.searchsorted(lj, _ROW0_EXPONENT_MAX / sym.sigma1, side="right"))
     g = sym.c2_abs * lj[:near]
     with np.errstate(divide="ignore", over="ignore"):  # log(0) = -inf when c2 = 0
@@ -209,21 +234,20 @@ def _rows(sym: DirichletSymbol, count: int, out: np.ndarray) -> Iterator[np.ndar
         sigma_lj = sym.sigma1 * lj  # inf past 1.8e308: the entry is 0
     log_g[log_g == math.inf] = -math.inf
     sigma_far = sigma_lj[near:]
-    log_fact = log_factorials(max(count - 1, 0))
+    log_fact = log_factorials(max(count - 1, 0)) if log_g.size else None
     depth = out.shape[0]
+    heads = [row[:near] for row in out]
     for i in range(count):
-        row, body = out[i % depth], out[i % depth, 1:]
+        row = out[i % depth]
         if i == 0:
-            row[0] = 1.0
-            np.negative(sigma_lj, out=body)
-            np.exp(body, out=body)
-        else:  # with J = 1 every slice below is empty
-            row[0] = 0.0
-            prev = out[(i - 1) % depth, 1 : near + 1]
-            np.multiply(prev, g, out=body[:near])
-            body[:near] *= 1.0 / i
+            np.negative(sigma_lj, out=row)
+            np.exp(row, out=row)
+        else:
+            head = heads[i % depth]
+            np.multiply(heads[(i - 1) % depth], g, out=head)
+            head *= 1.0 / i
             if log_g.size:  # columns past the normal range, often none
-                far = body[near:]
+                far = row[near:]
                 np.multiply(log_g, float(i), out=far)
                 far -= log_fact[i]
                 far -= sigma_far
@@ -235,22 +259,36 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     """Certified operator-norm bound on the discarded rows and columns.
 
     The root of a Hilbert-Schmidt sum, with c = |c2| from c2_abs_upper and
-    s = 2 sigma1 taken as min(s, 2^1000) in all but r and c/s: every piece
-    grows with c and falls as s grows.
+    s = 2 sigma1 taken as min(s, 2^1000) in all but r, c/s and s - 2c:
+    every piece grows with c and falls as s grows (s - 2c is taken as
+    min(2 sigma1 - 2c, 2^1000) likewise).  Row i >= 1 sums
+    g_i(j) = c^2i (ln j)^2i j^-s / (i!)^2, which is 0 at j = 1 and unimodal
+    in x >= 1 with its peak at ln x = 2i/s, and a unimodal f has
+    sum_(j>=m) f(j) <= integral_m^inf f + max_(x>=m) f(x).
 
     * Row 0 past column J: its Euler-Maclaurin tail at n = J + 1 with the
       remainder bound (special_functions._euler_maclaurin_tail), at s up to
       2^11, past which every term lies below 2^-2047.
-    * Rows 1 <= i < k_t past column J: c^2i / (i!)^2 sum_(j>J) (ln j)^2i j^-s
-      is at most the integral from J, T_i = b_i Q_2i(z) with
-      b_i = C(2i, i) r^2i / (s-1) <= rho^2i / (s-1), r = c / (2 sigma1 - 1),
-      rho = 2r, z = (s-1) ln J and Q_n(z) = e^-z sum_(m<=n) z^m / m! (the
-      regularized upper incomplete gamma function), plus, while
-      ln J < 2i/s, the summand's largest value right of column J,
-      P_i = c^2i t^2i e^-st / (i!)^2 at t = max(2i/s, ln(J+1)): a unimodal
-      f has sum_(j>J) f(j) <= integral_J^inf f + max_(x>=J+1) f(x).
-    * Rows i >= k_t: approx_number_bound(sym).bound_at(k_t) squared, at
-      least (s/(s-1)) rho^2k_t / (1 - rho^2), +inf for boundary symbols.
+    * Rows 1 <= i < k_t past column J: the integral from J + 1,
+      T_i = b_i Q_2i(z) with b_i = C(2i, i) r^2i / (s-1) <= rho^2i / (s-1),
+      r = c / (2 sigma1 - 1), rho = 2r, z = (s-1) ln(J+1) and
+      Q_n(z) = e^-z sum_(m<=n) z^m / m! (the regularized upper incomplete
+      gamma function), plus g_i's largest value from column J + 1 on,
+      P_i = c^2i t^2i e^-st / (i!)^2 at t = max(2i/s, ln(J+1)).
+    * Rows i >= k_t over all columns: row i is at most
+      integral_1^inf g_i + max_(x>=2) g_i = b_i + P*_i.  b_(i+1) <= rho^2 b_i.
+      Where 2i/s >= ln 2, P*_i is the peak g_i(e^(2i/s)) =
+      (2ic / (se))^2i / (i!)^2, and P*_(i+1) <= (2c/s)^2 P*_i, as
+      (1 + 1/i)^2i <= e^2; left of that, P*_i = g_i(2), and at the first
+      row past it P*_(i+1) <= g_i(e^(2(i+1)/s)) (2c/s)^2 <= (2c/s)^2 g_i(2),
+      g_i falling from 2 on.  With 2c/s <= rho, the rows from k = k_t sum to
+      at most (b_k + Pi_k) / (1 - rho^2): Pi_k is the peak, which bounds
+      P*_i for every row, or, where 2k/s < ln 2 (tested with 4u to spare),
+      sum_(i>=k) g_i(2) <= 2^-s (y^k / k!)^2 e^2y, y = c ln 2,
+      as y^i / i! <= (y^k / k!)(y^(i-k) / (i-k)!), so
+      Pi_k = exp(2 (k ln y - log k!) - (s - 2c) ln 2).  1 / (1 - rho^2) is
+      the square of approx_number_bound's prefactor times (s-1)/s, +inf
+      for boundary symbols.
 
     One pass adds the rows to a running sum S with O(1) work a row:
     b_i = b_(i-1) 2 (2i-1) r^2 / i, and Q_2i adds the Poisson terms
@@ -263,7 +301,7 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     special_functions._log_tail_rounding), and the root rounded up:
 
     * z is rounded down, as Q_n falls when z grows: the factor 1 - 6u
-      undoes the four units of s - 1, ln J and their product.
+      undoes the four units of s - 1, ln(J+1) and their product.
     * p_m's exponent, m >= 1, is off by at most
       E_m = 5m |ln z| + 2z + 5 log m! + 3.  Where p_m >= e^-746, either
       z < 1 and m |ln z| + z + log m! <= 746, or m ln z <= z + log m! and
@@ -287,8 +325,16 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
       roundings of the coefficient, its exponent's, pow and the product)
       and gamma_5, and S gamma_2k: eps = gamma_12k + (1 + gamma_12k)
       expm1(E u), raised by 16u for its own roundings.  1 + 8u covers the
-      square of the row piece, the product by 1 + eps, the sum and the
-      floor's addition.
+      product by 1 + eps, the sum and the floor's addition.
+    * The row piece: b_k is below b' (1 + 2 gamma_(8k+2)) plus its
+      shortfall, b' the computed one.  Pi_k's exponent is raised by its
+      own error bound before exp, which leaves exp's 2u:
+      2k (5 |L| + 5) + 10 log k! + 6 at the peak, as for P_i, and at
+      column 2, where y = c ln 2 is within 2u,
+      2k (4 |ln y| + 3) + 10 log k! + 4 (s - 2c) + 10 plus the exponent's
+      own size.  The prefactor, squared, exceeds its exact square by at
+      most u, and (s-1)/s takes 2: 1 + 6u covers them and the product, and
+      1 + 4u the sum and the product by 1 / (1 - rho^2).
     * The floor, in units of 2^-1074: a result below 2^-1022 is off by at
       most one unit past its relative bound, times what multiplies it
       later.  The pass tracks how far b and Q may fall short: a step below
@@ -296,7 +342,9 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
       adds 1, both carried by later steps, and each Poisson term below
       2^-1022 adds 1 to Q's.  Row i costs 2 (b_i Q's + b's Q_2i), the 2
       covering e^(E u) and the gammas, plus 1 for T_i and 2 for P_i below
-      2^-1022.  Row 0's pieces and the square cost 5, and K = (s+2)^3 / 500
+      2^-1022.  The row piece costs 2 (b's shortfall + 2) / (1 - rho^2),
+      the 2 covering a subnormal Pi_k and the roundings.  Row 0's pieces
+      cost 5, and K = (s+2)^3 / 500
       more (past s = 12 at least the coefficients s/12 + s (s+1) (s+2) / 720
       of its powers n^-(s+1), n^-(s+3)) where one may be subnormal
       ((s+3) ln n > 700) and its piece pass 2^-1075 ((s+1) ln n < 746 +
@@ -320,22 +368,35 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
             law = approx_number_bound(sym)
         except NonCompactError:  # boundary symbols: the rows do not decay
             return math.inf
-        s1, log_j = s - 1.0, math.log(j_max)
+        s1 = s - 1.0
+        geometric = law.prefactor * law.prefactor * (s1 / s) * (1.0 + 6.0 * UNIT_ROUNDOFF)
         v, r_sq = 0.5 * (c / sym.sigma1), (0.5 * (c / (sym.sigma1 - 0.5))) ** 2  # sigma1, unclamped
-        z = s1 * log_j * (1.0 - 6.0 * UNIT_ROUNDOFF)
-        log_z = math.log(z) if z > 0.0 else -math.inf  # J = 1: Q_n(0) = 1
-        peak_row = math.inf if v < _TINY else 0.5 * s * log_j * (1.0 - 8.0 * UNIT_ROUNDOFF)
+        log_y, gap = math.log(c * math.log(2.0)), min(2.0 * (sym.sigma1 - c), 2.0**1000)
+        z = s1 * log_n * (1.0 - 6.0 * UNIT_ROUNDOFF)
+        log_z = math.log(z)
         b, q = 1.0 / s1, math.exp(-z)
         b_low, q_low = 0.0, float(q < _TINY)  # shortfalls in units of 2^-1074
         while True:
-            row = law.bound_at(i)  # rows i.. are charged by this piece if the pass ends
-            row_sq = row * row
-            if i > i_max or row_sq <= max(UNIT_ROUNDOFF * col, 2.0**-1074):
-                break
             step = 2.0 * (2 * i - 1) / i * r_sq
             b_low = b_low * step + 3.0 * b * (step < 4.0 * _TINY)  # r_sq may be subnormal
             b *= step
             b_low += b < _TINY
+            lgam = math.lgamma(i + 1.0)
+            cut = max(UNIT_ROUNDOFF * col, 2.0**-1074)
+            row_sq = geometric * b * (1.0 + 2.0 * _gamma(8 * i + 2)) * (1.0 + 4.0 * UNIT_ROUNDOFF)
+            if i > i_max or row_sq <= cut:  # else the row piece passes the cut already
+                if 2 * i < s * math.log(2.0) * (1.0 - 4.0 * UNIT_ROUNDOFF):  # the peak lies left of 2
+                    lead = 2.0 * (i * log_y - lgam) - gap * math.log(2.0)
+                    size = 2 * i * (4.0 * abs(log_y) + 3.0) + 10.0 * lgam + 4.0 * gap + 10.0 + abs(lead)
+                else:  # the peak, which bounds every row's largest summand
+                    big_l = math.log(2 * i * v)
+                    lead = 2 * i * (big_l - 1.0) - 2.0 * lgam
+                    size = 2 * i * (5.0 * abs(big_l) + 5.0) + 10.0 * lgam + 6.0
+                rest = math.exp(lead + size * UNIT_ROUNDOFF) * (1.0 + 2.0 * UNIT_ROUNDOFF)
+                row_sq += geometric * rest * (1.0 + 4.0 * UNIT_ROUNDOFF)
+                if i > i_max or row_sq <= cut:
+                    floor += 2.0 * geometric * (b_low + 2.0)  # rows i.. are charged by this piece
+                    break
             for m in (2 * i - 1, 2 * i):
                 p = math.exp(m * log_z - z - math.lgamma(m + 1.0))
                 q += p
@@ -343,23 +404,23 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
             t = b * q
             col += t
             floor += 2.0 * (b * q_low + b_low * q) + (t < _TINY)
-            if i > peak_row:  # the summand's largest value from column J + 1 on
+            if v >= _TINY:  # the summand's largest value from column J + 1 on
                 big_l, w = math.log(2 * i * v), max(s * log_n / (2 * i), 1.0)
                 lead = big_l + math.log(w) - w
                 if w > 1.0:  # column J + 1 lies right of the peak
                     lead += (2.0 * abs(big_l) + 16.0 * w) * UNIT_ROUNDOFF
-                p = math.exp(2 * i * lead - 2.0 * math.lgamma(i + 1.0))
+                p = math.exp(2 * i * lead - 2.0 * lgam)
                 col += p
                 floor += 2.0 * (p < _TINY)
             i += 1
         top = i - 1
-        if z > 0.0 and top:
+        if top:
             n, lgam = 2 * top, math.lgamma(2 * top + 1.0)
             drift = min(5.0 * n * abs(log_z) + 2.0 * z, 14.0 * n + 5.0 * lgam + 10430.0)
             drift += 5.0 * lgam + 3.0
-        if peak_row < top:
-            size = 5.0 * max(abs(math.log(2.0 * v)), abs(math.log(2.0 * top * v))) + 5.0
-            drift = max(drift, 2.0 * top * size + 10.0 * math.lgamma(top + 1.0) + 6.0)
+            if v >= _TINY:
+                size = 5.0 * max(abs(math.log(2.0 * v)), abs(math.log(2.0 * top * v))) + 5.0
+                drift = max(drift, 2.0 * top * size + 10.0 * math.lgamma(top + 1.0) + 6.0)
 
     gamma = _gamma(12 * i)
     eps = (gamma + (1.0 + gamma) * math.expm1(drift * UNIT_ROUNDOFF)) * (1 + 16 * UNIT_ROUNDOFF)
@@ -494,24 +555,233 @@ def _significant_rows(sym: DirichletSymbol, i_max: int, j_max: int) -> tuple[int
     return k, math.nextafter(math.sqrt(float(suffix[k - 1])), math.inf)
 
 
-def _gram_moments(sym: DirichletSymbol, k: int, j_max: int) -> np.ndarray:
-    """The 2k - 1 balanced moments d_n = B[a] . B[b], n = 0..2k-2, a = n // 2, b = n - a.
+def _gram_moments(sym: DirichletSymbol, k: int, j_max: int) -> tuple[np.ndarray, float, float]:
+    """(d, delta, eps): the 2k - 1 balanced moments d_n = B[a] . B[b],
+    n = 0..2k-2, a = n // 2, b = n - a, each computed as d_n (1 + theta) + e
+    with |theta| <= delta and |e| <= eps.
 
     Row i of B is w_j g_j^i / i!, w_j = j^-sigma1 and g_j = |c2| ln j, so
-    d_n = sum_(j<=J) w_j^2 g_j^n / (a! b!) = |c2|^n h_n / (a! b!), with
-    h_n = sum_(j<=J) (ln j)^n j^(-2 sigma1).  The rows come from _rows
-    through a 2 x J buffer: d_(2i-1) and d_(2i) are taken while row i is in
-    cache, so the moments cost k row recurrences and 2k - 1 dot products
-    over J columns, and no block is held.
+    d_n = sum_(j<=J) F_n(j), F_n(x) = x^-s (|c2| ln x)^n / (a! b!), s = 2 sigma1.
+    The columns j <= N, N from _em_columns, are summed directly
+    (_streamed_moments); the columns N < j <= J by _euler_maclaurin_moments,
+    from the rows' values at columns N and J.  The moments so cost k row
+    recurrences over N + 1 columns and O(k p) more, whatever J is.  Where
+    N = J, or the Euler-Maclaurin part is out of its model or costs more
+    than summing its J - N columns would (rho > gamma_(J-N), below), the
+    J columns are summed directly, as the whole stream.
+
+    Rounding.  The direct part is D_n (1 + theta) + e, |theta| <= delta_0 and
+    |e| <= eps_0 (_gram_rounding with N columns), and the Euler-Maclaurin
+    part E_n within err_n + floor of its exact value, err_n its remainder
+    and relative rounding (see _euler_maclaurin_moments).  Both parts are
+    >= 0, so
+
+        low_n = max(D'_n - eps_0, 0) / (1 + delta_0) + max(E'_n - err_n - floor, 0),
+
+    primes the computed values, rounded down by 8u, is at most d_n, and
+    rho = max_n err_n / low_n, raised by 4u, over the n with
+    err_n > _EM_ABSOLUTE gives err_n <= rho d_n; the other err_n, up to
+    _EM_ABSOLUTE, join floor (moments far out in a fast-decaying row
+    underflow, and their low_n is 0).  The sum D'_n + E'_n rounds once
+    more, which delta_0's gamma_(N+2k+1) counts, so delta = delta_0 +
+    rho (1 + u) and eps = (eps_0 + floor)(1 + u).  A delta
+    above 1/2, past what operator_norm_estimate's proof assumes, raises
+    DomainError.
     """
+    n_cut = _em_columns(sym, k, j_max)
+    d, ends = _streamed_moments(sym, k, n_cut, j_max)
+    delta, eps = _gram_rounding(sym, k, n_cut, j_max)
+    if n_cut < j_max:
+        n = np.arange(2 * k - 1)
+        f = ends[n // 2] * ends[n - n // 2]  # F_n = B[a] B[b] at columns N and J
+        with np.errstate(over="ignore", invalid="ignore"):  # out of its model it returns None
+            part = _euler_maclaurin_moments(sym, k, n_cut, j_max, f)
+        rho = math.inf
+        if part is not None:
+            e, err, floor = part
+            low = np.maximum(d - eps, 0.0) / (1.0 + delta) + np.maximum(e - err - floor, 0.0)
+            small = err <= _EM_ABSOLUTE
+            floor += float(np.max(err, where=small, initial=0.0))
+            with np.errstate(divide="ignore", invalid="ignore"):  # err / 0 fails the test below
+                ratio = err / (low * (1.0 - 8.0 * UNIT_ROUNDOFF))
+            rho = float(np.max(ratio, where=~small, initial=0.0)) * (1.0 + 4.0 * UNIT_ROUNDOFF)
+        if rho <= _gamma(j_max - n_cut):
+            d += e
+            delta = math.nextafter(delta + rho * (1.0 + 2.0 * UNIT_ROUNDOFF), math.inf)
+            eps = (eps + floor) * (1.0 + 2.0 * UNIT_ROUNDOFF)
+        else:
+            d, _ = _streamed_moments(sym, k, j_max, j_max)
+            delta, eps = _gram_rounding(sym, k, j_max, j_max)
+    if not delta <= 0.5:
+        raise DomainError(f"Gram rounding bound {delta:.3e} of {k} rows exceeds 1/2")
+    return d, delta, eps
+
+
+def _em_columns(sym: DirichletSymbol, k: int, j_max: int) -> int:
+    """N, the columns _gram_moments sums directly: the least power of two
+    from _EM_FIRST at which Lambda = (2k - 2) / ln N + s + p - 1/2 is at most
+    theta N (theta = _EM_RATIO), so that the Euler-Maclaurin remainder is
+    about u of its integral (see _euler_maclaurin_moments).  It is J where
+    no such N is at most J / 2, or (s - 1) ln J is not in (0, 700], which
+    keeps e^-z in the normal range and every column of J in the rows'
+    recurrence (sigma1 ln J < 700, see _rows).
+    """
+    s = 2.0 * sym.sigma1
+    if not 0.0 < (s - 1.0) * math.log(j_max) <= _EM_EXPONENT_MAX:
+        return j_max
+    n = _EM_FIRST
+    while 2 * n <= j_max:
+        if (2 * k - 2) / math.log(n) + s + _EM_TERMS - 0.5 <= _EM_RATIO * n:
+            return n
+        n *= 2
+    return j_max
+
+
+def _streamed_moments(
+    sym: DirichletSymbol, k: int, n_cut: int, j_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 2k - 1 balanced moments summed over the columns j <= N, and
+    B[:k] at columns N and J (a k x 2 array).
+
+    The rows come from _rows through a 2 x (N + 1) buffer of the columns
+    1..N and J (2 x J when N = J): d_(2i-1) and d_(2i) are taken while row
+    i is in cache, so the sums cost k row recurrences and 2k - 1 dot
+    products over N columns, and no block is held.
+    """
+    columns = np.arange(1.0, n_cut + 1.0)
+    if n_cut < j_max:
+        columns = np.append(columns, float(j_max))
     d = np.empty(2 * k - 1)
-    prev = None
-    for i, row in enumerate(_rows(sym, k, np.empty((2, j_max)))):
-        if i:
-            d[2 * i - 1] = prev @ row
-        d[2 * i] = row @ row
-        prev = row
-    return d
+    ends = np.empty((k, 2))
+    buffer = np.empty((2, columns.size))
+    pair = buffer[:, :n_cut]
+    heads = list(pair)
+    tails = list(buffer[:, n_cut - 1 :])  # columns N and J, or J twice
+    for i, _ in enumerate(_rows(sym, k, buffer, columns)):
+        head = heads[i % 2]
+        if i:  # (B[i-1] . B[i], B[i] . B[i]) from the two buffer rows at once
+            d[2 * i - 1 : 2 * i + 1] = (pair @ head)[:: 1 if i % 2 else -1]
+        else:
+            d[0] = head @ head
+        ends[i] = tails[i % 2]
+    return d, ends
+
+
+def _euler_maclaurin_moments(
+    sym: DirichletSymbol, k: int, n_cut: int, j_max: int, f: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """(e, err, floor): e_n is sum_(N<j<=J) F_n(j), n = 0..2k-2, within
+    err_n + floor, by Euler-Maclaurin summation with p = _EM_TERMS Bernoulli
+    terms from the values f[n] = (F_n(N), F_n(J)), each the product of two
+    entries of _rows; None where the evaluation leaves its model.
+
+    With c = |c2|, s = 2 sigma1, a = s - 1 and r_n = n / ceil(n/2) (r_n F_n
+    has the factorials of F_(n-1) over those of F_n, times n):
+
+    * x F_n' = c r_n F_(n-1) - s F_n, so x^m F^(m) = V_m, the vector V_0 = F
+      and V_(m+1) = c r shift(V_m) - (s + m) V_m, shift(V)_n = V_(n-1).
+      With |.| the same recurrence with + for -, and
+      Lambda_n(x) = n / ln x + s + p - 1/2,
+      c r_n F_(n-1) = (n / ln x) F_n gives, by induction and AM-GM,
+      |V_m|_n <= prod_(j<m) (n / ln x + s + j) F_n <= Lambda_n(x)^m F_n for
+      m <= 2p.
+    * The sum is integral_N^J F_n + (F_n(J) - F_n(N)) / 2 +
+      sum_(r<=p) beta_r (F_n^(2r-1)(J) - F_n^(2r-1)(N)) + R, beta_r =
+      B_2r / (2r)!, and |R| <= K integral_N^J |F_n^(2p)|, K = |B_2p| / (2p)!,
+      as |B_2p(x - floor x)| <= |B_2p|.  x >= N and Lambda_n(x) / x <=
+      Lambda_n(N) / N = L_n make |F_n^(2p)| <= L_n^2p F_n, so
+      |R| <= K L_n^2p I_n, I_n the integral; each derivative term is at
+      most omega_n F_n(x), omega_n = sum_r |beta_r| L_n^(2r-1).
+    * I_n = G_n (Q_n(z_N) - Q_n(z_J)), G_n = C(n, a_n) (c/a)^n / a =
+      G_(n-1) (c/a) r_n, z_x = a ln x and Q_n(z) = sum_(m<=n) p_m(z),
+      p_m = e^-z z^m / m! = p_(m-1) z / m (the regularized upper incomplete
+      gamma function, since integral F_n = (c/a)^n / a times the gamma
+      integral of t^n e^-t / n! over [z_N, z_J]).  The difference is taken
+      as the lower sums over m <= n or as the upper ones over n < m <= M,
+      M = 2k - 2 + 2 ceil(z_J) + 64, whichever bound below is smaller; the
+      upper form misses sum_(m>M) p_m <= p_M, since z / (M + 1) <= 1/2.
+
+    Rounding, in units of u = 2^-53 with Higham's gamma_n (see
+    _gamma):
+    each step of V 4 (c r's 2, the product and the sum, or s + m and the
+    product), each derivative term 5 (B_2r / (2r)!, pow, a quotient and a
+    product)
+    and their sum p; F is B_a B_b, within (1 + eta)^2 (1 + u),
+    eta = _entry_rounding(sym, k - 1, J).  a takes 1 (0 up to
+    s = 2), G_n 5n + 2 more; z 4, so p_0 = exp(-z) is within
+    e^(gamma_4 z) <= 1 + gamma_(4z+1) and 2, and each step 6; a sum of
+    M + 1 terms M, a difference and the product by G 2; the four additions
+    that assemble e another 4.  So with S_n = G_n size (size the two sums
+    of the form taken, plus 2 p_M of each for the upper one) and
+    T_n = (1/2 + omega_n)(F_n(N) + F_n(J)),
+
+        err_n = K L_n^2p (I'_n + ierr_n) + ierr_n + eps_f T_n,
+
+    ierr_n = gamma_(5(2k-2) + 4 z_J + 7M + 12) S_n (+ 2 G_n p_M of each z
+    for the upper form) and eps_f = 2 eta + eta^2 + gamma_(9p+8)(1 + eta)^2.
+    Each of these relative bounds is below 2^-24 (or the result is None),
+    and err is raised by 2^-20 of itself, which covers the second-order
+    terms.  floor, in units of 2^-1074: each F carries 3k + 1 (see
+    _gram_rounding), which V's steps scale by at most
+    Lambda' = 2c + s + 2p + 1 each and to which they add 3, so each
+    derivative sum carries (3k + 1 + 8p) sum_r |beta_r| max(1, Lambda'/N)^(2r-1);
+    from the first subnormal Poisson term on, past the mode, each step
+    adds 1 and scales the carried error by z / m < 1, so each sum carries
+    M + 2, times max G (None where a G_n is subnormal); and the products
+    and additions 8.
+    """
+    s, c = 2.0 * sym.sigma1, sym.c2_abs
+    a = s - 1.0
+    top = f.shape[0] - 1
+    n = np.arange(top + 1.0)
+    r = n / np.maximum(np.ceil(0.5 * n), 1.0)
+    x = np.array([float(n_cut), float(j_max)])
+    log_x = np.log(x)
+
+    cr = (c * r)[:, None]
+    coef = _EM_BETA_COLUMN / x**_EM_ORDERS
+    padded = np.zeros((top + 2, 2))  # padded[n] = V_(n-1), padded[0] = 0
+    padded[1:] = f
+    v, shifted, term, corr = padded[1:], padded[:-1], np.empty_like(f), np.zeros_like(f)
+    for m in range(2 * _EM_TERMS - 1):
+        np.multiply(cr, shifted, out=term)
+        v *= -(s + m)
+        v += term
+        if m % 2 == 0:  # V_(2r-1), r = m // 2 + 1
+            corr += coef[m // 2] * v
+
+    g = np.cumprod(np.concatenate([[1.0 / a], (c / a) * r[1:]]))
+    z = a * log_x
+    top_m = top + 2 * math.ceil(z[1]) + 64
+    steps = z[:, None] / np.arange(1.0, top_m + 1.0)
+    p = np.cumprod(np.hstack([np.exp(-z)[:, None], steps]), axis=1)
+    low = np.cumsum(p, axis=1)[:, : top + 1]
+    high = np.cumsum(p[:, ::-1], axis=1)[:, ::-1][:, 1 : top + 2]
+    eps_i = _gamma(5 * top + math.ceil(4.0 * z[1]) + 7 * top_m + 12)
+    err_low = eps_i * (low[0] + low[1])
+    err_high = eps_i * (high[0] + high[1]) + 2.0 * (p[0, -1] + p[1, -1]) * (1.0 + eps_i)
+    upper = err_high < err_low
+    q = np.where(upper, high[1] - high[0], low[0] - low[1])
+    integral = g * q
+    integral_err = g * np.minimum(err_low, err_high)
+
+    eta = _entry_rounding(sym, k - 1, j_max)
+    eps_f = 2.0 * eta + eta * eta + _gamma(9 * _EM_TERMS + 8) * (1.0 + eta) ** 2
+    ratio = (n / log_x[0] * (1.0 + 4.0 * UNIT_ROUNDOFF) + s + _EM_TERMS - 0.5) / n_cut
+    omega = sum(abs(beta) * float(ratio[-1]) ** (2 * j + 1) for j, beta in enumerate(_EM_BETA))
+    remainder = _EM_REMAINDER * ratio ** (2 * _EM_TERMS) * (integral + integral_err)
+    err = remainder + integral_err + eps_f * (0.5 + omega) * (f[:, 0] + f[:, 1])
+    err *= 1.0 + 2.0**-20
+    e = integral + 0.5 * (f[:, 1] - f[:, 0]) + (corr[:, 1] - corr[:, 0])
+
+    spread = max(1.0, (2.0 * c + s + 2 * _EM_TERMS + 1.0) / n_cut)
+    carried = sum(abs(beta) * spread ** (2 * j + 1) for j, beta in enumerate(_EM_BETA))
+    floor = 2.0 * (3 * k + 1 + 8 * _EM_TERMS) * (1.0 + carried)
+    floor += 4.0 * (top_m + 2) * max(1.0, float(np.max(g))) + 8.0
+    floor *= 2.0**-1074 * (1.0 + 2.0**-20)
+    if not (max(eps_i, eps_f) <= 2.0**-24 and np.min(g) >= _TINY and np.isfinite(e + err).all()):
+        return None
+    return e, err, floor
 
 
 def _gram(d: np.ndarray) -> np.ndarray:
@@ -535,39 +805,41 @@ def _gram(d: np.ndarray) -> np.ndarray:
     return d[np.add.outer(i, i)] * f
 
 
-def _gram_rounding(sym: DirichletSymbol, k: int, j_max: int) -> tuple[float, float]:
-    """(delta, eps): each entry of the computed Gram matrix (see _gram) is
-    G[i][l] (1 + theta) + e with |theta| <= delta and |e| <= eps.
+def _gram_rounding(sym: DirichletSymbol, k: int, n_cut: int, j_max: int) -> tuple[float, float]:
+    """(delta_0, eps_0): each balanced moment summed directly over the
+    columns j <= N (see _streamed_moments), times the factor F[i][l] of
+    _gram, is its exact value (1 + theta) + e with
+    |theta| <= delta_0 and
+    |e| <= eps_0, and delta_0 leaves one rounding for _gram_moments'
+    addition of the columns past N.
 
     * The rows 0..k-1 from _rows are B_k (1 + theta) + e with
       |theta| <= eta = _entry_rounding(sym, k - 1, J) and
       |e| <= max(k - 1, 1) 2^-1074: no row below them enters their
-      recurrence.  A product of two entries is off by (1 + eta)^2 and its
-      own rounding, and, with B <= 1 and eta <= 1/5, by at most
-      (3k + 1) 2^-1074 more.
-    * d_n adds J nonnegative products, within gamma_J of its value in any
+      recurrence, and every column lies at or below J.  A product of two
+      entries is off by (1 + eta)^2 and its own rounding, and, with B <= 1
+      and eta <= 1/5, by at most (3k + 1) 2^-1074 more.
+    * d_n adds N nonnegative products, within gamma_N of its value in any
       order (Higham 2002, ch. 3), plus 2^-1075 per product that underflows.
     * F: each integer quotient and each factor of the running product
       rounds once, at most 2k - 3 roundings; past k of about 1000 its
       entries underflow (F[0][l] >= 2^-l), which costs at most
-      k 2^-1075 d_n <= 1.5 k J 2^-1074, since d_n <= 1.44 J.  The product
-      F d rounds once more.
+      k 2^-1075 d_n <= k J 2^-1075, since B <= 1.  The product F d rounds
+      once more.
 
     (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_(a+b), so
-    1 + theta <= (1 + eta)^2 (1 + gamma_(J+2k)), and
-    delta = 2 eta + eta^2 + gamma_(J+2k) (1 + eta)^2, computed as a sum of
-    nonnegative terms and raised by 16 u for its own roundings.  The
-    absolute parts add up to at most (4.5 k + 2) J + 1 <= 8 k J units of
-    2^-1074.  A delta above 1/2, past what operator_norm_estimate's proof
-    assumes, raises DomainError.
+    1 + theta <= (1 + eta)^2 (1 + gamma_(N+2k+1)), with the one addition
+    left over, and delta_0 = 2 eta + eta^2 + gamma_(N+2k+1) (1 + eta)^2,
+    computed as a sum of nonnegative terms and raised by 16 u for its own
+    roundings.  The absolute parts add up to at most (3k + 1.5) N + k J / 2
+    units of 2^-1074, and eps_0 = (5 k N + k J) 2^-1074 covers them times
+    1 + u.
     """
     eta = _entry_rounding(sym, k - 1, j_max)
-    sums = _gamma(j_max + 2 * k)
+    sums = _gamma(n_cut + 2 * k + 1)
     delta = 2.0 * eta + eta * eta + sums * (1.0 + eta) ** 2
     delta = math.nextafter(delta * (1.0 + 16.0 * UNIT_ROUNDOFF), math.inf)
-    if not delta <= 0.5:
-        raise DomainError(f"Gram rounding bound {delta:.3e} of {k} rows exceeds 1/2")
-    return delta, 8.0 * k * j_max * 2.0**-1074
+    return delta, (5.0 * k * n_cut + k * j_max) * 2.0**-1074
 
 
 def operator_norm_estimate(
@@ -581,7 +853,9 @@ def operator_norm_estimate(
     Rows k..I of B have Frobenius norm at most ``dropped`` <= u ||B|| (see
     _significant_rows).  ||B_k||^2, B_k the first k rows, is the Perron
     root of the k x k Gram matrix G = B_k B_k^T >= 0, assembled from 2k - 1
-    moments streamed over the J columns (see _gram_moments and _gram).
+    moments (see _gram_moments and _gram): the first N columns streamed,
+    the rest summed by Euler-Maclaurin with p = _EM_TERMS Bernoulli terms,
+    O(k N + k p) work whatever J is, N a power of two from 64 (or N = J).
     The start vector is |v|, v the top eigenvector of the computed G from
     LAPACK's eigh.  Each step computes y = G x, k^2 products, and brackets
     the Perron root:
@@ -601,7 +875,9 @@ def operator_norm_estimate(
     step to step, so a gap that fails to shrink means rounding has taken
     over: the loop stops there too, with ``converged`` false, instead of
     running to ``max_iter``.  Both ends carry derived rounding terms, for
-    the Gram matrix (see _gram_rounding) and for the steps, and
+    the Gram matrix (the moments' delta and eps: the entries' error, the
+    N-term sums and the Euler-Maclaurin remainder and rounding, see
+    _gram_moments and _gram_rounding) and for the steps, and
     outward-rounded square roots: whether or not the loop converged,
     [lower, upper - tail_bound] holds the norm of the exact truncation and
     [lower, upper] that of the full operator (upper is infinite for
@@ -621,7 +897,8 @@ def operator_norm_estimate(
             f"the norm's Gram matrix of {k} rows would hold {k * k} entries, cap is "
             f"{cap} entries; set {MAX_ENTRIES_ENV} to raise it"
         )
-    gram = _gram(_gram_moments(sym, k, m.j_max))
+    d, delta, eps = _gram_moments(sym, k, m.j_max)
+    gram = _gram(d)
     x = np.abs(np.linalg.eigh(gram)[1][:, -1])
     x /= np.max(x)
     converged = False
@@ -642,7 +919,7 @@ def operator_norm_estimate(
         x = y / np.max(y)
 
     # Rounding (Higham 2002, ch. 3).  The computed G is G (1 + theta) + e
-    # entrywise with |theta| <= delta and |e| <= eps (see _gram_rounding),
+    # entrywise with |theta| <= delta and |e| <= eps (see _gram_moments),
     # so the exact G lies between max(G' - eps, 0) / (1 + delta) and
     # (G' + eps) / (1 - delta), G' the computed one: nonnegative matrices
     # whose Perron roots bracket ||B_k||^2, the root being monotone in the
@@ -658,7 +935,6 @@ def operator_norm_estimate(
     # G' by at most eps k / _X_FLOOR.  The computed max y_i / x_i is within
     # gamma_(k+1) of its value plus k 2^-1075 / _X_FLOOR; 1 + gamma, the
     # product, the sum, 1 - delta and the quotient round once each.
-    delta, eps = _gram_rounding(sym, k, m.j_max)
     tiny = 2.0**-1074
     lower_sq = (xy - (k * k + k) * tiny - eps * k * k) / xx
     lower_sq = max(lower_sq * (1.0 - (_gamma(3 * k + 8) + delta)), 1.0)

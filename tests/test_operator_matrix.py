@@ -498,13 +498,26 @@ class TestTailBounds:
         assert calls == [(sym, 10, 100)]
 
     def test_row_tail_geometric_reference(self):
-        # for (2, 0.5) the row part is sum_{k>I} (1/9)^k * 4/3 in closed form
+        # for (2, 0.5), s = 4, r = 1/6 and rho = 1/3, the rows from
+        # k = I + 1 on are charged (b_k + Pi_k) / (1 - rho^2), their own
+        # integrals b_k = C(2k, k) 6^-2k / 3 plus the largest summand from
+        # column 2 on: the peak (k / (4e))^2k / (k!)^2 for k >= 2, and at
+        # k = 1, whose summand peaks left of column 2, 2^-3 (ln 2 / 2)^2.
+        # That is below half the approximation-number bound squared,
+        # (4/3) (1/9)^k / (1 - 1/9), which the rows were charged before
         sym = DirichletSymbol(2.0, 0.5)
         for i_max in (0, 3, 10):
-            row_part = math.sqrt((4.0 / 3.0) * (1.0 / 9.0) ** (i_max + 1) / (1 - 1.0 / 9.0))
+            k = i_max + 1
+            b = math.comb(2 * k, k) / 36.0**k / 3.0
+            if k >= 2:
+                peak = (k / (4.0 * math.e)) ** (2 * k) / math.factorial(k) ** 2
+            else:
+                peak = (0.5 * math.log(2.0)) ** 2 / 8.0
+            row_sq = (b + peak) * 9.0 / 8.0
             t = tail_bounds(sym, i_max, 10**6)
-            # column part at J = 1e6 adds only a few 1e-9 in absolute terms
-            assert 0.0 <= t - row_part <= 1e-8
+            # the column tails of rows 0..I past J = 1e6 add below 1e-13
+            assert 0.0 <= t * t - row_sq <= 1e-13
+            assert row_sq < 0.25 * (4.0 / 3.0) * (1.0 / 9.0) ** k / (1.0 - 1.0 / 9.0)
 
     def test_decreasing_in_both_directions(self):
         sym = DirichletSymbol(1.2, 0.3)
@@ -613,14 +626,36 @@ class TestTailBounds:
             true_sq = sum(c ** (2 * i) / mpmath.factorial(i) ** 2 * tail for i, tail in enumerate(exact))
         t = assert_tail_matches_closed_form(sym, i_max, j_max)
         assert mpmath.mpf(t) ** 2 >= true_sq
-        assert t < 0.07  # 0.21 with each row's peak taken at t = 2i/s
+        # 0.065 with each row's column tail taken as the integral from J,
+        # 0.21 with each row's peak taken at t = 2i/s
+        assert t**2 <= 1.2 * true_sq
         # every row of (1e302, 9e301) peaks left of column 2, where the
-        # summands vanish: only the row piece of rows past I is left
-        assert tail_bounds(DirichletSymbol(1e302, 9e301), 300, 1) < 1e-13
+        # summands vanish, and the rows past I are charged their own
+        # integrals, with 1 / (s-1), and their values at column 2: all that
+        # is left is the floor (3.9e-14 with the approximation-number bound)
+        assert tail_bounds(DirichletSymbol(1e302, 9e301), 300, 1) < 1e-150
+
+    @pytest.mark.parametrize("sigma1, c", [(20.0, 10.0), (2.0, 0.5), (3.0, 1.5), (60.0, 5.0)])
+    def test_rows_past_the_cut_hold_their_true_mass(self, sigma1, c):
+        # at J = 1 the bound covers every row over all columns j >= 2, rows
+        # past I by (b_k + Pi_k) / (1 - rho^2): with Pi_k at column 2 while
+        # 2k/s < ln 2 (k <= 13 at (20, 10), all k <= 20 at (60, 5)) and at
+        # the peak after; it must hold the true 50-digit mass of all rows,
+        # row i's by the Hurwitz zeta derivative zeta^(2i)(s, 2)
+        mpmath = pytest.importorskip("mpmath")
+        sym = DirichletSymbol(sigma1, c)
+        with mpmath.workdps(50):
+            s, c = 2 * mpmath.mpf(sigma1), mpmath.mpf(c)
+            terms = [c ** (2 * i) / mpmath.factorial(i) ** 2 * mpmath.zeta(s, 2, 2 * i) for i in range(90)]
+            true_sq = mpmath.fsum(terms)
+            assert terms[-1] < mpmath.mpf(10) ** -30 * true_sq  # the rows left out are negligible
+        for i_max in (0, 1, 3, 12, 13, 20, 30):
+            t = tail_bounds(sym, i_max, 1)
+            assert mpmath.mpf(t) ** 2 >= true_sq, (i_max, t, true_sq)
 
     def test_underflowing_row0_tail_ends_the_pass_early(self):
         # at (1e10, 1) and J = 10 row 0's column tail underflows, so the cut
-        # compares the row piece with 2^-1074: 17 of 20001 rows are summed
+        # compares the row piece with 2^-1074: 16 of 20001 rows are summed
         start = time.perf_counter()
         t = tail_bounds(DirichletSymbol(1e10, 1.0), 20000, 10)
         assert time.perf_counter() - start < 1.0
@@ -711,6 +746,162 @@ def mp_block_norm(sym, i_max, j_max, dps=60):
             for l in range(i_max + 1):
                 gram[i, l] = c ** (i + l) / (mp.factorial(i) * mp.factorial(l)) * h[i + l]
         return mp.sqrt(max(mp.eigsy(gram, eigvals_only=True)))
+
+
+def mp_moments(sym, k, j_max, cut=256, terms=20):
+    """(low, high) around the 2k - 1 balanced moments
+    d_n = |c2|^n / (a! b!) h_n, h_n = sum_(j<=J) (ln j)^n j^-s, s = 2 sigma1,
+    a = n // 2, b = n - a, as mpf lists at the caller's precision.
+
+    The columns j <= min(J, cut) are summed term by term, all orders at
+    once.  Past cut, f_n = (ln x)^n x^-s is summed by Euler-Maclaurin with
+    ``terms`` Bernoulli numbers from mpmath: the integral is
+    mpmath.gammainc(n + 1, (s-1) ln cut, (s-1) ln J) / (s-1)^(n+1), and
+    x^m f^(m) = V_m by V_(m+1) = n shift(V_m) - (s + m) V_m.  Its remainder,
+    at most |B_2p| / (2p)! (Lambda / cut)^2p times the integral with
+    Lambda = n / ln cut + s + p, widens both ends.  Where Lambda / cut
+    passes 0.9 (large s), the columns past cut are bracketed by
+    [0, integral from cut + the largest summand] instead.  At s = 1 the
+    integral is (ln J)^(n+1) - (ln cut)^(n+1), over n + 1.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mpf = mpmath.mpf
+    s, c, top = 2 * mpf(sym.sigma1), mpf(sym.c2_abs), 2 * k - 2
+    h = [mpf(1)] + [mpf(0)] * top  # j = 1 adds only to h_0
+    for j in range(2, min(j_max, cut) + 1):
+        lj, w = mpmath.log(j), mpf(j) ** -s
+        for n in range(top + 1):
+            h[n] += w
+            w *= lj
+    low, high = list(h), list(h)
+    if j_max > cut:
+        log_n, log_j = mpmath.log(cut), mpmath.log(j_max)
+        if s == 1:  # sigma1 = 1/2 exactly, a constant symbol on the critical line
+            integrals = [(log_j ** (n + 1) - log_n ** (n + 1)) / (n + 1) for n in range(top + 1)]
+        else:
+            integrals = [mpmath.gammainc(n + 1, (s - 1) * log_n, (s - 1) * log_j) / (s - 1) ** (n + 1)
+                         for n in range(top + 1)]
+        ratio = (top / log_n + s + terms) / cut
+        if ratio < 0.9:
+            part = [i for i in integrals]
+            for x, sign in ((mpf(cut), -1), (mpf(j_max), 1)):
+                lx = mpmath.log(x)
+                v = [lx**n * x**-s for n in range(top + 1)]
+                for n in range(top + 1):
+                    part[n] += sign * v[n] / 2
+                for m in range(2 * terms - 1):
+                    v = [n * (v[n - 1] if n else 0) - (s + m) * v[n] for n in range(top + 1)]
+                    if m % 2 == 0:
+                        beta = mpmath.bernoulli(m + 2) / mpmath.factorial(m + 2)
+                        for n in range(top + 1):
+                            part[n] += sign * beta * x ** -(m + 1) * v[n]
+            bound = abs(mpmath.bernoulli(2 * terms)) / mpmath.factorial(2 * terms) * ratio ** (2 * terms)
+            for n in range(top + 1):
+                low[n] += part[n] - bound * integrals[n]
+                high[n] += part[n] + bound * integrals[n]
+        else:
+            for n in range(top + 1):
+                t = max(n / s, log_n)
+                high[n] += integrals[n] + t**n * mpmath.exp(-s * t)
+    scale = [c**n / (mpmath.factorial(n // 2) * mpmath.factorial(n - n // 2)) for n in range(top + 1)]
+    return [x * f for x, f in zip(low, scale)], [x * f for x, f in zip(high, scale)]
+
+
+class TestGramMoments:
+    def test_oracle_matches_zeta_derivatives(self):
+        # the Euler-Maclaurin part of mp_moments against mpmath's Hurwitz
+        # zeta derivatives, h_n = (-1)^n (zeta^(n)(s) - zeta^(n)(s, J + 1))
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            for sigma1, c, k, j_max in [(2.0, 0.5, 8, 5000), (1.6, 0.3, 5, 10**6)]:
+                sym = DirichletSymbol(sigma1, c)
+                low, high = mp_moments(sym, k, j_max)
+                s = 2 * mpmath.mpf(sigma1)
+                for n in range(2 * k - 1):
+                    h = (-1) ** n * (mpmath.zeta(s, 1, n) - mpmath.zeta(s, j_max + 1, n))
+                    d = mpmath.mpf(c) ** n / (mpmath.factorial(n // 2) * mpmath.factorial(n - n // 2)) * h
+                    assert low[n] <= d * (1 + mpmath.mpf(10) ** -40) and d <= high[n] * (1 + mpmath.mpf(10) ** -40)
+                    assert high[n] - low[n] <= mpmath.mpf(10) ** -30 * d
+
+    def test_moments_against_a_50_digit_oracle(self, monkeypatch):
+        # every d_n of _gram_moments within delta d_n + eps of mp_moments:
+        # gaps down to 1e-12 above sigma1 = 1/2 + |c2| (boundary symbols
+        # included), c2 = 0, sigma1 up to 1e3, 1 <= J <= 1e6 with J near
+        # twice the N the Euler-Maclaurin part would use, orders up to 400
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        mpmath = pytest.importorskip("mpmath")
+
+        @st.composite
+        def cases(draw):
+            c = draw(st.one_of(st.just(0.0), st.floats(1e-3, 50.0)))
+            kind = draw(st.sampled_from(["gap", "boundary", "large"]))
+            if kind == "gap":
+                sigma1 = 0.5 + c + 10.0 ** draw(st.floats(-12.0, 1.0))
+            elif kind == "boundary":
+                sigma1 = 0.5 + c
+            else:
+                sigma1 = max(0.5 + c + 1.0, 10.0 ** draw(st.floats(0.0, 3.0)))
+            sym = DirichletSymbol(sigma1, c)
+            k = 1 if c == 0.0 else draw(st.integers(1, 201))
+            n_far = operator_matrix._em_columns(sym, k, 10**7)
+            if n_far < 10**6 and draw(st.booleans()):
+                j_max = 2 * n_far + draw(st.integers(-1, 1))
+            else:
+                j_max = int(10.0 ** draw(st.floats(0.0, 6.0)))
+            return sym, k, j_max
+
+        read = []  # the columns each direct sum read
+        streamed = operator_matrix._streamed_moments
+
+        def recorded(sym, k, n_cut, j_max):
+            read.append((n_cut, j_max))
+            return streamed(sym, k, n_cut, j_max)
+
+        monkeypatch.setattr(operator_matrix, "_streamed_moments", recorded)
+        used = []
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                             suppress_health_check=[hypothesis.HealthCheck.too_slow])
+        @hypothesis.given(cases())
+        def check(case):
+            sym, k, j_max = case
+            d, delta, eps = operator_matrix._gram_moments(sym, k, j_max)
+            used.append(read[-1][0] < j_max)
+            with mpmath.workdps(50):
+                low, high = mp_moments(sym, k, j_max)
+                for n, value in enumerate(d):
+                    got = mpmath.mpf(float(value))
+                    assert got >= low[n] * (1 - mpmath.mpf(delta)) - eps, (case, n)
+                    assert got <= high[n] * (1 + mpmath.mpf(delta)) + eps, (case, n)
+
+        check()
+        for sigma1, c, k, j_max in [(4.0, 3.5, 201, 20000), (50.5 + 1e-12, 50.0, 201, 20000),
+                                    (2.0, 0.5, 201, 10**6)]:
+            check.hypothesis.inner_test((DirichletSymbol(sigma1, c), k, j_max))
+        # 400 orders past column 256 of 1e6, the last 104 below 2^-1000
+        assert used[-1] and read[-1] == (256, 10**6)
+        assert any(used) and not all(used)
+
+    def test_stream_buffer_holds_n_columns_and_column_j(self, monkeypatch):
+        # at 99 x 1e6 the stream reads columns 1..N and J, N a power of two
+        # far below J, and the norm still brackets the 1e6-column truncation
+        shapes = []
+        rows = operator_matrix._rows
+
+        def recorded(sym, count, out, columns=None):
+            shapes.append(out.shape)
+            return rows(sym, count, out, columns)
+
+        monkeypatch.setattr(operator_matrix, "_rows", recorded)
+        sym = DirichletSymbol(2.0, 0.5)
+        m = build_matrix(sym, 98, 10**6)
+        est = operator_norm_estimate(m)
+        k, _ = operator_matrix._significant_rows(sym, 98, 10**6)
+        n_cut = operator_matrix._em_columns(sym, k, 10**6)
+        assert shapes == [(2, n_cut + 1)] and n_cut == 64
+        assert est.converged and est.lower <= est.upper
+        assert est.lower**2 <= norm_bounds(sym).upper_sq
 
 
 class TestSignificantRows:
@@ -829,25 +1020,38 @@ class TestOperatorNormEstimate:
         assert est.upper - m.tail_bound <= exact * (1.0 + 1e-12)
         assert est.converged and est.iterations == 1
 
-    @pytest.mark.parametrize("sigma1, c", [(2.0, 0.5), (51.0, 50.0)])
-    def test_bracket_covers_entry_rounding(self, sigma1, c, monkeypatch):
+    @pytest.mark.parametrize(
+        "sigma1, c, i_max, j_max",
+        [
+            pytest.param(2.0, 0.5, 200, 20, id="2.0-0.5"),
+            pytest.param(51.0, 50.0, 200, 20, id="51.0-50.0"),
+            pytest.param(2.0, 0.5, 30, 20000, id="2.0-0.5-30-20000"),
+        ],
+    )
+    def test_bracket_covers_entry_rounding(self, sigma1, c, i_max, j_max, monkeypatch):
         # moments within the Gram model of the computed ones stand in for
         # the exact ones: every moment 0.99 delta above them, then every
         # moment 0.99 delta below, and the computed block's 60-digit norm
         # must stay in the bracket.  (51, 50) keeps all 201 rows, where delta
         # (about 2,800u, mostly the entries' 2 eta) passes the steps' own
         # rounding terms (at most 3k + 8 = 611u), so the bracket holds only
-        # if it charges delta
+        # if it charges delta; at 31 x 20000, (2, 0.5) sums columns past 64
+        # by Euler-Maclaurin, whose error delta must carry too
         sym = DirichletSymbol(sigma1, c)
-        m = build_matrix(sym, 200, 20)
+        m = build_matrix(sym, i_max, j_max)
         exact = mp_top_singular_value(m.magnitudes)
-        k, _ = operator_matrix._significant_rows(sym, 200, 20)
-        delta, _ = operator_matrix._gram_rounding(sym, k, 20)
+        k, _ = operator_matrix._significant_rows(sym, i_max, j_max)
+        gram_moments = operator_matrix._gram_moments
+        _, delta, _ = gram_moments(sym, k, j_max)
         assert delta > operator_matrix._gamma(3 * k + 8) or k < 201
-        moments = operator_matrix._gram_moments
+        assert (operator_matrix._em_columns(sym, k, j_max) < j_max) == (j_max > 20)
         ends = []
         for scale in (1.0 + 0.99 * delta, 1.0 - 0.99 * delta):
-            monkeypatch.setattr(operator_matrix, "_gram_moments", lambda *a, f=scale: moments(*a) * f)
+            def scaled(*args, f=scale):
+                d, delta, eps = gram_moments(*args)
+                return d * f, delta, eps
+
+            monkeypatch.setattr(operator_matrix, "_gram_moments", scaled)
             ends.append(operator_norm_estimate(m))
         high, low = ends
         assert high.lower <= exact
