@@ -29,7 +29,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,6 +79,13 @@ _EM_EXPONENT_MAX = 700.0
 # Euler-Maclaurin errors up to this are charged as absolute ones: k times
 # it, over _X_FLOOR, stays far below u in the norm's bracket
 _EM_ABSOLUTE = 2.0**-1000
+# the moment chain evaluates at most this many entries at a time (1 MiB)
+_CHAIN_ENTRIES = 1 << 17
+
+# the size-only tables that _table keeps, by build function; each is kept
+# while it holds at most _TABLE_BYTES
+_TABLE_BYTES = 1 << 21
+_tables: dict[Callable[[int], np.ndarray], np.ndarray] = {}
 
 
 def _max_entries() -> int:
@@ -116,9 +123,36 @@ def _zeros(shape: tuple[int, int], dtype) -> np.ndarray:
     return np.frombuffer(buffer, dtype=dtype).reshape(shape)
 
 
+def _table(build: Callable[[int], np.ndarray], size: int) -> np.ndarray:
+    """build(size), read-only, cut from the largest table build has made.
+
+    The tables built here (_log_factorial_table, _step_table,
+    _gram_factor_table and _hankel_table) depend on nothing but their
+    size, and each is a prefix, or a leading block, of every larger one.
+    So one table serves every smaller size, and it is rebuilt only when a
+    larger size is asked for.  A table is kept only while it holds at most
+    _TABLE_BYTES, so the four together keep at most 4 _TABLE_BYTES = 8 MiB;
+    a larger one serves its own call alone.  Kept tables, and so every
+    slice handed out, are read-only.  Two threads may both build a table;
+    both results are the same table, and either is kept.
+    """
+    table = _tables.get(build)
+    if table is None or table.shape[0] < size:
+        table = build(size)
+        table.flags.writeable = False
+        if table.nbytes <= _TABLE_BYTES:
+            _tables[build] = table
+    return table[(slice(size),) * table.ndim]
+
+
+def _log_factorial_table(size: int) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, np.arange(1.0, size + 1.0).tolist()), np.float64, size)
+
+
 def log_factorials(n: int) -> np.ndarray:
-    """lgamma(i+1) = log(i!) for i = 0..n, each entry computed by math.lgamma."""
-    return np.fromiter(map(math.lgamma, np.arange(1.0, n + 2.0).tolist()), np.float64, n + 1)
+    """lgamma(i+1) = log(i!) for i = 0..n, each entry computed by math.lgamma;
+    a read-only view of a kept table (see _table)."""
+    return _table(_log_factorial_table, n + 1)
 
 
 def _check_truncation(i_max: int, j_max: int) -> None:
@@ -159,8 +193,7 @@ class TruncatedMatrix:
         with self._lock:
             if self._block is None:
                 block = _zeros((self.row_count, self.col_count), np.float64)
-                for _ in _rows(self.symbol, self.row_count, block):
-                    pass
+                _rows(self.symbol, self.row_count, block)
                 block.flags.writeable = False
                 self._block = block
         return self._block
@@ -200,13 +233,8 @@ def build_matrix(sym: DirichletSymbol, i_max: int, j_max: int) -> TruncatedMatri
     return TruncatedMatrix(sym, i_max, j_max)
 
 
-def _rows(
-    sym: DirichletSymbol, count: int, out: np.ndarray, columns: np.ndarray | None = None
-) -> Iterator[np.ndarray]:
-    """Compute rows 0..count-1 of B in order and yield each, row i written
-    to out[i % len(out)]: an (I+1) x J buffer receives the whole block, a
-    2 x J one streams it.  ``columns`` lists the column indices j >= 1 the
-    buffer holds, ascending, and defaults to 1..J.
+def _rows(sym: DirichletSymbol, count: int, out: np.ndarray) -> None:
+    """Fill rows 0..count-1 of the count x J block out with B, in order.
 
     Row 0 is exp(-sigma1 ln j), one exp per column.  Each later row follows
     from the one above by the exact recurrence
@@ -224,9 +252,7 @@ def _rows(
     _entry_rounding bounds the error of every entry.  Column j = 1 has
     ln j = 0, so the recurrence makes it (1, 0, 0, ...) exactly.
     """
-    if columns is None:
-        columns = np.arange(1, out.shape[1] + 1, dtype=np.float64)
-    lj = np.log(columns)
+    lj = np.log(np.arange(1.0, out.shape[1] + 1.0))
     near = int(np.searchsorted(lj, _ROW0_EXPONENT_MAX / sym.sigma1, side="right"))
     g = sym.c2_abs * lj[:near]
     with np.errstate(divide="ignore", over="ignore"):  # log(0) = -inf when c2 = 0
@@ -235,24 +261,18 @@ def _rows(
     log_g[log_g == math.inf] = -math.inf
     sigma_far = sigma_lj[near:]
     log_fact = log_factorials(max(count - 1, 0)) if log_g.size else None
-    depth = out.shape[0]
-    heads = [row[:near] for row in out]
-    for i in range(count):
-        row = out[i % depth]
-        if i == 0:
-            np.negative(sigma_lj, out=row)
-            np.exp(row, out=row)
-        else:
-            head = heads[i % depth]
-            np.multiply(heads[(i - 1) % depth], g, out=head)
-            head *= 1.0 / i
-            if log_g.size:  # columns past the normal range, often none
-                far = row[near:]
-                np.multiply(log_g, float(i), out=far)
-                far -= log_fact[i]
-                far -= sigma_far
-                np.exp(far, out=far)
-        yield row
+    np.negative(sigma_lj, out=out[0])
+    np.exp(out[0], out=out[0])
+    for i in range(1, count):
+        head = out[i, :near]
+        np.multiply(out[i - 1, :near], g, out=head)
+        head *= 1.0 / i
+        if log_g.size:  # columns past the normal range, often none
+            far = out[i, near:]
+            np.multiply(log_g, float(i), out=far)
+            far -= log_fact[i]
+            far -= sigma_far
+            np.exp(far, out=far)
 
 
 def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
@@ -561,14 +581,16 @@ def _gram_moments(sym: DirichletSymbol, k: int, j_max: int) -> tuple[np.ndarray,
     with |theta| <= delta and |e| <= eps.
 
     Row i of B is w_j g_j^i / i!, w_j = j^-sigma1 and g_j = |c2| ln j, so
-    d_n = sum_(j<=J) F_n(j), F_n(x) = x^-s (|c2| ln x)^n / (a! b!), s = 2 sigma1.
-    The columns j <= N, N from _em_columns, are summed directly
-    (_streamed_moments); the columns N < j <= J by _euler_maclaurin_moments,
-    from the rows' values at columns N and J.  The moments so cost k row
-    recurrences over N + 1 columns and O(k p) more, whatever J is.  Where
-    N = J, or the Euler-Maclaurin part is out of its model or costs more
-    than summing its J - N columns would (rho > gamma_(J-N), below), the
-    J columns are summed directly, as the whole stream.
+    d_n = sum_(j<=J) F_n(j), F_n(x) = x^-s (|c2| ln x)^n / (a! b!), s = 2 sigma1,
+    and F_n = F_(n-1) g / ceil(n/2).  The columns j <= N, N from
+    _em_columns, are summed directly (_chain_moments, which takes every
+    F_n of a column from that one recurrence); the columns N < j <= J by
+    _euler_maclaurin_moments, from the values F_n(N) and F_n(J) of the same
+    recurrence.  The moments so cost 2k - 1 products over N + 1 columns and
+    O(k p) more, whatever J is.  Where N = J, or the Euler-Maclaurin part is
+    out of its model or costs more than summing its J - N columns would
+    (rho > gamma_(J-N), below), the J columns are summed directly, by the
+    same recurrence.
 
     Rounding.  The direct part is D_n (1 + theta) + e, |theta| <= delta_0 and
     |e| <= eps_0 (_gram_rounding with N columns), and the Euler-Maclaurin
@@ -583,17 +605,14 @@ def _gram_moments(sym: DirichletSymbol, k: int, j_max: int) -> tuple[np.ndarray,
     err_n > _EM_ABSOLUTE gives err_n <= rho d_n; the other err_n, up to
     _EM_ABSOLUTE, join floor (moments far out in a fast-decaying row
     underflow, and their low_n is 0).  The sum D'_n + E'_n rounds once
-    more, which delta_0's gamma_(N+2k+1) counts, so delta = delta_0 +
-    rho (1 + u) and eps = (eps_0 + floor)(1 + u).  A delta
-    above 1/2, past what operator_norm_estimate's proof assumes, raises
-    DomainError.
+    more, which delta_0 counts, so delta = delta_0 + rho (1 + u) and
+    eps = (eps_0 + floor)(1 + u).  A delta above 1/2, past what
+    operator_norm_estimate's proof assumes, raises DomainError.
     """
     n_cut = _em_columns(sym, k, j_max)
-    d, ends = _streamed_moments(sym, k, n_cut, j_max)
+    d, f = _chain_moments(sym, k, n_cut, j_max)
     delta, eps = _gram_rounding(sym, k, n_cut, j_max)
     if n_cut < j_max:
-        n = np.arange(2 * k - 1)
-        f = ends[n // 2] * ends[n - n // 2]  # F_n = B[a] B[b] at columns N and J
         with np.errstate(over="ignore", invalid="ignore"):  # out of its model it returns None
             part = _euler_maclaurin_moments(sym, k, n_cut, j_max, f)
         rho = math.inf
@@ -610,7 +629,7 @@ def _gram_moments(sym: DirichletSymbol, k: int, j_max: int) -> tuple[np.ndarray,
             delta = math.nextafter(delta + rho * (1.0 + 2.0 * UNIT_ROUNDOFF), math.inf)
             eps = (eps + floor) * (1.0 + 2.0 * UNIT_ROUNDOFF)
         else:
-            d, _ = _streamed_moments(sym, k, j_max, j_max)
+            d, _ = _chain_moments(sym, k, j_max, j_max)
             delta, eps = _gram_rounding(sym, k, j_max, j_max)
     if not delta <= 0.5:
         raise DomainError(f"Gram rounding bound {delta:.3e} of {k} rows exceeds 1/2")
@@ -623,8 +642,8 @@ def _em_columns(sym: DirichletSymbol, k: int, j_max: int) -> int:
     theta N (theta = _EM_RATIO), so that the Euler-Maclaurin remainder is
     about u of its integral (see _euler_maclaurin_moments).  It is J where
     no such N is at most J / 2, or (s - 1) ln J is not in (0, 700], which
-    keeps e^-z in the normal range and every column of J in the rows'
-    recurrence (sigma1 ln J < 700, see _rows).
+    keeps e^-z in the normal range and columns N and J in the chain's
+    recurrence (sigma1 ln J < 700, see _chain).
     """
     s = 2.0 * sym.sigma1
     if not 0.0 < (s - 1.0) * math.log(j_max) <= _EM_EXPONENT_MAX:
@@ -637,34 +656,148 @@ def _em_columns(sym: DirichletSymbol, k: int, j_max: int) -> int:
     return j_max
 
 
-def _streamed_moments(
+def _chain_moments(
     sym: DirichletSymbol, k: int, n_cut: int, j_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The 2k - 1 balanced moments summed over the columns j <= N, and
-    B[:k] at columns N and J (a k x 2 array).
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(d, f): the 2k - 1 balanced moments summed over the columns j <= N,
+    and, where N < J, f = (F_n(N), F_n(J)) as a (2k - 1) x 2 array (else
+    None).
 
-    The rows come from _rows through a 2 x (N + 1) buffer of the columns
-    1..N and J (2 x J when N = J): d_(2i-1) and d_(2i) are taken while row
-    i is in cache, so the sums cost k row recurrences and 2k - 1 dot
-    products over N columns, and no block is held.
+    _chain evaluates the columns 1..N, and J with the last of them, in
+    chunks of at most _CHAIN_ENTRIES entries, so the sums hold no more than
+    that whatever N is, and each chunk's sums are one matrix-vector
+    product: F_n(j) = T[n, j] m[j], so d += T m.
     """
-    columns = np.arange(1.0, n_cut + 1.0)
-    if n_cut < j_max:
-        columns = np.append(columns, float(j_max))
-    d = np.empty(2 * k - 1)
-    ends = np.empty((k, 2))
-    buffer = np.empty((2, columns.size))
-    pair = buffer[:, :n_cut]
-    heads = list(pair)
-    tails = list(buffer[:, n_cut - 1 :])  # columns N and J, or J twice
-    for i, _ in enumerate(_rows(sym, k, buffer, columns)):
-        head = heads[i % 2]
-        if i:  # (B[i-1] . B[i], B[i] . B[i]) from the two buffer rows at once
-            d[2 * i - 1 : 2 * i + 1] = (pair @ head)[:: 1 if i % 2 else -1]
-        else:
-            d[0] = head @ head
-        ends[i] = tails[i % 2]
-    return d, ends
+    top = 2 * k - 1
+    width = max(_CHAIN_ENTRIES // top, 1)
+    d = np.zeros(top)
+    for start in range(1, n_cut + 1, width):
+        size = min(width, n_cut + 1 - start)
+        last = start + size > n_cut and n_cut < j_max
+        columns = np.arange(float(start), float(start + size + last))
+        if last:  # the last chunk also takes column J
+            columns[-1] = j_max
+        table, scale = _chain(sym, top, columns)
+        d += table[:, :size] @ scale[:size]
+    if n_cut == j_max:
+        return d, None
+    return d, table[:, -2:] * scale[-2:]
+
+
+def _chain(sym: DirichletSymbol, top: int, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, m): F_n(j) = T[n, i] m[i] for n < top and the ascending column
+    indices j = columns[i] >= 1, F_n as in _gram_moments.
+
+    On the columns with sigma1 ln j <= _ROW0_EXPONENT_MAX, T[0] = m = w,
+    w = exp(-sigma1 ln j), which stays in the normal range there (as row 0
+    of B does in _rows), and one cumprod along n gives
+    T[n] = T[n-1] g / ceil(n/2), g = |c2| ln j: T is F / w, so T m is F.
+    Starting from w, not from F_0 = w^2, keeps the start normal on every
+    column where it is for the rows of B (w^2 leaves the normal range at
+    half the exponent), and no entry of T exceeds 1 / w <= e^700, as
+    F <= 1.  Past that column, F_n = exp(n log g - log a! - log b! -
+    2 sigma1 ln j) directly, and m = 1; with c2 = 0, or where |c2| ln j
+    overflows (every entry is then below 2^-1074, see _rows), log g is
+    taken as -inf, and rows n >= 1 come out 0.  _chain_rounding bounds the
+    error of every F_n(j).
+    """
+    lj = np.log(columns)
+    near = int(np.searchsorted(lj, _ROW0_EXPONENT_MAX / sym.sigma1, side="right"))
+    with np.errstate(over="ignore"):
+        exponent = (-sym.sigma1) * lj  # -inf past 1.8e308: the entry is 0
+    scale = np.exp(exponent)
+    table = np.empty((top, columns.size))
+    head = table[:, :near]
+    head[0] = scale[:near]
+    np.multiply.outer(_table(_step_table, top - 1), sym.c2_abs * lj[:near], out=head[1:])
+    np.cumprod(head, axis=0, out=head)
+    if near < columns.size:  # columns past the normal range, often none
+        with np.errstate(divide="ignore", over="ignore"):  # log(0) = -inf when c2 = 0
+            log_g = np.log(sym.c2_abs * lj[near:])
+            far_exponent = 2.0 * exponent[near:]
+        log_g[log_g == math.inf] = -math.inf
+        n = np.arange(top)
+        log_fact = log_factorials((top - 1) // 2)
+        far = table[:, near:]
+        far[0] = 0.0
+        np.multiply.outer(n[1:], log_g, out=far[1:])
+        far -= (log_fact[n // 2] + log_fact[n - n // 2])[:, None]
+        far += far_exponent
+        np.exp(far, out=far)
+        scale[near:] = 1.0
+    return table, scale
+
+
+def _step_table(size: int) -> np.ndarray:
+    """1 / ceil(n/2) for n = 1..size (see _chain)."""
+    return 1.0 / np.ceil(0.5 * np.arange(1.0, size + 1.0))
+
+
+def _chain_rounding(sym: DirichletSymbol, k: int, j_max: int) -> float:
+    """Bound phi on the relative rounding of every F_n(j), n <= 2k - 2,
+    j <= J, that _chain computes, as T m: each is F_n(j) (1 + theta) + e
+    with |theta| <= phi and |e| <= k 2^-1074.  numpy's log and exp are
+    taken within one ulp (2u relative), each product and quotient within
+    u, lgamma(m+1) within 4 log m! + 2 units (see
+    special_functions._log_tail_rounding), and theta_n is a relative error
+    of at most gamma_n (Higham 2002, ch. 3).
+
+    * Columns with sigma1 ln j <= 700 (tested as ln j <= 700 / sigma1, as
+      _rows does, which keeps sigma1 ln j below 701).  ln j carries
+      theta_2 and sigma1 ln j one more rounding, so exp's argument is off
+      by at most d = gamma_3 min(sigma1 ln J, 746), which moves w by a
+      factor within d e^d of 1, and exp adds theta_2:
+      w is within h = d e^d + gamma_2 (1 + d e^d).  Each of the 2k - 2
+      steps of the chain rounds g = |c2| ln j (theta_3), 1 / ceil(n/2),
+      the product of the two and the cumulative product (theta_1 each):
+      theta_6.  T m rounds once more, and carries w twice, so
+      1 + theta <= (1 + h)^2 (1 + gamma_(12k-11)).
+    * Underflow on those columns: T[0] = w >= e^-700 (1 - 2u), and a
+      column's entries rise while g >= ceil(n/2), so no product leaves the
+      normal range before the entries fall, by a factor below 1 a step.
+      From the first subnormal product on, a step adds at most 2^-1075 and
+      scales the absolute error it carries by at most 1 + gamma_6, and T m,
+      with m = w <= 1, adds 2^-1075 more: (2k - 1) 2^-1075 (1 + gamma_12k)
+      <= k 2^-1074 in all.
+    * Columns past 700 (only when sigma1 ln J passes 699): F_n is exp of
+      E = n L - l_n - x, L = log g, l_n = log a! + log b!, x = 2 sigma1 ln j.
+      g rounds as above and log adds 2 ulps of L, so n L is off by at most
+      n (3 |L| + 3) units; l_n by 5 l_n + 4; x by 3 x; the two
+      subtractions by n |L| + l_n + x each: E is off by at most
+      5 n (1 + |L|) + 7 l_n + 4 x + 4 units, and one more covers the
+      second-order terms.  With P = (2k - 2)(1 + max |L|), max |L| taken
+      at j = 2 and J (L is monotone in j), and l_n <= 2 log (k-1)!, an E of
+      at least -746 has x <= P + 746, so E is off by at most
+      eps = (5 P + 14 log (k-1)! + 4 min(2 sigma1 ln J, P + 746) + 5) u,
+      and F_n(j) by a factor within expm1(eps) (1 + 2u) + 2u of 1.  Below
+      -746, as x <= |E| + n |L|, the computed E is at most
+      -|E| (1 - 4u) + (9 P + 14 log (k-1)! + 4) u < -745.5 while
+      phi <= 1/5 (then eps <= log 1.2, so (9 P + 14 log (k-1)!) u < 0.33),
+      and exp returns at most 2^-1074 (2^-1075 = e^-745.13), which e
+      covers, as it covers a subnormal result; row 0 there is
+      exp(-x) < 2^-1074 likewise.  With c2 = 0 rows n >= 1 are exactly 0.
+
+    phi is the larger bound, computed as a sum of nonnegative terms and
+    raised by 16 u for its own roundings.  A phi above 1/5, past what the
+    callers' proofs assume, raises DomainError.
+    """
+    log_j = math.log(j_max)
+    exponent = sym.sigma1 * log_j
+    d = _gamma(3) * min(exponent, _UNDERFLOW_EXPONENT)
+    shift = d * math.exp(d)
+    head = shift + _gamma(2) * (1.0 + shift)
+    phi = 2.0 * head + head * head + _gamma(12 * k - 11) * (1.0 + head) ** 2
+    if sym.c2 != 0 and exponent > _ROW0_EXPONENT_MAX - 1.0:
+        log_c = math.log(sym.c2_abs)  # log(|c2| ln j) without overflow
+        log_base = max(abs(log_c + math.log(math.log(j))) for j in (2, j_max))
+        powers = (2 * k - 2) * (1.0 + log_base)
+        size = 5.0 * powers + 14.0 * math.lgamma(k) + 4.0 * min(2.0 * exponent, powers + 746.0)
+        eps = (size + 5.0) * UNIT_ROUNDOFF
+        phi = max(phi, math.expm1(eps) * (1.0 + 2.0 * UNIT_ROUNDOFF) + 2.0 * UNIT_ROUNDOFF)
+    phi = math.nextafter(phi * (1.0 + 16.0 * UNIT_ROUNDOFF), math.inf)
+    if not phi <= 0.2:
+        raise DomainError(f"moment rounding bound {phi:.3e} of {k} rows and {j_max} columns exceeds 1/5")
+    return phi
 
 
 def _euler_maclaurin_moments(
@@ -672,8 +805,8 @@ def _euler_maclaurin_moments(
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
     """(e, err, floor): e_n is sum_(N<j<=J) F_n(j), n = 0..2k-2, within
     err_n + floor, by Euler-Maclaurin summation with p = _EM_TERMS Bernoulli
-    terms from the values f[n] = (F_n(N), F_n(J)), each the product of two
-    entries of _rows; None where the evaluation leaves its model.
+    terms from the values f[n] = (F_n(N), F_n(J)) of _chain; None where
+    the evaluation leaves its model.
 
     With c = |c2|, s = 2 sigma1, a = s - 1 and r_n = n / ceil(n/2) (r_n F_n
     has the factorials of F_(n-1) over those of F_n, times n):
@@ -706,9 +839,8 @@ def _euler_maclaurin_moments(
     each step of V 4 (c r's 2, the product and the sum, or s + m and the
     product), each derivative term 5 (B_2r / (2r)!, pow, a quotient and a
     product)
-    and their sum p; F is B_a B_b, within (1 + eta)^2 (1 + u),
-    eta = _entry_rounding(sym, k - 1, J).  a takes 1 (0 up to
-    s = 2), G_n 5n + 2 more; z 4, so p_0 = exp(-z) is within
+    and their sum p; F is within phi = _chain_rounding(sym, k, J).  a
+    takes 1 (0 up to s = 2), G_n 5n + 2 more; z 4, so p_0 = exp(-z) is within
     e^(gamma_4 z) <= 1 + gamma_(4z+1) and 2, and each step 6; a sum of
     M + 1 terms M, a difference and the product by G 2; the four additions
     that assemble e another 4.  So with S_n = G_n size (size the two sums
@@ -718,13 +850,13 @@ def _euler_maclaurin_moments(
         err_n = K L_n^2p (I'_n + ierr_n) + ierr_n + eps_f T_n,
 
     ierr_n = gamma_(5(2k-2) + 4 z_J + 7M + 12) S_n (+ 2 G_n p_M of each z
-    for the upper form) and eps_f = 2 eta + eta^2 + gamma_(9p+8)(1 + eta)^2.
+    for the upper form) and eps_f = phi + gamma_(9p+7)(1 + phi).
     Each of these relative bounds is below 2^-24 (or the result is None),
     and err is raised by 2^-20 of itself, which covers the second-order
-    terms.  floor, in units of 2^-1074: each F carries 3k + 1 (see
-    _gram_rounding), which V's steps scale by at most
+    terms.  floor, in units of 2^-1074: each F carries k (see
+    _chain_rounding), which V's steps scale by at most
     Lambda' = 2c + s + 2p + 1 each and to which they add 3, so each
-    derivative sum carries (3k + 1 + 8p) sum_r |beta_r| max(1, Lambda'/N)^(2r-1);
+    derivative sum carries (k + 8p) sum_r |beta_r| max(1, Lambda'/N)^(2r-1);
     from the first subnormal Poisson term on, past the mode, each step
     adds 1 and scales the carried error by z / m < 1, so each sum carries
     M + 2, times max G (None where a G_n is subnormal); and the products
@@ -765,8 +897,8 @@ def _euler_maclaurin_moments(
     integral = g * q
     integral_err = g * np.minimum(err_low, err_high)
 
-    eta = _entry_rounding(sym, k - 1, j_max)
-    eps_f = 2.0 * eta + eta * eta + _gamma(9 * _EM_TERMS + 8) * (1.0 + eta) ** 2
+    phi = _chain_rounding(sym, k, j_max)
+    eps_f = phi + _gamma(9 * _EM_TERMS + 7) * (1.0 + phi)
     ratio = (n / log_x[0] * (1.0 + 4.0 * UNIT_ROUNDOFF) + s + _EM_TERMS - 0.5) / n_cut
     omega = sum(abs(beta) * float(ratio[-1]) ** (2 * j + 1) for j, beta in enumerate(_EM_BETA))
     remainder = _EM_REMAINDER * ratio ** (2 * _EM_TERMS) * (integral + integral_err)
@@ -776,7 +908,7 @@ def _euler_maclaurin_moments(
 
     spread = max(1.0, (2.0 * c + s + 2 * _EM_TERMS + 1.0) / n_cut)
     carried = sum(abs(beta) * spread ** (2 * j + 1) for j, beta in enumerate(_EM_BETA))
-    floor = 2.0 * (3 * k + 1 + 8 * _EM_TERMS) * (1.0 + carried)
+    floor = 2.0 * (k + 8 * _EM_TERMS) * (1.0 + carried)
     floor += 4.0 * (top_m + 2) * max(1.0, float(np.max(g))) + 8.0
     floor *= 2.0**-1074 * (1.0 + 2.0**-20)
     if not (max(eps_i, eps_f) <= 2.0**-24 and np.min(g) >= _TINY and np.isfinite(e + err).all()):
@@ -791,55 +923,64 @@ def _gram(d: np.ndarray) -> np.ndarray:
         G[i][l] = |c2|^(i+l) h_(i+l) / (i! l!) = F[i][l] d_(i+l),
         F[i][l] = a! b! / (i! l!),  a = (i+l) // 2, b = i + l - a,
 
-    a Hankel matrix scaled by F <= 1 (a, b is the most balanced split of
-    i + l).  Along row i, F[i][i] = 1 and
-    F[i][l+1] = F[i][l] ceil((i+l+1)/2) / (l+1), so above the diagonal F
-    is a running product of quotients of integers, and it is symmetric.
+    a Hankel matrix, d gathered by the index table i + l, scaled by F <= 1
+    (a, b is the most balanced split of i + l).  Both tables depend on k
+    alone and are kept (see _table).
     """
     k = (d.shape[0] + 1) // 2
+    return d[_table(_hankel_table, k)] * _table(_gram_factor_table, k)
+
+
+def _hankel_table(k: int) -> np.ndarray:
+    """i + l for i, l < k (see _gram)."""
+    i = np.arange(k)
+    return np.add.outer(i, i)
+
+
+def _gram_factor_table(k: int) -> np.ndarray:
+    """F[i][l] = a! b! / (i! l!) for i, l < k (see _gram).  Along row i,
+    F[i][i] = 1 and F[i][l+1] = F[i][l] ceil((i+l+1)/2) / (l+1), so above
+    the diagonal F is a running product of quotients of integers, and it is
+    symmetric.  Each entry depends on i and l alone, so F of k rows is the
+    leading block of F of any more."""
     i = np.arange(k)
     ratio = np.ones((k, k))
     np.divide((i[:, None] + i + 1) // 2, i, out=ratio, where=i > i[:, None])
     f = np.triu(np.cumprod(ratio, axis=1))
     f += np.triu(f, 1).T
-    return d[np.add.outer(i, i)] * f
+    return f
 
 
 def _gram_rounding(sym: DirichletSymbol, k: int, n_cut: int, j_max: int) -> tuple[float, float]:
     """(delta_0, eps_0): each balanced moment summed directly over the
-    columns j <= N (see _streamed_moments), times the factor F[i][l] of
-    _gram, is its exact value (1 + theta) + e with
-    |theta| <= delta_0 and
+    columns j <= N (see _chain_moments), times the factor F[i][l] of
+    _gram, is its exact value (1 + theta) + e with |theta| <= delta_0 and
     |e| <= eps_0, and delta_0 leaves one rounding for _gram_moments'
     addition of the columns past N.
 
-    * The rows 0..k-1 from _rows are B_k (1 + theta) + e with
-      |theta| <= eta = _entry_rounding(sym, k - 1, J) and
-      |e| <= max(k - 1, 1) 2^-1074: no row below them enters their
-      recurrence, and every column lies at or below J.  A product of two
-      entries is off by (1 + eta)^2 and its own rounding, and, with B <= 1
-      and eta <= 1/5, by at most (3k + 1) 2^-1074 more.
-    * d_n adds N nonnegative products, within gamma_N of its value in any
-      order (Higham 2002, ch. 3), plus 2^-1075 per product that underflows.
+    * Every F_n(j), j <= J, that _chain computes is F_n(j) (1 + theta) + e
+      with |theta| <= phi = _chain_rounding(sym, k, J), which counts the
+      product T m, and |e| <= k 2^-1074.
+    * d_n adds N such values, N - 1 additions, within gamma_(N-1) of its
+      value in any order and grouping (Higham 2002, ch. 3), chunks
+      included; sums of subnormals are exact.
     * F: each integer quotient and each factor of the running product
       rounds once, at most 2k - 3 roundings; past k of about 1000 its
       entries underflow (F[0][l] >= 2^-l), which costs at most
-      k 2^-1075 d_n <= k J 2^-1075, since B <= 1.  The product F d rounds
-      once more.
+      k 2^-1075 d_n <= k J 2^-1075, since F_n <= 1.  The product F d rounds
+      once more, and the addition of the columns past N once.
 
     (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_(a+b), so
-    1 + theta <= (1 + eta)^2 (1 + gamma_(N+2k+1)), with the one addition
-    left over, and delta_0 = 2 eta + eta^2 + gamma_(N+2k+1) (1 + eta)^2,
-    computed as a sum of nonnegative terms and raised by 16 u for its own
-    roundings.  The absolute parts add up to at most (3k + 1.5) N + k J / 2
-    units of 2^-1074, and eps_0 = (5 k N + k J) 2^-1074 covers them times
-    1 + u.
+    1 + theta <= (1 + phi)(1 + gamma_(N+2k-2)), and
+    delta_0 = phi + gamma_(N+2k-2) (1 + phi), computed as a sum of
+    nonnegative terms and raised by 16 u for its own roundings.  The
+    absolute parts add up to at most k N (1 + gamma_N) + k J / 2 units of
+    2^-1074, and eps_0 = (2 k N + k J) 2^-1074 covers them times 1 + u.
     """
-    eta = _entry_rounding(sym, k - 1, j_max)
-    sums = _gamma(n_cut + 2 * k + 1)
-    delta = 2.0 * eta + eta * eta + sums * (1.0 + eta) ** 2
+    phi = _chain_rounding(sym, k, j_max)
+    delta = phi + _gamma(n_cut + 2 * k - 2) * (1.0 + phi)
     delta = math.nextafter(delta * (1.0 + 16.0 * UNIT_ROUNDOFF), math.inf)
-    return delta, (5.0 * k * n_cut + k * j_max) * 2.0**-1074
+    return delta, (2.0 * k * n_cut + k * j_max) * 2.0**-1074
 
 
 def operator_norm_estimate(
@@ -853,10 +994,13 @@ def operator_norm_estimate(
     Rows k..I of B have Frobenius norm at most ``dropped`` <= u ||B|| (see
     _significant_rows).  ||B_k||^2, B_k the first k rows, is the Perron
     root of the k x k Gram matrix G = B_k B_k^T >= 0, assembled from 2k - 1
-    moments (see _gram_moments and _gram): the first N columns streamed,
-    the rest summed by Euler-Maclaurin with p = _EM_TERMS Bernoulli terms,
-    O(k N + k p) work whatever J is, N a power of two from 64 (or N = J).
-    The start vector is |v|, v the top eigenvector of the computed G from
+    moments (see _gram_moments and _gram): the first N columns summed from
+    one cumulative product over a (2k - 1) x (N + 1) table, the rest by
+    Euler-Maclaurin with p = _EM_TERMS Bernoulli terms, O(k N + k p) work
+    whatever J is, N a power of two from 64 (or N = J, summed at most
+    2^17 table entries at a time).  The tables that depend on k alone are
+    kept between calls, read-only, in at most 8 MiB (see _table).  The
+    start vector is |v|, v the top eigenvector of the computed G from
     LAPACK's eigh.  Each step computes y = G x, k^2 products, and brackets
     the Perron root:
 
@@ -875,9 +1019,9 @@ def operator_norm_estimate(
     step to step, so a gap that fails to shrink means rounding has taken
     over: the loop stops there too, with ``converged`` false, instead of
     running to ``max_iter``.  Both ends carry derived rounding terms, for
-    the Gram matrix (the moments' delta and eps: the entries' error, the
-    N-term sums and the Euler-Maclaurin remainder and rounding, see
-    _gram_moments and _gram_rounding) and for the steps, and
+    the Gram matrix (the moments' delta and eps: the recurrence's error,
+    the N-term sums and the Euler-Maclaurin remainder and rounding, see
+    _gram_moments, _chain_rounding and _gram_rounding) and for the steps, and
     outward-rounded square roots: whether or not the loop converged,
     [lower, upper - tail_bound] holds the norm of the exact truncation and
     [lower, upper] that of the full operator (upper is infinite for

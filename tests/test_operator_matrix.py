@@ -852,13 +852,13 @@ class TestGramMoments:
             return sym, k, j_max
 
         read = []  # the columns each direct sum read
-        streamed = operator_matrix._streamed_moments
+        chain_moments = operator_matrix._chain_moments
 
         def recorded(sym, k, n_cut, j_max):
             read.append((n_cut, j_max))
-            return streamed(sym, k, n_cut, j_max)
+            return chain_moments(sym, k, n_cut, j_max)
 
-        monkeypatch.setattr(operator_matrix, "_streamed_moments", recorded)
+        monkeypatch.setattr(operator_matrix, "_chain_moments", recorded)
         used = []
 
         @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -883,25 +883,97 @@ class TestGramMoments:
         assert used[-1] and read[-1] == (256, 10**6)
         assert any(used) and not all(used)
 
-    def test_stream_buffer_holds_n_columns_and_column_j(self, monkeypatch):
-        # at 99 x 1e6 the stream reads columns 1..N and J, N a power of two
-        # far below J, and the norm still brackets the 1e6-column truncation
-        shapes = []
-        rows = operator_matrix._rows
+    def test_chain_evaluates_n_columns_and_column_j(self, monkeypatch):
+        # at 99 x 1e6 the recurrence evaluates columns 1..N and J only, N a
+        # power of two far below J, and the norm still brackets the
+        # 1e6-column truncation
+        evaluated = []
+        chain = operator_matrix._chain
 
-        def recorded(sym, count, out, columns=None):
-            shapes.append(out.shape)
-            return rows(sym, count, out, columns)
+        def recorded(sym, top, columns):
+            evaluated.append(columns.copy())
+            return chain(sym, top, columns)
 
-        monkeypatch.setattr(operator_matrix, "_rows", recorded)
+        monkeypatch.setattr(operator_matrix, "_chain", recorded)
         sym = DirichletSymbol(2.0, 0.5)
         m = build_matrix(sym, 98, 10**6)
         est = operator_norm_estimate(m)
         k, _ = operator_matrix._significant_rows(sym, 98, 10**6)
         n_cut = operator_matrix._em_columns(sym, k, 10**6)
-        assert shapes == [(2, n_cut + 1)] and n_cut == 64
+        assert n_cut == 64
+        assert np.array_equal(np.concatenate(evaluated), np.append(np.arange(1.0, 65.0), 1e6))
         assert est.converged and est.lower <= est.upper
         assert est.lower**2 <= norm_bounds(sym).upper_sq
+
+
+    def test_direct_path_holds_one_chunk(self):
+        # (50.5 + 1e-12, 50) at 201 x 4e5 sums all 4e5 columns directly,
+        # 401 moments at a time over chunks of at most 2^17 entries (1 MiB):
+        # no 401 x J table and no J-long column array is held
+        sym = DirichletSymbol(50.5 + 1e-12, 50.0)
+        m = build_matrix(sym, 200, 4 * 10**5)
+        assert operator_matrix._em_columns(sym, 201, 4 * 10**5) == 4 * 10**5
+        tracemalloc.start()
+        try:
+            est = operator_norm_estimate(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert est.converged and est.lower <= est.upper
+
+    def test_size_tables_are_kept_read_only_and_bounded(self, monkeypatch):
+        # each kept table is read-only, serves every smaller size with the
+        # bits a build at that size gives, and is kept only up to
+        # _TABLE_BYTES, so the four keep at most 4 _TABLE_BYTES
+        monkeypatch.setattr(operator_matrix, "_tables", {})
+        om = operator_matrix
+        for sigma1, c, i_max in [(4.0, 3.5, 200), (2.0, 0.5, 100), (50.5 + 1e-12, 50.0, 200)]:
+            operator_norm_estimate(build_matrix(DirichletSymbol(sigma1, c), i_max, 20000))
+        kept = dict(om._tables)
+        assert set(kept) == {om._log_factorial_table, om._step_table, om._gram_factor_table,
+                             om._hankel_table}
+        assert kept[om._gram_factor_table].shape == (201, 201)
+        for build in kept:
+            small = om._table(build, 30)
+            assert not small.flags.writeable and not kept[build].flags.writeable
+            assert np.array_equal(small, build(30))
+            with pytest.raises(ValueError):
+                small[0] = 1.0
+        assert not log_factorials(10).flags.writeable
+        om._gram(np.ones(2 * 600 - 1))  # 600 x 600 tables of 2.7 MiB each serve that call only
+        assert om._tables[om._gram_factor_table] is kept[om._gram_factor_table]
+        assert sum(table.nbytes for table in om._tables.values()) <= 4 * om._TABLE_BYTES == 8 * 2**20
+
+
+    def test_threads_share_the_size_tables(self, monkeypatch):
+        # more threads than cores, switching every microsecond, take norms
+        # of different k from one empty set of tables: each gets the bits
+        # that a later serial call, reading the kept tables, gets
+        monkeypatch.setattr(operator_matrix, "_tables", {})
+        cases = [(4.0, 3.5, 200), (2.0, 0.5, 100), (4.0, 3.5, 60), (3.0, 1.5, 150), (1.6, 0.3, 30),
+                 (4.0, 3.5, 20)]
+        got = [None] * len(cases)
+        barrier = threading.Barrier(len(cases))
+
+        def norm(slot):
+            sigma1, c, i_max = cases[slot]
+            barrier.wait(timeout=60)
+            got[slot] = operator_norm_estimate(build_matrix(DirichletSymbol(sigma1, c), i_max, 20000))
+
+        threads = [threading.Thread(target=norm, args=(slot,)) for slot in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for (sigma1, c, i_max), est in zip(cases, got):
+            assert est == operator_norm_estimate(build_matrix(DirichletSymbol(sigma1, c), i_max, 20000))
 
 
 class TestSignificantRows:
@@ -1033,7 +1105,7 @@ class TestOperatorNormEstimate:
         # the exact ones: every moment 0.99 delta above them, then every
         # moment 0.99 delta below, and the computed block's 60-digit norm
         # must stay in the bracket.  (51, 50) keeps all 201 rows, where delta
-        # (about 2,800u, mostly the entries' 2 eta) passes the steps' own
+        # (about 2,800u, mostly the recurrence's phi) passes the steps' own
         # rounding terms (at most 3k + 8 = 611u), so the bracket holds only
         # if it charges delta; at 31 x 20000, (2, 0.5) sums columns past 64
         # by Euler-Maclaurin, whose error delta must carry too
