@@ -16,8 +16,8 @@ vertical translation of c1 and rotation of c2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError, NonCompactError
 from .special_functions import DEFAULT_BUDGET, UNIT_ROUNDOFF, PrecisionBudget, geomspace, zeta
@@ -118,8 +118,7 @@ def schur_exponent(sym: DirichletSymbol, r: float) -> float:
     return s
 
 
-@dataclass(frozen=True)
-class NormBoundReport:
+class NormBoundReport(NamedTuple):
     """Squared-norm bracket for one symbol.
 
     ``schur_r`` is None for constant symbols, where the bracket collapses to
@@ -212,8 +211,7 @@ def norm_bounds(
     return NormBoundReport(*_zeta_bracket(sym, budget), kernel_lower_bound(sym, budget))
 
 
-@dataclass(frozen=True)
-class ApproxNumberBound:
+class ApproxNumberBound(NamedTuple):
     """Geometric bound a_(N+1) <= prefactor * ratio^N for a compact symbol."""
 
     prefactor: float

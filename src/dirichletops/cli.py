@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import math
 import sys
-from dataclasses import Field, dataclass, field, fields
+from collections import namedtuple
 from pathlib import Path
 
 from . import __version__
@@ -54,57 +53,51 @@ _SUBCOMMANDS = {
 }
 
 
-def _option(default, help=None, *, flag=None, commands=tuple(_SUBCOMMANDS), file=True, **extra):
+def _option(name, default, help=None, *, flag=None, commands=tuple(_SUBCOMMANDS), file=True, **extra):
     """A RunConfig field with the one declaration of its inputs.
 
-    ``help`` is the help of its flag ``--<flag>`` (the field's name unless
-    ``flag`` is given), which ``commands`` take with the ``extra`` argparse
+    ``help`` is the help of its flag ``--<flag>`` (``name`` unless ``flag``
+    is given), which ``commands`` take with the ``extra`` argparse
     settings; without ``help`` the field adds no flag of its own.  ``file``
-    says whether a config file may set it, under the field's name or the
-    flag's.  Flag and file values parse with the default's type (str for
-    None), and a bool field is a switch.
+    says whether a config file may set it, under its name or its flag.
+    Flag and file values parse with the default's type (str for None), and
+    a bool field is a switch.
     """
     kind = str if default is None else type(default)
-    meta = dict(help=help, flag=flag, commands=commands, file=file, type=kind, extra=extra)
-    return field(default=default, metadata=meta)
+    return dict(name=name, default=default, help=help, flag=flag or name, commands=commands,
+                file=file, type=kind, extra=extra)
 
 
-def _flag(f: Field) -> str:
-    return f.metadata["flag"] or f.name
+# RunConfig's fields, in order; a bare `tol` (flag or file key) sets both
+# tolerance fields
+_OPTIONS = (
+    _option("c1_re", 2.0, "Re c1 (default 2)"),
+    _option("c1_im", 0.0, "Im c1 (default 0)"),
+    _option("c2_abs", 0.5, "|c2| (default 0.5)"),
+    _option("c2_arg", 0.0, "arg c2 in radians (default 0)"),
+    _option("q", 2, "integer base q >= 2 (default 2)"),
+    _option("rows", 40, "highest row index I; the matrix has I+1 rows"),
+    _option("cols", 2000, "number of columns J"),
+    _option("abs_tol", 1e-12, "absolute and relative tolerance (default 1e-12)", flag="tol"),
+    _option("rel_tol", 1e-12, flag="tol"),
+    _option("max_terms", 10**6),
+    _option("format", "json", "document format", choices=("json", "csv")),
+    _option("output", None, "write the document here", metavar="PATH"),
+    _option("n_max", 10, "largest N in the table (default 10)", commands=("approx-numbers",)),
+    _option("points", 200, "sample count on [0.1, 10] (default 200)", commands=("figure",)),
+    _option("inject_fault", False, "flip one inequality to confirm failures are detected (self-test)",
+            commands=("verify-lemmas",), file=False),
+    _option("dump_matrix", None, "also write the matrix entries", commands=("matrix-norm",),
+            file=False, metavar="PATH"),
+)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(
+    namedtuple("RunConfig", [o["name"] for o in _OPTIONS], defaults=[o["default"] for o in _OPTIONS])
+):
     """One resolved invocation: symbol, truncation, precision, output."""
 
-    c1_re: float = _option(2.0, "Re c1 (default 2)")
-    c1_im: float = _option(0.0, "Im c1 (default 0)")
-    c2_abs: float = _option(0.5, "|c2| (default 0.5)")
-    c2_arg: float = _option(0.0, "arg c2 in radians (default 0)")
-    q: int = _option(2, "integer base q >= 2 (default 2)")
-    rows: int = _option(40, "highest row index I; the matrix has I+1 rows")
-    cols: int = _option(2000, "number of columns J")
-    # a bare `tol` (flag or file key) sets both tolerance fields
-    abs_tol: float = _option(1e-12, "absolute and relative tolerance (default 1e-12)", flag="tol")
-    rel_tol: float = _option(1e-12, flag="tol")
-    max_terms: int = _option(10**6)
-    format: str = _option("json", "document format", choices=("json", "csv"))
-    output: str | None = _option(None, "write the document here", metavar="PATH")
-    n_max: int = _option(10, "largest N in the table (default 10)", commands=("approx-numbers",))
-    points: int = _option(200, "sample count on [0.1, 10] (default 200)", commands=("figure",))
-    inject_fault: bool = _option(
-        False,
-        "flip one inequality to confirm failures are detected (self-test)",
-        commands=("verify-lemmas",),
-        file=False,
-    )
-    dump_matrix: str | None = _option(
-        None,
-        "also write the matrix entries",
-        commands=("matrix-norm",),
-        file=False,
-        metavar="PATH",
-    )
+    __slots__ = ()
 
     def symbol(self) -> DirichletSymbol:
         c1 = complex(self.c1_re, self.c1_im)
@@ -119,10 +112,7 @@ class RunConfig:
 
 # config-file keys and their parsers: each settable field's name and flag
 _FILE_KEYS = {
-    key: f.metadata["type"]
-    for f in fields(RunConfig)
-    if f.metadata["file"]
-    for key in (f.name, _flag(f))
+    key: o["type"] for o in _OPTIONS if o["file"] for key in (o["name"], o["flag"])
 }
 
 
@@ -156,10 +146,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if args.command == "figure":  # a table by nature
         file_values.setdefault("format", "csv")
     resolved = {}
-    for f in fields(RunConfig):
-        flag = _flag(f)
-        values = (getattr(args, flag, None), file_values.get(f.name), file_values.get(flag))
-        resolved[f.name] = next((v for v in values if v is not None), f.default)
+    for o in _OPTIONS:
+        name, flag = o["name"], o["flag"]
+        values = (getattr(args, flag, None), file_values.get(name), file_values.get(flag))
+        resolved[name] = next((v for v in values if v is not None), o["default"])
     cfg = RunConfig(**resolved)
     if cfg.format not in ("json", "csv"):
         raise DomainError(f"format must be json or csv, got {cfg.format!r}")
@@ -206,11 +196,12 @@ def _round_floats(obj):
 
 
 def _json_document(command: str, cfg: RunConfig, result: dict) -> str:
-    echo = {field.name: getattr(cfg, field.name) for field in fields(RunConfig)}
+    import json  # only JSON documents need it
+
     doc = {
         "command": command,
         "version": __version__,
-        "config": echo,
+        "config": cfg._asdict(),
         "result": result,
     }
     return json.dumps(_round_floats(doc), indent=2) + "\n"
@@ -407,13 +398,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, help in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=help)
         p.add_argument("--config", metavar="FILE", help="key=value config file")
-        for f in fields(RunConfig):
-            meta = f.metadata
-            if meta["help"] and command in meta["commands"]:
-                parse = meta["type"]
+        for o in _OPTIONS:
+            if o["help"] and command in o["commands"]:
+                parse = o["type"]
                 kind = {"action": "store_true"} if parse is bool else {"type": parse}
                 p.add_argument(
-                    "--" + _flag(f).replace("_", "-"), help=meta["help"], **kind, **meta["extra"]
+                    "--" + o["flag"].replace("_", "-"), help=o["help"], **kind, **o["extra"]
                 )
     return parser
 

@@ -27,7 +27,6 @@ import mmap
 import os
 import threading
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -491,17 +490,25 @@ def _entry_rounding(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
       on at most one row: I 2^-1074 in all.
     * Columns past _ROW0_EXPONENT_MAX (only when sigma1 ln J passes it; the
       build compares numpy's ln j with 700 / sigma1, and a margin of 1
-      keeps this test on the safe side): rows i >= 1 come from the
-      exponent i log(|c2| ln j) - log i! - sigma1 ln j, a few elementary
-      steps on pieces of size at most M, each accurate to 2 ulps of its
-      result, and exp adds one more: 4 u (M + 2), to first order.  With
-      S = I (1 + max_j |log(|c2| ln j)|) + log I!, the first two pieces
-      are at most S, so an entry whose exponent is at least -746 has
-      sigma1 ln j <= S + 746, and M = S + min(sigma1 ln J, S + 746).  Below
-      -746 the computed exponent is off by at most 4 u (|exponent| + 2S + 2),
-      so it stays below -745.5 while eta <= 1/5 (then 4 u S <= 1/5), and e
-      covers the entry as in row 0.  A subnormal result adds 2^-1074.
-      With c2 = 0 these rows are exactly 0.
+      keeps this test on the safe side): rows i >= 1 are exp of
+      E = i L - l_i - x, L = log(|c2| ln j), l_i = lgamma(i+1) and
+      x = sigma1 ln j, counted step by step in units of u, with lgamma
+      within 4 l_i + 2 units (special_functions._log_tail_rounding).
+      |c2| ln j carries theta_3 and log adds 2 ulps of L, so L is off by
+      at most 2|L| + 3 and i L by i (3|L| + 3); l_i by 4 l_i + 2; x by 3x;
+      the two subtractions by i|L| + l_i and i|L| + l_i + x: E is off by
+      at most 5i|L| + 3i + 6 l_i + 4x + 2 units, and one more covers the
+      second-order terms.  All of it grows with i, and |L| is largest at
+      j = 2 or J (L is monotone in j).  An E of at least -746 has
+      x <= I max|L| + 746, so E is off by at most
+      eps = (5I max|L| + 3I + 6 log I! + 4 min(sigma1 ln J, I max|L| + 746) + 3) u,
+      and the entry by a factor within expm1(eps) (1 + 2u) + 2u of 1.
+      Below -746, as x <= |E| + i|L|, the computed E is at most
+      -|E| (1 - 4u) + (9I max|L| + 3I + 6 log I! + 3) u < -745.5 while
+      eta <= 1/5 (then eps <= log 1.2, and that u term is at most
+      1.8 eps), and exp returns at most 2^-1074 (2^-1075 = e^-745.13),
+      which e covers, as it covers a subnormal result.  With c2 = 0 these
+      rows are exactly 0.
 
     About a dozen roundings compute eta itself; 16 u relative covers them.
     An eta above 1/5, past what the callers' proofs assume, raises
@@ -515,9 +522,11 @@ def _entry_rounding(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     if sym.c2 != 0 and exponent > _ROW0_EXPONENT_MAX - 1.0:
         log_c = math.log(sym.c2_abs)  # log(|c2| ln j) without overflow
         log_base = max(abs(log_c + math.log(math.log(j))) for j in (2, j_max))
-        pieces = i_max * (1.0 + log_base) + math.lgamma(i_max + 1.0)
-        size = pieces + min(exponent, pieces + _UNDERFLOW_EXPONENT)
-        eta = max(eta, 4.0 * (size + 2.0) * UNIT_ROUNDOFF)
+        powers = i_max * log_base
+        size = 5.0 * powers + 3.0 * i_max + 6.0 * math.lgamma(i_max + 1.0)
+        size += 4.0 * min(exponent, powers + _UNDERFLOW_EXPONENT)
+        eps = (size + 3.0) * UNIT_ROUNDOFF
+        eta = max(eta, math.expm1(eps) * (1.0 + 2.0 * UNIT_ROUNDOFF) + 2.0 * UNIT_ROUNDOFF)
     eta = math.nextafter(eta * (1.0 + 16.0 * UNIT_ROUNDOFF), math.inf)
     if not eta <= 0.2:
         raise DomainError(
@@ -1095,8 +1104,7 @@ def operator_norm_estimate(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SingularSpectrum:
+class SingularSpectrum(NamedTuple):
     """Leading singular values of a truncation, largest first.
 
     ``resolution`` bounds the absolute error of every value against the
@@ -1154,8 +1162,7 @@ def _svd_resolution(m: TruncatedMatrix, sigma1: float) -> float:
     return math.nextafter(math.nextafter(p * UNIT_ROUNDOFF + eta, math.inf) * sigma1, math.inf)
 
 
-@dataclass(frozen=True)
-class SchurCertificate:
+class SchurCertificate(NamedTuple):
     """The two-weight Schur test at parameter r, proven for every row.
 
     With weights p_j = j^(r|c2| - sigma1), q_i = r^i the column sums must

@@ -33,9 +33,9 @@ Contents:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
+from typing import NamedTuple
 
 from .errors import BracketingError, BudgetExhaustedError, DomainError
 
@@ -43,8 +43,13 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 UNIT_ROUNDOFF = 2.0**-53
 
 
-@dataclass(frozen=True)
-class PrecisionBudget:
+class _Budget(NamedTuple):
+    abs_tol: float
+    rel_tol: float
+    max_terms: int
+
+
+class PrecisionBudget(_Budget):
     """Tolerance and work limits for certified series evaluation.
 
     The achieved error bound must satisfy
@@ -52,34 +57,47 @@ class PrecisionBudget:
     evaluation raises BudgetExhaustedError instead of silently degrading.
     """
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_terms: int = 10**6
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        if not (isinstance(self.max_terms, int) and self.max_terms >= 16):
-            raise DomainError(f"max_terms must be an int >= 16, got {self.max_terms}")
+    def __new__(
+        cls, abs_tol: float = 1e-12, rel_tol: float = 1e-12, max_terms: int = 10**6
+    ) -> PrecisionBudget:
+        if not (abs_tol > 0.0 and math.isfinite(abs_tol)):
+            raise DomainError(f"abs_tol must be positive and finite, got {abs_tol}")
+        if not (rel_tol > 0.0 and math.isfinite(rel_tol)):
+            raise DomainError(f"rel_tol must be positive and finite, got {rel_tol}")
+        if not (isinstance(max_terms, int) and max_terms >= 16):
+            raise DomainError(f"max_terms must be an int >= 16, got {max_terms}")
+        return super().__new__(cls, abs_tol, rel_tol, max_terms)
+
+    @classmethod
+    def _make(cls, iterable) -> PrecisionBudget:
+        return cls(*iterable)  # so that _replace validates its copy too
 
 
 DEFAULT_BUDGET = PrecisionBudget()
 
 
-@dataclass(frozen=True)
-class CertifiedValue:
-    """A value together with a rigorous absolute error bound."""
-
+class _Certified(NamedTuple):
     value: float
     error_bound: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise DomainError(f"certified value must be finite, got {self.value}")
-        if not (self.error_bound >= 0.0):
-            raise DomainError(f"error bound must be >= 0, got {self.error_bound}")
+
+class CertifiedValue(_Certified):
+    """A value together with a rigorous absolute error bound."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: float, error_bound: float) -> CertifiedValue:
+        if not math.isfinite(value):
+            raise DomainError(f"certified value must be finite, got {value}")
+        if not (error_bound >= 0.0):
+            raise DomainError(f"error bound must be >= 0, got {error_bound}")
+        return super().__new__(cls, value, error_bound)
+
+    @classmethod
+    def _make(cls, iterable) -> CertifiedValue:
+        return cls(*iterable)  # so that _replace validates its copy too
 
     @property
     def lower(self) -> float:
@@ -496,8 +514,7 @@ _MOMENT_ORDERS = tuple(range(1, 11))
 _MOMENT_ARGS = (1.5, 2.0, 3.0, 10.0)
 
 
-@dataclass(frozen=True)
-class GridCheck:
+class GridCheck(NamedTuple):
     """Outcome of one inequality sweep over a grid of arguments.
 
     A point fails when its margin (right side minus left side, with all
@@ -516,8 +533,7 @@ class GridCheck:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """All grid checks plus the computed crossing point of f and g."""
 
     crossing: float

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
-from dataclasses import dataclass
+import operator
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DomainError, InvalidSymbolError, NonCompactError
 
@@ -30,31 +30,45 @@ class SymbolClass(Enum):
     COMPACT = "compact"
 
 
-@dataclass(frozen=True)
-class DirichletSymbol:
-    """phi(s) = c1 + c2 * q^(-s), validated on construction."""
+def _integer(value) -> int | None:
+    """value as an int where operator.index takes it, else None."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
+
+class _Symbol(NamedTuple):
     c1: complex
     c2: complex
-    q: int = 2
+    q: int
 
-    def __post_init__(self) -> None:
-        c1 = complex(self.c1)
-        c2 = complex(self.c2)
+
+class DirichletSymbol(_Symbol):
+    """phi(s) = c1 + c2 * q^(-s), validated on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, c1: complex, c2: complex, q: int = 2) -> DirichletSymbol:
+        c1 = complex(c1)
+        c2 = complex(c2)
         if not (cmath.isfinite(c1) and cmath.isfinite(c2)):
             raise InvalidSymbolError(f"symbol coefficients must be finite: {c1}, {c2}")
-        if not isinstance(self.q, numbers.Integral) or isinstance(self.q, bool):
-            raise InvalidSymbolError(f"q must be an integer >= 2, got {self.q!r}")
-        if self.q < 2:
-            raise InvalidSymbolError(f"q must be an integer >= 2, got {self.q}")
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "q", int(self.q))
+        n = _integer(q)
+        if n is None or isinstance(q, bool):
+            raise InvalidSymbolError(f"q must be an integer >= 2, got {q!r}")
+        if n < 2:
+            raise InvalidSymbolError(f"q must be an integer >= 2, got {q}")
         if c1.real < 0.5 + abs(c2) - EQ_TOL:
             raise InvalidSymbolError(
                 f"mapping condition Re c1 >= 1/2 + |c2| violated: "
                 f"Re c1 = {c1.real}, |c2| = {abs(c2)}"
             )
+        return super().__new__(cls, c1, c2, n)
+
+    @classmethod
+    def _make(cls, iterable) -> DirichletSymbol:
+        return cls(*iterable)  # so that _replace validates its copy too
 
     @property
     def sigma1(self) -> float:
@@ -79,8 +93,7 @@ def classify(sym: DirichletSymbol) -> SymbolClass:
     return SymbolClass.COMPACT
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     alpha: complex
     derivative: complex
     iterations: int
@@ -135,7 +148,8 @@ def spectrum_formula(sym: DirichletSymbol, k_max: int = 16) -> list[complex]:
     radius exactly 1; constant symbols degenerate to {0, 1}.  Boundary
     symbols are rejected, their spectrum is not described by this formula.
     """
-    if not isinstance(k_max, numbers.Integral) or k_max < 0:
+    n = _integer(k_max)
+    if n is None or n < 0:
         raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
     cls = classify(sym)
     if cls is SymbolClass.BOUNDARY:
@@ -144,7 +158,7 @@ def spectrum_formula(sym: DirichletSymbol, k_max: int = 16) -> list[complex]:
     values: list[complex] = [1.0 + 0.0j]
     d = fixed_point(sym).derivative
     power = 1.0 + 0.0j
-    for _ in range(int(k_max)):
+    for _ in range(n):
         power *= d
         values.append(power)
     values.append(0.0 + 0.0j)

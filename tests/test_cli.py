@@ -6,7 +6,6 @@ through `python -m` to cover the installed entry path.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import warnings
@@ -298,7 +297,7 @@ class TestApproxNumbers:
             spectrum = real(matrix, count)
             values = spectrum.values.copy()
             values[25] = 10.0 * approx_number_bound(matrix.symbol).bound_at(25)
-            return dataclasses.replace(spectrum, values=values)
+            return spectrum._replace(values=values)
 
         monkeypatch.setattr(operator_matrix, "singular_values", inflated)
         argv = ["approx-numbers", "--c1-re", "2", "--c2-abs", "0.5", "--rows", "30",
@@ -613,11 +612,16 @@ class TestPlumbing:
         assert doc["result"]["symbol_class"] == "compact"
 
     @pytest.mark.parametrize(
-        "argv", [[], ["bounds"], ["figure", "--points", "5"], ["verify-lemmas"]], ids=repr
+        "argv",
+        [[], ["bounds"], ["figure", "--points", "5"], ["verify-lemmas"],
+         ["matrix-norm", "--rows", "3", "--cols", "10"], ["approx-numbers", "--n-max", "2"]],
+        ids=repr,
     )
     def test_scalar_commands_never_load_numpy(self, argv):
         # a fresh interpreter imports the CLI or runs `python -m dirichletops`
-        # in process, then checks that numpy never loaded
+        # in process, then checks that no command loaded dataclasses and
+        # that the scalar ones loaded neither numpy nor inspect (which
+        # numpy loads)
         probe = (
             "import runpy, sys\n"
             "if sys.argv[1:]:\n"
@@ -627,7 +631,10 @@ class TestPlumbing:
             "        assert exc.code == 0, exc.code\n"
             "else:\n"
             "    import dirichletops.cli\n"
-            "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
+            "assert 'dataclasses' not in sys.modules, 'dataclasses was loaded'\n"
+            "if sys.argv[1:2] not in (['matrix-norm'], ['approx-numbers']):\n"
+            "    for name in ('numpy', 'inspect'):\n"
+            "        assert name not in sys.modules, name + ' was loaded'\n"
         )
         proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

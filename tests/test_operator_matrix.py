@@ -256,6 +256,18 @@ class TestBuildMatrix:
         with pytest.raises(DomainError):
             operator_matrix._entry_rounding(DirichletSymbol(2.0, 0.5), 10**15, 1000)
 
+    def test_entry_rounding_covers_the_log_space_steps(self):
+        # past sigma1 ln j = 700 row i is exp(i L - log i! - sigma1 ln j),
+        # L = log(|c2| ln j), whose steps are off by up to
+        # 5i|L| + 3i + 6 log i! + 4 sigma1 ln j + 2 units: 1.828e-12 at
+        # (150, 100), 201 x 1000, where sigma1 ln J = 1036
+        i_max, j_max = 200, 1000
+        x = 150.0 * math.log(j_max)
+        log_base = math.log(100.0 * math.log(j_max))
+        count = 5 * i_max * log_base + 3 * i_max + 6 * math.lgamma(i_max + 1.0) + 4 * x + 2
+        eta = operator_matrix._entry_rounding(DirichletSymbol(150.0, 100.0), i_max, j_max)
+        assert eta >= count * UNIT_ROUNDOFF
+
     def test_column_norm_oracle(self):
         # contract: every column matches the series oracle to 1e-10 relative
         for c1, c2 in [(2.0, 0.5), (1.0, 0.5), (2 + 3j, 0.5 * np.exp(1.3j))]:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from dirichletops import DomainError, InvalidSymbolError, NonCompactError
+from dirichletops import CertifiedValue, DomainError, InvalidSymbolError, NonCompactError
+from dirichletops import PrecisionBudget
 from dirichletops.symbol import (
     EQ_TOL,
     DirichletSymbol,
@@ -52,6 +53,26 @@ def test_constructor_accepts_and_rejects():
         DirichletSymbol(2.0, 0.5, q=2.5)  # type: ignore[arg-type]
     with pytest.raises(InvalidSymbolError):
         DirichletSymbol(complex(math.inf, 0.0), 0.0)
+
+
+def test_records_validate_copies_and_stay_immutable():
+    # _replace builds its copy through the validating constructor, which
+    # normalises the copy as it does a new symbol
+    sym = DirichletSymbol(2, 0.5, np.int64(3))
+    assert sym._replace(c1=3) == DirichletSymbol(3.0, 0.5, 3)
+    assert type(sym.q) is int and type(sym._replace(c1=3).c1) is complex
+    with pytest.raises(InvalidSymbolError):
+        sym._replace(q=1)
+    with pytest.raises(InvalidSymbolError):
+        DirichletSymbol(2.0, 0.5, q=True)
+    with pytest.raises(DomainError):
+        PrecisionBudget()._replace(abs_tol=0.0)
+    with pytest.raises(DomainError):
+        CertifiedValue(1.0, 0.0)._replace(error_bound=-1.0)
+    with pytest.raises(AttributeError):
+        sym.q = 5  # type: ignore[misc]
+    with pytest.raises(AttributeError):
+        sym.extra = 1  # type: ignore[attr-defined]
 
 
 def test_constructor_tolerates_rounding_at_boundary():
