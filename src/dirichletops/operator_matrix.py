@@ -36,6 +36,7 @@ from .bounds import approx_number_bound, c2_abs_upper, schur_exponent
 from .bounds import schur_polynomial_nonpositive
 from .errors import DomainError, MatrixSizeError, NonCompactError
 from .special_functions import DEFAULT_BUDGET, UNIT_ROUNDOFF, PrecisionBudget
+from .special_functions import _EM_BETA, _EM_REMAINDER, _EM_TERMS, _em_fits
 from .special_functions import _euler_maclaurin_tail, lower_bound_h
 from .special_functions import zeta as _certified_zeta
 from .symbol import DirichletSymbol, SymbolClass, classify
@@ -59,19 +60,10 @@ _TINY = 2.0**-1022  # the least normal float
 # computed exponent below -745.2 returns 0 or 2^-1074 (2^-1075 = e^-745.13)
 _UNDERFLOW_EXPONENT = 746.0
 
-# Euler-Maclaurin sums of the Gram moments past column N (see _gram_moments):
-# p = 8 Bernoulli numbers B_2r as (numerator, denominator), beta_r =
-# B_2r / (2r)! correctly rounded (int / int is), and |B_2p| / (2p)!,
-# rounded up, which bounds the remainder's periodic factor
-_EM_TERMS = 8
-_EM_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
-_EM_BETA = tuple(num / (den * math.factorial(2 * r)) for r, (num, den) in enumerate(_EM_BERNOULLI, 1))
-_EM_REMAINDER = math.nextafter(3617 / (510 * math.factorial(2 * _EM_TERMS)), 1.0)
+# the Gram moments past column N (_gram_moments) use special_functions'
+# Euler-Maclaurin model: beta_r and the orders 2r - 1 as columns; N >= _EM_FIRST
 _EM_BETA_COLUMN = np.array(_EM_BETA)[:, None]
-_EM_ORDERS = np.arange(1.0, 2 * _EM_TERMS, 2.0)[:, None]  # the derivative orders 2r - 1
-# N is the least power of two from _EM_FIRST with Lambda / N at most this
-# theta, K theta^2p = u: then the remainder is about u of the integral
-_EM_RATIO = (2.0**-53 / _EM_REMAINDER) ** (1.0 / (2 * _EM_TERMS))
+_EM_ORDERS = np.arange(1.0, 2 * _EM_TERMS, 2.0)[:, None]
 _EM_FIRST = 64
 # (s - 1) ln J at most this keeps e^-z, z = (s - 1) ln x, in the normal range
 _EM_EXPONENT_MAX = 700.0
@@ -648,8 +640,8 @@ def _gram_moments(sym: DirichletSymbol, k: int, j_max: int) -> tuple[np.ndarray,
 def _em_columns(sym: DirichletSymbol, k: int, j_max: int) -> int:
     """N, the columns _gram_moments sums directly: the least power of two
     from _EM_FIRST at which Lambda = (2k - 2) / ln N + s + p - 1/2 is at most
-    theta N (theta = _EM_RATIO), so that the Euler-Maclaurin remainder is
-    about u of its integral (see _euler_maclaurin_moments).  It is J where
+    theta N (special_functions._em_fits), so that the Euler-Maclaurin
+    remainder is about u of its integral.  It is J where
     no such N is at most J / 2, or (s - 1) ln J is not in (0, 700], which
     keeps e^-z in the normal range and columns N and J in the chain's
     recurrence (sigma1 ln J < 700, see _chain).
@@ -659,7 +651,7 @@ def _em_columns(sym: DirichletSymbol, k: int, j_max: int) -> int:
         return j_max
     n = _EM_FIRST
     while 2 * n <= j_max:
-        if (2 * k - 2) / math.log(n) + s + _EM_TERMS - 0.5 <= _EM_RATIO * n:
+        if _em_fits(s, 2 * k - 2, n):
             return n
         n *= 2
     return j_max
@@ -820,20 +812,14 @@ def _euler_maclaurin_moments(
     With c = |c2|, s = 2 sigma1, a = s - 1 and r_n = n / ceil(n/2) (r_n F_n
     has the factorials of F_(n-1) over those of F_n, times n):
 
-    * x F_n' = c r_n F_(n-1) - s F_n, so x^m F^(m) = V_m, the vector V_0 = F
-      and V_(m+1) = c r shift(V_m) - (s + m) V_m, shift(V)_n = V_(n-1).
-      With |.| the same recurrence with + for -, and
-      Lambda_n(x) = n / ln x + s + p - 1/2,
-      c r_n F_(n-1) = (n / ln x) F_n gives, by induction and AM-GM,
-      |V_m|_n <= prod_(j<m) (n / ln x + s + j) F_n <= Lambda_n(x)^m F_n for
-      m <= 2p.
-    * The sum is integral_N^J F_n + (F_n(J) - F_n(N)) / 2 +
-      sum_(r<=p) beta_r (F_n^(2r-1)(J) - F_n^(2r-1)(N)) + R, beta_r =
-      B_2r / (2r)!, and |R| <= K integral_N^J |F_n^(2p)|, K = |B_2p| / (2p)!,
-      as |B_2p(x - floor x)| <= |B_2p|.  x >= N and Lambda_n(x) / x <=
-      Lambda_n(N) / N = L_n make |F_n^(2p)| <= L_n^2p F_n, so
-      |R| <= K L_n^2p I_n, I_n the integral; each derivative term is at
-      most omega_n F_n(x), omega_n = sum_r |beta_r| L_n^(2r-1).
+    * x F_n' = c r_n F_(n-1) - s F_n and c r_n F_(n-1) = (n / ln x) F_n, so
+      the Euler-Maclaurin model above special_functions._EM_TERMS holds with
+      c_n = c r_n: V_0 = F, V_(m+1) = c r shift(V_m) - (s + m) V_m,
+      |V_m|_n <= Lambda_n(x)^m F_n, and with L_n = Lambda_n(N) / N the
+      remainder of the sum over N <= j <= J is at most K L_n^2p I_n, I_n the
+      integral, and each derivative term at most omega_n F_n(x),
+      omega_n = sum_r |beta_r| L_n^(2r-1).  Taking F_n(N) out leaves the sum
+      over N < j <= J, with (F_n(J) - F_n(N)) / 2.
     * I_n = G_n (Q_n(z_N) - Q_n(z_J)), G_n = C(n, a_n) (c/a)^n / a =
       G_(n-1) (c/a) r_n, z_x = a ln x and Q_n(z) = sum_(m<=n) p_m(z),
       p_m = e^-z z^m / m! = p_(m-1) z / m (the regularized upper incomplete

@@ -14,8 +14,8 @@ Contents:
 * ``zeta(s)``: Riemann zeta for real s > 1 by Euler-Maclaurin summation with
   the B2 correction term.  The remainder is bounded by the magnitude of the
   first omitted Bernoulli term, plus a bound on the rounding.
-* ``log_moment_sum(s, i)``: sum_{k>=1} (log k)^i k^(-s) by the same engine
-  (zeta is its i = 0 case), with the incomplete-gamma integral and the B4 term.
+* ``log_moment_sum(s, i)``: sum_{k>=1} (log k)^i k^(-s), zeta at i = 0, by the
+  eight-term Euler-Maclaurin model that the matrix layer's Gram moments share.
 * ``lower_bound_h``, ``lower_bound_g``, ``lower_bound_f``: closed-form
   comparison functions for zeta lower bounds,
 
@@ -190,139 +190,156 @@ def _em_remainder_coef(s: float) -> float:
     return s * (s + 1.0) * (s + 2.0) / 720.0
 
 
-def _euler_maclaurin_tail(
-    s: float, n: int, head: float = 0.0, i: int = 0
-) -> tuple[float, float, float]:
-    """head + sum_{k>=n} f(k), f(x) = (ln x)^i x^-s, by Euler-Maclaurin.
+def _euler_maclaurin_tail(s: float, n: int, head: float = 0.0) -> tuple[float, float, float]:
+    """head + sum_{k>=n} k^-s by Euler-Maclaurin: zeta's tail.
 
     Returns the value and bounds on its remainder and rounding.  As the
-    periodic Bernoulli function B4({x}) stays within |B4| = 1/30,
+    periodic Bernoulli function B4({x}) stays within |B4| = 1/30, with
+    f(x) = x^-s,
 
         sum_{k>=n} f(k) = integral_n^inf f + f(n)/2 - f'(n)/12 + f'''(n)/720 + R,
-        |R| <= integral_n^inf |f''''| / 720 = |f'''(n)| / 720
+        |R| <= integral_n^inf |f''''| / 720 = |f'''(n)| / 720.
 
-    while f'''' keeps one sign on [n, inf): for i >= 1 past
-    ``_moment_root_bound``; left of it, the f(n)/2 form alone leaves at most
-    half the variation of f, at most max f = (i / (s e))^i (f is unimodal),
-    and the two derivative terms are added.  For i = 0 (zeta) f is
-    completely monotone: the remainder without the f''' term has its sign
-    and is smaller, so the term is left out.  ``head`` is added first, in a
-    fixed order.
+    f is completely monotone: the remainder without the f''' term has its
+    sign and is smaller, so the term is left out.  ``head`` is added first,
+    in a fixed order.
     """
-    if i == 0:
-        value = head + n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** (-s) + s * n ** (-s - 1.0) / 12.0
-        return value, _em_remainder_coef(s) * n ** (-s - 3.0), _zeta_rounding(s, n, head, value)
-    polys = _log_polynomials(s, i)
-    d0, d1, d3 = (_moment_derivative(s, i, m, polys[m], n) for m in (0, 1, 3))
-    integral, integral_rounding = _moment_tail_integral(s, i, n)
-    value = head + integral + 0.5 * d0 - d1 / 12.0 + d3 / 720.0
-    remainder = abs(d3) / 720.0
-    if math.log(n) <= _moment_root_bound(polys[4]):
-        remainder += math.exp(i * (math.log(i / s) - 1.0)) + abs(d1) / 12.0
-    size = sum(_moment_derivative(s, i, m, [abs(c) for c in polys[m]], n) / w
-               for m, w in ((0, 2.0), (1, 12.0), (3, 720.0)))
-    return value, remainder, _moment_rounding(s, i, n, head, integral, integral_rounding, size)
+    value = head + n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** (-s) + s * n ** (-s - 1.0) / 12.0
+    return value, _em_remainder_coef(s) * n ** (-s - 3.0), _zeta_rounding(s, n, head, value)
 
 
-def _log_polynomials(s: float, i: int) -> list[list[float]]:
-    """Q_0..Q_4 with f^(m)(x) = x^(-s-m) t^(i-m) Q_m(t), t = ln x, f = t^i x^-s.
+# Euler-Maclaurin summation with p = _EM_TERMS Bernoulli terms, for
+# log_moment_sum and operator_matrix._euler_maclaurin_moments.  Let
+# F_n(x) = kappa_n (ln x)^n x^-s, kappa_n > 0, so x F_n' = c_n F_(n-1) - s F_n
+# with c_n F_(n-1) = (n / ln x) F_n (c_0 = 0).  With D = x d/dx,
+# x^m F^(m) = D (D-1) ... (D-m+1) F = V_m: V_0 = F and
+# V_(m+1) = c shift(V_m) - (s + m) V_m, shift(V)_n = V_(n-1), so order n of
+# V_m reads only orders n-m..n.  The same recurrence with + for - bounds
+# |V_m|, and by induction and AM-GM |V_m|_n <= prod_(j<m) (n / ln x + s + j) F_n
+# <= Lambda_n(x)^m F_n for m <= 2p, Lambda_n(x) = n / ln x + s + p - 1/2.  By
+# DLMF 2.10.1, its B_2p term taken into the sum, sum_(N<=k<=J) F_n(k) is
+# integral_N^J F_n + (F_n(N) + F_n(J)) / 2 + sum_(r<=p) beta_r (F_n^(2r-1)(J)
+# - F_n^(2r-1)(N)) + R, beta_r = B_2r / (2r)!, |R| <= K integral_N^J |F_n^(2p)|
+# and K = |B_2p| / (2p)!, as |B_2p(x - floor x)| <= |B_2p|.  Lambda_n(x) / x <=
+# Lambda_n(N) / N = L_n for x >= N, so |R| <= K L_n^2p times the integral and
+# beta_r F_n^(2r-1)(x) = beta_r V_(2r-1) / x^(2r-1) is at most
+# |beta_r| L_n^(2r-1) F_n(x).  N is the least power of two (from a caller's
+# first) with Lambda_n(N) <= theta N (_em_fits), K theta^2p = u: then the
+# remainder is about u of the integral.  B_2r is (numerator, denominator),
+# beta_r is correctly rounded (int / int is), and K is rounded up.
+_EM_TERMS = 8
+_EM_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
+_EM_BETA = tuple(num / (den * math.factorial(2 * r)) for r, (num, den) in enumerate(_EM_BERNOULLI, 1))
+_EM_REMAINDER = math.nextafter(3617 / (510 * math.factorial(2 * _EM_TERMS)), 1.0)
+_EM_RATIO = (2.0**-53 / _EM_REMAINDER) ** (1.0 / (2 * _EM_TERMS))
 
-    Differentiating gives Q_(m+1) = (i-m) Q_m + t Q_m' - (s+m) t Q_m, so
-    coefficient k of Q_(m+1) is (i-m+k) q_k - (s+m) q_(k-1).  The roots of
-    P_m = t^(i-m) Q_m are real and >= 0: e^(-(s+m) t) P_(m+1) is the
-    derivative of e^(-(s+m) t) P_m, so by Rolle P_(m+1) has a root between
-    consecutive roots of P_m, 0 included, and one past the last, which with
-    its root at 0 accounts for its degree i.
+
+def _em_fits(s: float, order: int, n: int) -> bool:
+    """Lambda = order / ln n + s + p - 1/2 is at most theta n (theta = _EM_RATIO)."""
+    return order / math.log(n) + s + _EM_TERMS - 0.5 <= _EM_RATIO * n
+
+
+def _moment_tail(s: float, i: int, n: int) -> tuple[float, float, float]:
+    """sum_{k>=2} (ln k)^i k^-s, 1 <= i < 2^22, n a power of two, with bounds
+    on its remainder and rounding: an fsum head over 2 <= k < n and the
+    Euler-Maclaurin tail from n in the model above _EM_TERMS, taken for
+    h_m(x) = (q ln x)^m x^-s, c_m = m q, q = 2^-e with the least e >= 0 that
+    keeps (q ln n)^i below 2^800, and scaled by 2^(e i) at the end (+inf past
+    the binary64 range).  The tail is I + h_i(n)/2 - sum_r beta_r V_(2r-1) /
+    n^(2r-1) + R, I from _moment_tail_integral and |R| <= K L^2p (I + its
+    rounding), L = Lambda_i(n) / n raised by 8u for its own rounding.
+    Rounding, in units of u = 2^-53, with log and pow within one ulp (2u):
+
+    * each head term and h_m(n): ln 2, its m-th power 2m + 2, x^-s 2 and the
+      product 1: 2m + 5; the head's fsum 1 more;
+    * V: c_m is exact, and a step rounds c V, s + m, its product and the
+      difference, 3 a path, so V_(2r-1) is within 2i + 5 + 3 (2r - 1) of the
+      recurrence with + for -, at most (L n)^(2r-1) h_i(n); beta_r and the
+      product 2 (n^(2r-1) is a power of two): the derivative terms are within
+      (2i + 52) omega h_i(n), omega = sum_r |beta_r| L^(2r-1);
+    * the integral its own bound, and the final fsum u |value|.
+
+    Below 2^-1022 a pow is off by at most 2^-1074 and a product by 2^-1075
+    past its relative bound, times what multiplies it later: each head term
+    and h_m(n) by 2 + B, B = max(1, (q ln n)^i); a step of V adds 1 and
+    scales what V carries by at most i + s + 16 = S n, and each derivative
+    term adds 1, so they carry (B + 18) omega', omega' as omega with S for L;
+    (n + 1 + omega') (B + 18) 2^-1074 covers these and the fsums.  Every
+    relative bound here stays below 2^-24 for i < 2^22, so raising both
+    bounds by 2^-20 of themselves covers the second-order terms and their
+    own roundings.
     """
-    polys = [[1.0]]
-    for m in range(4):
-        q = polys[-1] + [0.0]  # q[-1] reads this padding 0 for k = 0
-        polys.append([(i - m + k) * q[k] - (s + m) * q[k - 1] for k in range(m + 2)])
-    return polys
+    log_n = math.log(n)
+    e = max(0, math.ceil(math.log2(log_n) - 800.0 / i))
+    q = 2.0**-e
+    k = range(2, n)
+    head = math.fsum(map(mul, map(pow, map(mul, map(math.log, k), repeat(q)), repeat(i)),
+                         map(pow, k, repeat(-s))))
+    orders = range(i + 1 - 2 * _EM_TERMS, i + 1)
+    v = [pow(q * log_n, m) * n ** -s if m >= 0 else 0.0 for m in orders]
+    top = v[-1]
+    steps = [m * q for m in orders]
+    terms = [head, 0.5 * top]
+    for m in range(2 * _EM_TERMS - 1):
+        v = [c * prev - (s + m) * cur for c, prev, cur in zip(steps, [0.0, *v], v)]
+        if m % 2 == 0:  # V_(2r-1), r = m // 2 + 1
+            terms.append(-_EM_BETA[m // 2] * math.ldexp(v[-1], -(m + 1) * (n.bit_length() - 1)))
+    integral, integral_rounding = _moment_tail_integral(s, i, n, e)
+    value = math.fsum([integral, *terms])
+
+    ratio = (i / log_n + s + _EM_TERMS - 0.5) / n * (1.0 + 8.0 * UNIT_ROUNDOFF)
+    spread = (i + s + 2 * _EM_TERMS) / n
+    omega, carried = (sum(abs(beta) * r ** (2 * j + 1) for j, beta in enumerate(_EM_BETA))
+                      for r in (ratio, spread))
+    coef = _EM_REMAINDER * ratio ** (2 * _EM_TERMS)  # each small factor first: no overflow
+    remainder = coef * integral + coef * integral_rounding
+    floor = (n + 1.0 + carried) * (max(1.0, pow(q * log_n, i)) + 18.0) * 2.0**-1074
+    rounding = (UNIT_ROUNDOFF * (2 * i + 6) * head + UNIT_ROUNDOFF * abs(value)
+                + UNIT_ROUNDOFF * (i + 2.5 + (2 * i + 52) * omega) * top)
+    slack = 1.0 + 2.0**-20
+    results = (value, remainder * slack, (rounding + integral_rounding + floor) * slack)
+    return tuple(math.ldexp(x, e * i) if math.frexp(x)[1] + e * i <= 1024 or not x else math.inf
+                 for x in results)
 
 
-def _moment_derivative(s: float, i: int, m: int, q: list[float], x: float) -> float:
-    """x^(-s-m) t^(i-m) q(t), t = ln x: f^(m)(x) when q = Q_m."""
-    t = math.log(x)
-    return x ** (-s - m) * t ** (i - m) * sum(c * t**k for k, c in enumerate(q))
+def _moment_tail_integral(s: float, i: int, n: int, e: int) -> tuple[float, float]:
+    """2^-(e i) integral_n^inf (ln x)^i x^-s dx, i >= 1, and a bound on its rounding.
 
+    The integral is G Q_i(z), G = i! / (s-1)^(i+1), z = (s-1) ln n and
+    Q_i(z) = sum_(m<=i) p_m, p_m = e^-z z^m / m! (the regularized upper
+    incomplete gamma function).  Where z <= 700 and every partial product
+    is normal, G 2^-(e i) is the running product of m / (2^e (s-1)) from
+    1 / (s-1), and Q the fsum of p_m = p_(m-1) (z/m) from p_0 = e^-z.  With
+    u = 2^-53 and exp within one ulp (2u), its relative error is then at
+    most u times:
 
-def _moment_root_bound(q: list[float]) -> float:
-    """An upper bound on the largest root of Q_4, whose four roots are real.
+    * 3 w z, w = p_i / Q_i, for the rounding of z (ln n 2 and the product
+      1; s - 1 is exact for s < 2^53), as d ln Q_i / dz = -w;
+    * 2i + 1 for G's division, quotients and products, 2i + 3 for Q (p_m
+      within 2m + 2) and 1 for G Q;
+    * (i + 1) / 2048 for the Poisson terms below 2^-1022, which lie past the
+      mode (p_0 >= e^-700): from the first, each step adds at most 2^-1075
+      and scales the error carried by z/m < 1, so Q is off by at most
+      (i + 1) 2^-1074 <= (i + 1) 2^-64 Q;
 
-    With a = -q_3/q_4 their sum and b = q_2/q_4 their pairwise products'
-    sum, their mean is a/4 and variance (3a^2 - 8b)/16; by Samuelson, no
-    root exceeds the mean by sqrt(3) deviations.  Padded 1e-12 for rounding.
+    and two more units cover the second-order terms, 2^-1074 a subnormal
+    product.  Elsewhere it is exp of ``log_moment_tail_integral`` scaled by
+    2^-(e i), off by at most expm1(rho) + 2u relatively, rho the
+    ``_log_tail_rounding``, and by 2^-1073 more below 2^-1022.
     """
-    a, b = -q[3] / q[4], q[2] / q[4]
-    return 0.25 * (a + math.sqrt(max(9.0 * a * a - 24.0 * b, 0.0))) * (1.0 + 1e-12)
-
-
-def _moment_rounding(
-    s: float, i: int, n: int, head: float, integral: float, integral_rounding: float,
-    size: float,
-) -> float:
-    """A-priori bound on the rounding error of a log-moment value, i >= 1.
-
-    With u = 2^-53, t = ln n and ``size`` the three derivative terms summed
-    with the absolute values of their coefficients:
-
-    * each head term (ln k)^i k^-s: ln k within one ulp (2u relative), so
-      its i-th power within (2i + 2)u, k^-s within 2u and the product u;
-      math.fsum rounds the sum once: (2i + 6)u head;
-    * the integral: its own bound from ``_moment_tail_integral``;
-    * each derivative term n^(-s-m) t^(i-m) Q_m(t) / w: t^(i-m) within
-      (2|i-m| + 2)u, n^(-s-m) within 2u plus u (s+m) t from the rounding of
-      its exponent, Q_m's coefficients and its five-term sum within 32u of
-      the absolute polynomial, two products and a division: (2i + (s+3) t + 46)u;
-    * the four additions folding the tail into the head: 4u times a partial
-      sum no larger than head + integral + size.
-
-    Raising each constant by one covers the second-order terms.
-    """
-    factor = 2.0 * i + (s + 3.0) * math.log(n) + 51.0
-    return integral_rounding + UNIT_ROUNDOFF * (
-        (2.0 * i + 11.0) * head + 5.0 * integral + factor * size
-    )
-
-
-def _moment_tail_integral(s: float, i: int, n: int) -> tuple[float, float]:
-    """integral_n^inf (log t)^i t^(-s) dt, i >= 1, and a bound on its rounding.
-
-    In linear space, i! sum_(m<=i) t_m / (s-1)^(i+1) with z = (s-1) ln n
-    and t_m = e^-z z^m/m! by the recurrence t_m = t_(m-1) (z/m), wherever
-    every piece stays in range: i <= 170, z <= 700, (s-1)^(i+1) normal and
-    the result finite.  With u = 2^-53 and exp and pow within one ulp (2u),
-    as in ``_zeta_rounding``, the relative error is at most u times:
-
-    * (3 + [s > 2]) w z, w = t_i / sum t_m, for the rounding of z: the
-      log of the integral has slope -w in z (see ``_log_tail_rounding``);
-    * 2 for exp(-z), 2m for the quotients and products up to t_m, and i for
-      the additions of the i+1 nonnegative terms: 3i + 2 in all;
-    * i! exact up to 22! and within 1 past it, (s-1)^(i+1) within 2 plus,
-      past s = 2, (i+1) from s - 1, and the product and the division 2;
-    * terms below the normal range, at most i 2^-1074 against a sum of at
-      least e^-700: 1.
-
-    Two more units cover the second-order terms.  Elsewhere it is the exp
-    of ``log_moment_tail_integral``, off by at most expm1(rho) + 2u
-    relatively, rho the ``_log_tail_rounding``.
-    """
-    z = (s - 1.0) * math.log(n)
-    scale = (s - 1.0) ** (i + 1)
-    if i <= 170 and z <= 700.0 and scale >= 2.0**-1022:
-        terms = list(accumulate((z / m for m in range(1, i + 1)), mul, initial=math.exp(-z)))
-        total = sum(terms)
-        integral = math.factorial(i) * total / scale
-        if math.isfinite(integral):
-            past_two = 1.0 if s > 2.0 else 0.0
-            units = (3.0 + past_two) * z * terms[-1] / total + 3.0 * i + (i + 1.0) * past_two
-            units += (1.0 if i > 22 else 0.0) + 9.0
-            return integral, integral * units * UNIT_ROUNDOFF
+    a = s - 1.0
+    z = a * math.log(n)
+    partial = list(accumulate((m / (a * 2.0**e) for m in range(1, i + 1)), mul, initial=1.0 / a))
+    g = partial[-1]
+    if z <= 700.0 and min(partial) >= 2.0**-1022 and g < math.inf:
+        p = list(accumulate((z / m for m in range(1, i + 1)), mul, initial=math.exp(-z)))
+        q = math.fsum(p)
+        units = 3.0 * z * p[-1] / q + 4.0 * i + 7.0 + (i + 1.0) / 2048.0
+        return g * q, units * UNIT_ROUNDOFF * (g * q) + 2.0**-1074
     log_integral = log_moment_tail_integral(s, i, n)
-    integral = math.exp(log_integral)
+    integral = math.ldexp(math.exp(log_integral), -e * i)
     rho = _log_tail_rounding(s, i, float(n), log_integral)
-    return integral, integral * (math.expm1(rho) + 2.0 * UNIT_ROUNDOFF)
+    return integral, integral * (math.expm1(rho) + 2.0 * UNIT_ROUNDOFF) + 2.0**-1073
 
 
 def log_moment_tail_integral(s: float, i: int, x: float) -> float:
@@ -403,46 +420,41 @@ def log_moment_sum(
     """Certified sum_{k>=1} (log k)^i k^(-s), for real s > 1 and integer i >= 0.
 
     For i = 0 this is zeta(s) and is delegated.  Otherwise the k = 1 term
-    vanishes, and the sum is an fsum head over 2 <= k < n plus the
-    Euler-Maclaurin tail from n.  The cutoff starts past
-    ``_moment_root_bound``, where the remainder bound |f'''(n)|/720 falls
-    like n^(-s-3) up to powers of ln n, and grows geometrically until it
-    fits what the rounding bound leaves of the tolerance.  Where the root
-    bound lies past max_terms (large i), n = 16 and the summand's peak
-    bounds the remainder instead.
+    vanishes, and _moment_tail sums the rest from the least power of two
+    n >= 16 with Lambda_i(n) <= theta n (_em_fits), where the remainder is
+    about u of the integral; n is doubled while the remainder does not fit
+    what the rounding leaves of the tolerance, up to max_terms.  Past
+    s = 2^11 with i <= s/2 the summand f falls from k = 2 on, and the sum is
+    at most f(2) (1 + 2/c) < 2^-2047, c = s - 1 - i / ln 2 (the log of the
+    integrand t^i e^-(s-1)t falls at rate c or more from t = ln 2): 0 is
+    returned with error bound 2^-1074.
     """
-    if not isinstance(i, int) or i < 0:
-        raise DomainError(f"moment order must be an int >= 0, got {i}")
+    if not isinstance(i, int) or not 0 <= i < 2**22:
+        raise DomainError(f"moment order must be an int in [0, 2^22), got {i}")
     s = float(s)
     if not s > 1.0:
         raise DomainError(f"log_moment_sum requires s > 1, got {s}")
     if i == 0:
         return zeta(s, budget)
+    what = f"log_moment_sum({s}, {i})"
+    if s > 2048.0 and i <= 0.5 * s:
+        return _certified(what, 16, budget, 0.0, 0.0, 2.0**-1074)
 
-    polys = _log_polynomials(s, i)
-    root = _moment_root_bound(polys[4])
-    past_root = root < math.log(budget.max_terms)
-    n = max(16, math.floor(math.exp(root)) + 1) if past_root else 16
-    # the k = 2 term and, f decreasing past the root, the integral from n
-    # bound disjoint parts of the sum from below
-    target = math.log(2.0) ** i * 2.0**-s + math.exp(log_moment_tail_integral(s, i, n))
-    target = max(budget.abs_tol, budget.rel_tol * target)
+    n = 16
+    while 2 * n <= budget.max_terms and not _em_fits(s, i, n):
+        n *= 2
     while True:
-        remainder = abs(_moment_derivative(s, i, 3, polys[3], n)) / 720.0
-        while past_root and remainder > target and n < budget.max_terms:
-            grown = math.ceil(n * (remainder / target) ** (1.0 / (s + 3.0)))
-            n = min(max(n + 1, grown), budget.max_terms)
-            remainder = abs(_moment_derivative(s, i, 3, polys[3], n)) / 720.0
-        k = range(2, n)
-        head = math.fsum(map(mul, map(pow, map(math.log, k), repeat(i)), map(pow, k, repeat(-s))))
-        value, remainder, rounding = _euler_maclaurin_tail(s, n, head, i)
+        try:
+            value, remainder, rounding = _moment_tail(s, i, n)
+        except OverflowError:
+            value = math.inf
         if not math.isfinite(value):
-            raise OverflowError(f"log_moment_sum({s}, {i}) exceeds the binary64 range")
-        tol = max(budget.abs_tol, budget.rel_tol * abs(value))
-        target = tol - rounding
-        if remainder <= target or target <= 0.0 or not past_root or n >= budget.max_terms:
+            raise OverflowError(f"{what} exceeds the binary64 range")
+        room = max(budget.abs_tol, budget.rel_tol * value) - rounding
+        if remainder <= room or room <= 0.0 or 2 * n > budget.max_terms:
             break
-    return _certified(f"log_moment_sum({s}, {i})", n, budget, value, remainder, rounding)
+        n *= 2
+    return _certified(what, n, budget, value, remainder, rounding)
 
 
 def lower_bound_h(s: float) -> float:

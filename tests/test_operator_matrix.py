@@ -241,8 +241,8 @@ class TestBuildMatrix:
 
     def test_entry_rounding_is_tight(self):
         # the recurrence charges 6u a row and 3u per unit of sigma1 ln J:
-        # about 1,250u at 201 x 20000, a quarter of the log-space model's
-        # 4 (M + 2) u there
+        # about 1,250u at 201 x 20000, where sigma1 ln J = 15.8 keeps every
+        # column on the recurrence, so no log-space count applies
         eta = operator_matrix._entry_rounding(DirichletSymbol(1.6, 0.3), 200, 20000)
         assert eta < 1260 * UNIT_ROUNDOFF
 

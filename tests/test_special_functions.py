@@ -9,6 +9,7 @@ scipy's brentq.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -232,8 +233,9 @@ def test_log_tail_rounding_covers_the_error():
 
 
 def test_linear_tail_integral_covers_the_error():
-    # the engine's integral, in linear space where it stays in range, within
-    # its derived bound of the 40-digit value; 1,000 random (s, i, n)
+    # the engine's integral, as the running product G times the Poisson
+    # sum, scaled by 2^-(e i), within its derived bound of the 40-digit
+    # value; 1,000 random (s, i, n, e)
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(43)
     with mpmath.workdps(40):
@@ -241,12 +243,14 @@ def test_linear_tail_integral_covers_the_error():
             s = float(10.0 ** rng.uniform(math.log10(1.001), math.log10(30.0)))
             i = int(rng.integers(1, 201))
             n = int(10.0 ** rng.uniform(math.log10(16.0), 6.0))
+            e = int(rng.integers(0, 2))
             ms = mpmath.mpf(s)
             exact = mpmath.gammainc(i + 1, (ms - 1) * mpmath.log(n)) / (ms - 1) ** (i + 1)
+            exact = mpmath.ldexp(exact, -e * i)
             if exact > 1e300:
                 continue
-            value, rounding = _moment_tail_integral(s, i, n)
-            assert abs(value - exact) <= rounding, (s, i, n)
+            value, rounding = _moment_tail_integral(s, i, n, e)
+            assert abs(value - exact) <= rounding, (s, i, n, e)
 
 
 def test_log_moment_factorial_zeta_bound_grid():
@@ -469,9 +473,46 @@ def test_log_moment_sum_enclosure_mpmath_oracle():
                 exact = (-1) ** i * mpmath.zeta(s, 1, i)
                 assert abs(mpmath.mpf(v.value) - exact) <= v.error_bound, (s, i)
                 assert v.error_bound <= max(1e-12, 1e-12 * v.value), (s, i)
-        # orders whose fourth derivative changes sign past max_terms: the
-        # cutoff stays at 16 and the summand's peak bounds the remainder
+        # orders whose summand peaks far out, at ln x = i/s: the cutoff
+        # still comes from Lambda_i(n) <= theta n, and the integral from it
+        # carries most of the value
         for s, i in ((2.0, 40), (1.5, 25)):
             v = log_moment_sum(s, i)
             exact = (-1) ** i * mpmath.zeta(s, 1, i)
             assert abs(mpmath.mpf(v.value) - exact) <= v.error_bound, (s, i)
+
+
+def _check_against_zeta_derivative(mpmath, s: float, i: int) -> None:
+    """log_moment_sum(s, i) encloses (-1)^i zeta^(i)(s) at 40 digits within
+    the default budget, or raises OverflowError where that exceeds DBL_MAX."""
+    with mpmath.workdps(40):
+        exact = (-1) ** i * mpmath.zeta(s, 1, i)
+        if exact > mpmath.mpf(sys.float_info.max):
+            with pytest.raises(OverflowError, match="exceeds the binary64 range"):
+                log_moment_sum(s, i)
+            return
+        v = log_moment_sum(s, i)
+        assert abs(mpmath.mpf(v.value) - exact) <= v.error_bound, (s, i, v)
+        assert v.error_bound <= max(1e-12, 1e-12 * v.value), (s, i, v)
+
+
+@pytest.mark.parametrize("s, i", [(4.0, 47), (10.0, 170), (100.0, 200), (50.0, 300), (30.0, 400)])
+def test_log_moment_sum_high_orders_fit(s, i):
+    # high orders whose sums fit in binary64: the summand peaks near
+    # e^(i/s), far past the cutoff, and at the last three (s-1)^(i+1)
+    # alone overflows
+    _check_against_zeta_derivative(pytest.importorskip("mpmath"), s, i)
+
+
+def test_log_moment_sum_every_order_hypothesis():
+    # s log-uniform in [1.001, 100], every order up to 400
+    mpmath = pytest.importorskip("mpmath")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.floats(math.log(1.001), math.log(100.0)), st.integers(1, 400))
+    def check(log_s, i):
+        _check_against_zeta_derivative(mpmath, min(max(math.exp(log_s), 1.001), 100.0), i)
+
+    check()
