@@ -31,6 +31,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .bounds import approx_number_bound, c2_abs_upper, schur_exponent
 from .bounds import schur_polynomial_nonpositive
@@ -51,6 +52,7 @@ _MAPPED_MIN_BYTES = 1 << 22
 
 # every iterate is scaled to x_1 = 1 and raised to at least this floor
 _X_FLOOR = 2.0**-900
+_SQUARINGS, _START_SETTLED = 12, 2.0**-26  # the start vector's bounds (_start_vector)
 # build_matrix uses the row recurrence on the columns with sigma1 ln j at
 # most this: row 0 there is at least e^-700, far inside the normal range
 # (2^-1022 = e^-708.4)
@@ -61,11 +63,12 @@ _TINY = 2.0**-1022  # the least normal float
 _UNDERFLOW_EXPONENT = 746.0
 
 # the Gram moments past column N (_gram_moments) use special_functions'
-# Euler-Maclaurin model: beta_r and the orders 2r - 1 as columns; N >= _EM_FIRST
+# Euler-Maclaurin model: beta_r, the orders 2r - 1 and the powers 0..2p-1
 _EM_BETA_COLUMN = np.array(_EM_BETA)[:, None]
 _EM_ORDERS = np.arange(1.0, 2 * _EM_TERMS, 2.0)[:, None]
+_EM_POWERS = np.arange(2.0 * _EM_TERMS)
 _EM_FIRST = 64
-# (s - 1) ln J at most this keeps e^-z, z = (s - 1) ln x, in the normal range
+# (s - 1) ln N at most this keeps e^-z_N, z_N = (s - 1) ln N, in the normal range
 _EM_EXPONENT_MAX = 700.0
 # Euler-Maclaurin errors up to this are charged as absolute ones: k times
 # it, over _X_FLOOR, stays far below u in the norm's bracket
@@ -118,13 +121,13 @@ def _table(build: Callable[[int], np.ndarray], size: int) -> np.ndarray:
     """build(size), read-only, cut from the largest table build has made.
 
     The tables built here (_log_factorial_table, _step_table,
-    _gram_factor_table and _hankel_table) depend on nothing but their
-    size, and each is a prefix, or a leading block, of every larger one.
-    So one table serves every smaller size, and it is rebuilt only when a
-    larger size is asked for.  A table is kept only while it holds at most
-    _TABLE_BYTES, so the four together keep at most 4 _TABLE_BYTES = 8 MiB;
-    a larger one serves its own call alone.  Kept tables, and so every
-    slice handed out, are read-only.  Two threads may both build a table;
+    _gram_factor_table and _falling_factorial_table) depend on nothing but
+    their size, and each is a prefix, or a leading block, of every larger
+    one.  So one table serves every smaller size, and it is rebuilt only
+    when a larger size is asked for.  A table is kept only while it holds
+    at most _TABLE_BYTES, so the four together keep at most 4 _TABLE_BYTES
+    = 8 MiB; a larger one serves its own call alone.  Kept tables, and so
+    every slice handed out, are read-only.  Two threads may both build a table;
     both results are the same table, and either is kept.
     """
     table = _tables.get(build)
@@ -612,10 +615,11 @@ def _gram_moments(sym: DirichletSymbol, k: int, j_max: int) -> tuple[np.ndarray,
     """
     n_cut = _em_columns(sym, k, j_max)
     d, f = _chain_moments(sym, k, n_cut, j_max)
-    delta, eps = _gram_rounding(sym, k, n_cut, j_max)
+    phi = _chain_rounding(sym, k, j_max)
+    delta, eps = _gram_rounding(phi, k, n_cut, j_max)
     if n_cut < j_max:
         with np.errstate(over="ignore", invalid="ignore"):  # out of its model it returns None
-            part = _euler_maclaurin_moments(sym, k, n_cut, j_max, f)
+            part = _euler_maclaurin_moments(sym, k, n_cut, j_max, f, phi)
         rho = math.inf
         if part is not None:
             e, err, floor = part
@@ -631,7 +635,7 @@ def _gram_moments(sym: DirichletSymbol, k: int, j_max: int) -> tuple[np.ndarray,
             eps = (eps + floor) * (1.0 + 2.0 * UNIT_ROUNDOFF)
         else:
             d, _ = _chain_moments(sym, k, j_max, j_max)
-            delta, eps = _gram_rounding(sym, k, j_max, j_max)
+            delta, eps = _gram_rounding(phi, k, j_max, j_max)
     if not delta <= 0.5:
         raise DomainError(f"Gram rounding bound {delta:.3e} of {k} rows exceeds 1/2")
     return d, delta, eps
@@ -641,16 +645,13 @@ def _em_columns(sym: DirichletSymbol, k: int, j_max: int) -> int:
     """N, the columns _gram_moments sums directly: the least power of two
     from _EM_FIRST at which Lambda = (2k - 2) / ln N + s + p - 1/2 is at most
     theta N (special_functions._em_fits), so that the Euler-Maclaurin
-    remainder is about u of its integral.  It is J where
-    no such N is at most J / 2, or (s - 1) ln J is not in (0, 700], which
-    keeps e^-z in the normal range and columns N and J in the chain's
-    recurrence (sigma1 ln J < 700, see _chain).
+    remainder is about u of its integral, and z_N = (s - 1) ln N in (0, 700]
+    keeps e^-z_N normal and column N in the chain's recurrence (see _chain);
+    J where no such N is at most J / 2.
     """
     s = 2.0 * sym.sigma1
-    if not 0.0 < (s - 1.0) * math.log(j_max) <= _EM_EXPONENT_MAX:
-        return j_max
     n = _EM_FIRST
-    while 2 * n <= j_max:
+    while 2 * n <= j_max and 0.0 < (s - 1.0) * math.log(n) <= _EM_EXPONENT_MAX:
         if _em_fits(s, 2 * k - 2, n):
             return n
         n *= 2
@@ -801,61 +802,90 @@ def _chain_rounding(sym: DirichletSymbol, k: int, j_max: int) -> float:
     return phi
 
 
+def _derivative_table() -> np.ndarray:
+    """Row 2p (r-1) + j: the coefficients of s^0..s^(2p-1) in a_(2r-1, j)(s)
+    (see _euler_maclaurin_moments).  Times y - s - m, the coefficients P of
+    y^j s^l become P[j-1, l] - P[j, l-1] - m P[j, l]: integers below
+    (m+1)! <= 16! < 2^53, so exact."""
+    poly, odd, back = np.zeros((2 * _EM_TERMS + 1,) * 2), [], np.arange(-1, 2 * _EM_TERMS)
+    poly[0, 0] = 1.0
+    for m in range(2 * _EM_TERMS - 1):  # index -1 reads the zero row and column
+        poly = poly[back] - poly[:, back] - m * poly
+        odd += [poly[:-1, :-1]] * (m % 2 == 0)
+    return np.concatenate(odd)
+
+
+_EM_DERIVATIVES = _derivative_table()
+
+
+def _falling_factorial_table(size: int) -> np.ndarray:
+    """(n)_j for n < size and j < 2p (see _euler_maclaurin_moments)."""
+    table = np.maximum(np.subtract.outer(np.arange(1.0, size + 1.0), _EM_POWERS), 0.0)
+    table[:, 0] = 1.0
+    return np.cumprod(table, axis=1, out=table)
+
+
 def _euler_maclaurin_moments(
-    sym: DirichletSymbol, k: int, n_cut: int, j_max: int, f: np.ndarray
+    sym: DirichletSymbol, k: int, n_cut: int, j_max: int, f: np.ndarray, phi: float
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
     """(e, err, floor): e_n is sum_(N<j<=J) F_n(j), n = 0..2k-2, within
     err_n + floor, by Euler-Maclaurin summation with p = _EM_TERMS Bernoulli
-    terms from the values f[n] = (F_n(N), F_n(J)) of _chain; None where
-    the evaluation leaves its model.
+    terms from the values f[n] = (F_n(N), F_n(J)) of _chain, each within
+    phi (_chain_rounding); None where the evaluation leaves its model.
 
     With c = |c2|, s = 2 sigma1, a = s - 1 and r_n = n / ceil(n/2) (r_n F_n
     has the factorials of F_(n-1) over those of F_n, times n):
 
     * x F_n' = c r_n F_(n-1) - s F_n and c r_n F_(n-1) = (n / ln x) F_n, so
       the Euler-Maclaurin model above special_functions._EM_TERMS holds with
-      c_n = c r_n: V_0 = F, V_(m+1) = c r shift(V_m) - (s + m) V_m,
-      |V_m|_n <= Lambda_n(x)^m F_n, and with L_n = Lambda_n(N) / N the
-      remainder of the sum over N <= j <= J is at most K L_n^2p I_n, I_n the
-      integral, and each derivative term at most omega_n F_n(x),
-      omega_n = sum_r |beta_r| L_n^(2r-1).  Taking F_n(N) out leaves the sum
-      over N < j <= J, with (F_n(J) - F_n(N)) / 2.
+      c_n = c r_n, and with L_n = Lambda_n(N) / N the remainder of the sum
+      over N <= j <= J is at most K L_n^2p I_n, I_n the integral, and each
+      derivative term at most omega_n F_n(x), omega_n = sum_r |beta_r|
+      L_n^(2r-1).  In the model's U form the derivative terms at x are
+      F (FF W): FF[n, j] = (n)_j, kept (see _table), and W[j] = t^-j
+      sum_r beta_r x^-(2r-1) a_(2r-1, j)(s), t = ln x, the a's the constant
+      _EM_DERIVATIVES times the powers of s.  Taking F_n(N) out leaves the
+      sum over N < j <= J, with (F_n(J) - F_n(N)) / 2.
     * I_n = G_n (Q_n(z_N) - Q_n(z_J)), G_n = C(n, a_n) (c/a)^n / a =
       G_(n-1) (c/a) r_n, z_x = a ln x and Q_n(z) = sum_(m<=n) p_m(z),
       p_m = e^-z z^m / m! = p_(m-1) z / m (the regularized upper incomplete
       gamma function, since integral F_n = (c/a)^n / a times the gamma
-      integral of t^n e^-t / n! over [z_N, z_J]).  The difference is taken
-      as the lower sums over m <= n or as the upper ones over n < m <= M,
+      integral of t^n e^-t / n! over [z_N, z_J]); past z_J = 700, p_m(z_J)
+      is exp(m ln z - z - log m!).  The difference is taken as the lower
+      sums over m <= n or as the upper ones over n < m <= M,
       M = 2k - 2 + 2 ceil(z_J) + 64, whichever bound below is smaller; the
       upper form misses sum_(m>M) p_m <= p_M, since z / (M + 1) <= 1/2.
 
-    Rounding, in units of u = 2^-53 with Higham's gamma_n (see
-    _gamma):
-    each step of V 4 (c r's 2, the product and the sum, or s + m and the
-    product), each derivative term 5 (B_2r / (2r)!, pow, a quotient and a
-    product)
-    and their sum p; F is within phi = _chain_rounding(sym, k, J).  a
-    takes 1 (0 up to s = 2), G_n 5n + 2 more; z 4, so p_0 = exp(-z) is within
-    e^(gamma_4 z) <= 1 + gamma_(4z+1) and 2, and each step 6; a sum of
-    M + 1 terms M, a difference and the product by G 2; the four additions
-    that assemble e another 4.  So with S_n = G_n size (size the two sums
-    of the form taken, plus 2 p_M of each for the upper one) and
-    T_n = (1/2 + omega_n)(F_n(N) + F_n(J)),
+    Rounding, in units of u = 2^-53 with Higham's gamma_n (see _gamma), log
+    and pow within 2.  The sums for a (2p terms of one sign), W and FF W are
+    within gamma of those with |a| for a, which the model bounds by
+    Lambda_n(x)^(2r-1), so their roundings count against omega_n F_n(x):
+    s^l 2, a 2p, beta_r x^-(2r-1) 4, W's sum p, t^-j 4p (t within 2), FF
+    2p - 2, FF W 2p, the products by t^-j and F and the difference of the
+    ends 3, and 1 for subnormal results (for J < 2^53 every term of W's sum
+    is at least 2^-916): 11p + 8 <= 12p.  a = s - 1 is exact (1 < s < 2^53),
+    G_n takes 5n + 2; z 3, so p_0 = exp(-z) is within e^(gamma_3 z) <=
+    1 + gamma_(3z+1) and 2, and each step 5; a sum of M + 1 terms M, a
+    difference and the product by G 2, and the four additions that assemble
+    e 4: eps_N = gamma_(5(2k-2) + 3 z_J + 6M + 11).  A p_m from its log has
+    its exponent off by at most E = 5M (|ln z| + 1) + 5z + 5 log M! + 3
+    (m ln z 3m (|ln z| + 1), z 3z, lgamma 4 log m! + 2 as in
+    special_functions._log_tail_rounding, the two subtractions m |ln z| + z
+    and that plus log m!, and 1), so eps_J = eps_N + (expm1(E u) (1 + 2u)
+    + 2u)(1 + eps_N), else eps_N.  With T_n = (1/2 + omega_n)(F_n(N) + F_n(J)),
 
         err_n = K L_n^2p (I'_n + ierr_n) + ierr_n + eps_f T_n,
 
-    ierr_n = gamma_(5(2k-2) + 4 z_J + 7M + 12) S_n (+ 2 G_n p_M of each z
-    for the upper form) and eps_f = phi + gamma_(9p+7)(1 + phi).
-    Each of these relative bounds is below 2^-24 (or the result is None),
-    and err is raised by 2^-20 of itself, which covers the second-order
-    terms.  floor, in units of 2^-1074: each F carries k (see
-    _chain_rounding), which V's steps scale by at most
-    Lambda' = 2c + s + 2p + 1 each and to which they add 3, so each
-    derivative sum carries (k + 8p) sum_r |beta_r| max(1, Lambda'/N)^(2r-1);
-    from the first subnormal Poisson term on, past the mode, each step
-    adds 1 and scales the carried error by z / m < 1, so each sum carries
-    M + 2, times max G (None where a G_n is subnormal); and the products
-    and additions 8.
+    ierr_n = G_n (eps_N size_N + eps_J size_J), size_x the sum of the form
+    taken at z_x, plus 2 (1 + eps_x) G_n p_M(z_x) for the upper form, and
+    eps_f = phi + gamma_12p (1 + phi).  Each relative bound is below 2^-24
+    (or the result is None), and err is raised by 2^-20 of itself for the
+    second-order terms.  floor, in units of 2^-1074: each F carries k (see
+    _chain_rounding), which the half difference keeps and FF W, at most
+    2 omega, scales: 2k (1 + 2 omega); from the first subnormal Poisson term
+    on, past the mode, each step adds 1 and scales the carried error by
+    z / m < 1 (a term from its log adds 1), so each sum carries M + 2, times
+    max G (None where a G_n is subnormal); the products and additions 10.
     """
     s, c = 2.0 * sym.sigma1, sym.c2_abs
     a = s - 1.0
@@ -865,35 +895,30 @@ def _euler_maclaurin_moments(
     x = np.array([float(n_cut), float(j_max)])
     log_x = np.log(x)
 
-    cr = (c * r)[:, None]
-    coef = _EM_BETA_COLUMN / x**_EM_ORDERS
-    padded = np.zeros((top + 2, 2))  # padded[n] = V_(n-1), padded[0] = 0
-    padded[1:] = f
-    v, shifted, term, corr = padded[1:], padded[:-1], np.empty_like(f), np.zeros_like(f)
-    for m in range(2 * _EM_TERMS - 1):
-        np.multiply(cr, shifted, out=term)
-        v *= -(s + m)
-        v += term
-        if m % 2 == 0:  # V_(2r-1), r = m // 2 + 1
-            corr += coef[m // 2] * v
+    poly = (_EM_DERIVATIVES @ s**_EM_POWERS).reshape(_EM_TERMS, -1)  # a_(2r-1, j)(s)
+    w = (poly.T @ (_EM_BETA_COLUMN / x**_EM_ORDERS)) * log_x ** -_EM_POWERS[:, None]
+    corr = f * (_table(_falling_factorial_table, max(top + 1, 2 * _EM_TERMS))[: top + 1] @ w)
 
     g = np.cumprod(np.concatenate([[1.0 / a], (c / a) * r[1:]]))
     z = a * log_x
     top_m = top + 2 * math.ceil(z[1]) + 64
-    steps = z[:, None] / np.arange(1.0, top_m + 1.0)
-    p = np.cumprod(np.hstack([np.exp(-z)[:, None], steps]), axis=1)
+    m = np.arange(top_m + 1.0)
+    p = np.cumprod(np.hstack([np.exp(-z)[:, None], z[:, None] / m[1:]]), axis=1)
+    eps_n = _gamma(5 * top + math.ceil(3.0 * z[1]) + 6 * top_m + 11)
+    eps_p = np.array([eps_n, eps_n])
+    if z[1] > _EM_EXPONENT_MAX:  # p_m(z_J) from its log
+        log_z, log_fact = math.log(z[1]), log_factorials(top_m)
+        p[1] = np.exp(m * log_z - z[1] - log_fact)
+        e_u = (5.0 * top_m * (abs(log_z) + 1.0) + 5.0 * (z[1] + log_fact[-1]) + 3.0) * UNIT_ROUNDOFF
+        eps_p[1] += (math.expm1(e_u) * (1.0 + 2.0 * UNIT_ROUNDOFF) + 2.0 * UNIT_ROUNDOFF) * (1.0 + eps_n)
     low = np.cumsum(p, axis=1)[:, : top + 1]
     high = np.cumsum(p[:, ::-1], axis=1)[:, ::-1][:, 1 : top + 2]
-    eps_i = _gamma(5 * top + math.ceil(4.0 * z[1]) + 7 * top_m + 12)
-    err_low = eps_i * (low[0] + low[1])
-    err_high = eps_i * (high[0] + high[1]) + 2.0 * (p[0, -1] + p[1, -1]) * (1.0 + eps_i)
-    upper = err_high < err_low
-    q = np.where(upper, high[1] - high[0], low[0] - low[1])
-    integral = g * q
+    err_low = eps_p @ low
+    err_high = eps_p @ high + 2.0 * (1.0 + eps_p) @ p[:, -1]
+    integral = g * np.where(err_high < err_low, high[1] - high[0], low[0] - low[1])
     integral_err = g * np.minimum(err_low, err_high)
 
-    phi = _chain_rounding(sym, k, j_max)
-    eps_f = phi + _gamma(9 * _EM_TERMS + 7) * (1.0 + phi)
+    eps_f = phi + _gamma(12 * _EM_TERMS) * (1.0 + phi)
     ratio = (n / log_x[0] * (1.0 + 4.0 * UNIT_ROUNDOFF) + s + _EM_TERMS - 0.5) / n_cut
     omega = sum(abs(beta) * float(ratio[-1]) ** (2 * j + 1) for j, beta in enumerate(_EM_BETA))
     remainder = _EM_REMAINDER * ratio ** (2 * _EM_TERMS) * (integral + integral_err)
@@ -901,12 +926,10 @@ def _euler_maclaurin_moments(
     err *= 1.0 + 2.0**-20
     e = integral + 0.5 * (f[:, 1] - f[:, 0]) + (corr[:, 1] - corr[:, 0])
 
-    spread = max(1.0, (2.0 * c + s + 2 * _EM_TERMS + 1.0) / n_cut)
-    carried = sum(abs(beta) * spread ** (2 * j + 1) for j, beta in enumerate(_EM_BETA))
-    floor = 2.0 * (k + 8 * _EM_TERMS) * (1.0 + carried)
-    floor += 4.0 * (top_m + 2) * max(1.0, float(np.max(g))) + 8.0
+    floor = 2.0 * k * (1.0 + 2.0 * omega) + 4.0 * (top_m + 2) * max(1.0, float(np.max(g))) + 10.0
     floor *= 2.0**-1074 * (1.0 + 2.0**-20)
-    if not (max(eps_i, eps_f) <= 2.0**-24 and np.min(g) >= _TINY and np.isfinite(e + err).all()):
+    finite = np.isfinite(e + err).all() and j_max < 2**53
+    if not (max(eps_p[1], eps_f) <= 2.0**-24 and np.min(g) >= _TINY and finite):
         return None
     return e, err, floor
 
@@ -918,18 +941,12 @@ def _gram(d: np.ndarray) -> np.ndarray:
         G[i][l] = |c2|^(i+l) h_(i+l) / (i! l!) = F[i][l] d_(i+l),
         F[i][l] = a! b! / (i! l!),  a = (i+l) // 2, b = i + l - a,
 
-    a Hankel matrix, d gathered by the index table i + l, scaled by F <= 1
-    (a, b is the most balanced split of i + l).  Both tables depend on k
-    alone and are kept (see _table).
+    a Hankel matrix, a read-only strided view of d, scaled by F <= 1
+    (a, b is the most balanced split of i + l), which depends on k alone
+    and is kept (see _table).
     """
     k = (d.shape[0] + 1) // 2
-    return d[_table(_hankel_table, k)] * _table(_gram_factor_table, k)
-
-
-def _hankel_table(k: int) -> np.ndarray:
-    """i + l for i, l < k (see _gram)."""
-    i = np.arange(k)
-    return np.add.outer(i, i)
+    return as_strided(d, (k, k), d.strides * 2, writeable=False) * _table(_gram_factor_table, k)
 
 
 def _gram_factor_table(k: int) -> np.ndarray:
@@ -946,7 +963,7 @@ def _gram_factor_table(k: int) -> np.ndarray:
     return f
 
 
-def _gram_rounding(sym: DirichletSymbol, k: int, n_cut: int, j_max: int) -> tuple[float, float]:
+def _gram_rounding(phi: float, k: int, n_cut: int, j_max: int) -> tuple[float, float]:
     """(delta_0, eps_0): each balanced moment summed directly over the
     columns j <= N (see _chain_moments), times the factor F[i][l] of
     _gram, is its exact value (1 + theta) + e with |theta| <= delta_0 and
@@ -972,10 +989,24 @@ def _gram_rounding(sym: DirichletSymbol, k: int, n_cut: int, j_max: int) -> tupl
     absolute parts add up to at most k N (1 + gamma_N) + k J / 2 units of
     2^-1074, and eps_0 = (2 k N + k J) 2^-1074 covers them times 1 + u.
     """
-    phi = _chain_rounding(sym, k, j_max)
     delta = phi + _gamma(n_cut + 2 * k - 2) * (1.0 + phi)
     delta = math.nextafter(delta * (1.0 + 16.0 * UNIT_ROUNDOFF), math.inf)
     return delta, (2.0 * k * n_cut + k * j_max) * 2.0**-1074
+
+
+def _start_vector(gram: np.ndarray) -> np.ndarray:
+    """y = G^(2^q - 1) 1 / max: y = P x from x = 1 and P = G / max G, P
+    squared between, until y moves by at most _START_SETTLED of each
+    component.  It converges like (lambda_2 / lambda_1)^(2^q), and
+    powers of G >= 0 are accurate entry by entry (Higham 2002, ch. 3)."""
+    p, x = gram / np.max(gram), np.ones(gram.shape[0])
+    for _ in range(_SQUARINGS):
+        y = p @ x
+        y /= np.max(y)
+        if np.all(np.abs(y - x) <= _START_SETTLED * y):
+            break
+        p, x = p @ (p / np.max(p)), y  # max P never falls, and grows k-fold at most
+    return y
 
 
 def operator_norm_estimate(
@@ -995,9 +1026,9 @@ def operator_norm_estimate(
     whatever J is, N a power of two from 64 (or N = J, summed at most
     2^17 table entries at a time).  The tables that depend on k alone are
     kept between calls, read-only, in at most 8 MiB (see _table).  The
-    start vector is |v|, v the top eigenvector of the computed G from
-    LAPACK's eigh.  Each step computes y = G x, k^2 products, and brackets
-    the Perron root:
+    start vector is taken by squaring G (see _start_vector); any x > 0
+    would do.  Each step computes y = G x, k^2 products, and brackets the
+    Perron root:
 
     * lower^2 = x . y / x . x, a Rayleigh quotient of the symmetric G;
     * upper^2 = max_i y_i / x_i, the Collatz-Wielandt bound (Horn &
@@ -1038,8 +1069,7 @@ def operator_norm_estimate(
         )
     d, delta, eps = _gram_moments(sym, k, m.j_max)
     gram = _gram(d)
-    x = np.abs(np.linalg.eigh(gram)[1][:, -1])
-    x /= np.max(x)
+    x = _start_vector(gram)
     converged = False
     last_gap = math.inf
     for iterations in range(1, max_iter + 1):

@@ -214,7 +214,9 @@ def _euler_maclaurin_tail(s: float, n: int, head: float = 0.0) -> tuple[float, f
 # with c_n F_(n-1) = (n / ln x) F_n (c_0 = 0).  With D = x d/dx,
 # x^m F^(m) = D (D-1) ... (D-m+1) F = V_m: V_0 = F and
 # V_(m+1) = c shift(V_m) - (s + m) V_m, shift(V)_n = V_(n-1), so order n of
-# V_m reads only orders n-m..n.  The same recurrence with + for - bounds
+# V_m reads only orders n-m..n; in U form V_m = U_m F, U_m[n] = sum_j (n)_j
+# (ln x)^-j a_(m,j)(s), (n)_j falling factorials and sum_j a_(m,j)(s) y^j =
+# prod_(i<m) (y - s - i).  The same recurrence with + for - (|a| for a) bounds
 # |V_m|, and by induction and AM-GM |V_m|_n <= prod_(j<m) (n / ln x + s + j) F_n
 # <= Lambda_n(x)^m F_n for m <= 2p, Lambda_n(x) = n / ln x + s + p - 1/2.  By
 # DLMF 2.10.1, its B_2p term taken into the sum, sum_(N<=k<=J) F_n(k) is
@@ -375,11 +377,11 @@ def _log_tail_rounding(s: float, i: int, x: float, log_integral: float) -> float
     2.8u |lgamma y| + 2u at every integer y <= 60000), and exact at
     y = 1, 2, the error is at most u times the sum of:
 
-    * z: s - 1 is exact up to s = 2 (Sterbenz) and within u past it, ln x
-      within 2u and the product u, so z is within (3 + [s > 2]) u
-      relatively.  As a function of z the exact log integral has slope
-      -(z^i/i!) / sum_(m<=i) z^m/m!, in [-1, 0], so this costs
-      (3 + [s > 2]) z, and the steps below evaluate it at the rounded z;
+    * z: s - 1 is exact for 1 < s < 2^53 (1 is a multiple of the ulp of
+      s), ln x within 2u and the product u, so z is within 3u relatively.
+      As a function of z the exact log integral has slope
+      -(z^i/i!) / sum_(m<=i) z^m/m!, in [-1, 0], so this costs 3z, and the
+      steps below evaluate it at the rounded z;
     * A: 4 A + 2;
     * M: log z within 2 |log z|, the product by mode and the subtraction
       one rounding each, and lgamma(mode+1) as above:
@@ -388,8 +390,8 @@ def _log_tail_rounding(s: float, i: int, x: float, log_integral: float) -> float
       quotients z/m or m/z, 2k - 1 roundings, and the nonnegative terms are
       added in i steps, so their sum is within gamma_(i+2K-1) relatively,
       and log adds 2 |T|;
-    * S: log(s-1) within 2 |log(s-1)| and, past s = 2, u from s - 1, and
-      the product one rounding: (i+1) (3 |log(s-1)| + [s > 2]);
+    * S: log(s-1) within 2 |log(s-1)| and the product one rounding:
+      (i+1) 3 |log(s-1)|;
     * the four additions that assemble the result, each one rounding of
       its partial sum: |A - z| + |A - z + M| + |A - z + M + T| + |result|.
 
@@ -397,10 +399,9 @@ def _log_tail_rounding(s: float, i: int, x: float, log_integral: float) -> float
     """
     z = (s - 1.0) * math.log(x)
     mode = min(math.floor(z), i)
-    past_two = 1.0 if s > 2.0 else 0.0
     a = math.lgamma(i + 1.0)
     log_s1 = math.log(s - 1.0)
-    units = (3.0 + past_two) * z + 4.0 * a + 2.0 + (i + 1.0) * (3.0 * abs(log_s1) + past_two)
+    units = 3.0 * z + 4.0 * a + 2.0 + 3.0 * (i + 1.0) * abs(log_s1)
     partial = a - z  # A - z, then A - z + M
     units += abs(partial)
     if mode:
@@ -647,9 +648,9 @@ def _dominance_margins(crossing):
 
 
 def _moment_margins(budget):
-    # factor = i!/(s-1)^i within e = 4 + i [s > 2] units: pow 2, the
-    # division 1, i! 1 (exact in binary64 up to 22!), and s - 1's rounding
-    # past s = 2, which the power scales by i.  factor * zeta adds one unit,
+    # factor = i!/(s-1)^i within e = 4 units: pow 2, the division 1 and
+    # i! 1 (exact in binary64 up to 22!); s - 1 is exact (1 < s < 2^53).
+    # factor * zeta adds one unit,
     # the credited errors' product and sum two, and the sum of the two one
     # of both sizes: e + 3 units of |scaled| + combined, one more for the
     # second order
@@ -661,8 +662,7 @@ def _moment_margins(budget):
             combined = moment.error_bound + factor * z.error_bound
             scaled = factor * z.value
             margin = scaled + combined - moment.value
-            units = 8.0 + (i if s > 2.0 else 0.0)
-            rounding = UNIT_ROUNDOFF * (units * (abs(scaled) + combined) + abs(margin))
+            rounding = UNIT_ROUNDOFF * (8.0 * (abs(scaled) + combined) + abs(margin))
             yield f"s={s:g},i={i}", margin, rounding
 
 

@@ -839,7 +839,9 @@ class TestGramMoments:
         # every d_n of _gram_moments within delta d_n + eps of mp_moments:
         # gaps down to 1e-12 above sigma1 = 1/2 + |c2| (boundary symbols
         # included), c2 = 0, sigma1 up to 1e3, 1 <= J <= 1e6 with J near
-        # twice the N the Euler-Maclaurin part would use, orders up to 400
+        # twice the N the Euler-Maclaurin part would use, orders up to 400,
+        # and steep symbols whose z_J = (2 sigma1 - 1) ln J passes 708, where
+        # the Poisson terms at J come from their logs
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
         mpmath = pytest.importorskip("mpmath")
@@ -847,7 +849,11 @@ class TestGramMoments:
         @st.composite
         def cases(draw):
             c = draw(st.one_of(st.just(0.0), st.floats(1e-3, 50.0)))
-            kind = draw(st.sampled_from(["gap", "boundary", "large"]))
+            kind = draw(st.sampled_from(["gap", "boundary", "large", "steep"]))
+            if kind == "steep":  # z_J past 708 wherever the model fits
+                c = draw(st.floats(35.0, 55.0))
+                sym = DirichletSymbol(0.5 + c + 10.0 ** draw(st.floats(-12.0, 0.0)), c)
+                return sym, draw(st.integers(1, 201)), int(10.0 ** draw(st.floats(4.0, 6.0)))
             if kind == "gap":
                 sigma1 = 0.5 + c + 10.0 ** draw(st.floats(-12.0, 1.0))
             elif kind == "boundary":
@@ -871,7 +877,7 @@ class TestGramMoments:
             return chain_moments(sym, k, n_cut, j_max)
 
         monkeypatch.setattr(operator_matrix, "_chain_moments", recorded)
-        used = []
+        used, steep = [], []
 
         @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None,
                              suppress_health_check=[hypothesis.HealthCheck.too_slow])
@@ -880,6 +886,7 @@ class TestGramMoments:
             sym, k, j_max = case
             d, delta, eps = operator_matrix._gram_moments(sym, k, j_max)
             used.append(read[-1][0] < j_max)
+            steep.append(used[-1] and (2.0 * sym.sigma1 - 1.0) * math.log(j_max) > 700.0)
             with mpmath.workdps(50):
                 low, high = mp_moments(sym, k, j_max)
                 for n, value in enumerate(d):
@@ -889,11 +896,16 @@ class TestGramMoments:
 
         check()
         for sigma1, c, k, j_max in [(4.0, 3.5, 201, 20000), (50.5 + 1e-12, 50.0, 201, 20000),
+                                    (50.5 + 1e-12, 50.0, 201, 4 * 10**5), (26.0, 25.5, 401, 10**6),
                                     (2.0, 0.5, 201, 10**6)]:
             check.hypothesis.inner_test((DirichletSymbol(sigma1, c), k, j_max))
+        # past column 512: the hostile symbol at both sizes, with z_J 990 and
+        # 1290, and orders up to 800 at z_J = 705, where Q_n(z_J) counts
+        assert steep[-4:-1] == [True] * 3 and read[-4][0] == read[-3][0] == read[-2][0] == 512
         # 400 orders past column 256 of 1e6, the last 104 below 2^-1000
         assert used[-1] and read[-1] == (256, 10**6)
         assert any(used) and not all(used)
+        assert sum(steep) > 2
 
     def test_chain_evaluates_n_columns_and_column_j(self, monkeypatch):
         # at 99 x 1e6 the recurrence evaluates columns 1..N and J only, N a
@@ -919,12 +931,14 @@ class TestGramMoments:
 
 
     def test_direct_path_holds_one_chunk(self):
-        # (50.5 + 1e-12, 50) at 201 x 4e5 sums all 4e5 columns directly,
-        # 401 moments at a time over chunks of at most 2^17 entries (1 MiB):
-        # no 401 x J table and no J-long column array is held
-        sym = DirichletSymbol(50.5 + 1e-12, 50.0)
-        m = build_matrix(sym, 200, 4 * 10**5)
-        assert operator_matrix._em_columns(sym, 201, 4 * 10**5) == 4 * 10**5
+        # (100.5 + 1e-12, 100) at 201 x 1e5, where (s - 1) ln N passes 700
+        # at every N the Euler-Maclaurin part would fit, sums all 1e5
+        # columns directly, 401 moments at a time over chunks of at most
+        # 2^17 entries (1 MiB): no 401 x J table is held
+        sym = DirichletSymbol(100.5 + 1e-12, 100.0)
+        m = build_matrix(sym, 200, 10**5)
+        assert operator_matrix._significant_rows(sym, 200, 10**5)[0] == 201
+        assert operator_matrix._em_columns(sym, 201, 10**5) == 10**5
         tracemalloc.start()
         try:
             est = operator_norm_estimate(m)
@@ -944,8 +958,9 @@ class TestGramMoments:
             operator_norm_estimate(build_matrix(DirichletSymbol(sigma1, c), i_max, 20000))
         kept = dict(om._tables)
         assert set(kept) == {om._log_factorial_table, om._step_table, om._gram_factor_table,
-                             om._hankel_table}
+                             om._falling_factorial_table}
         assert kept[om._gram_factor_table].shape == (201, 201)
+        assert kept[om._falling_factorial_table].shape == (401, 2 * om._EM_TERMS)
         for build in kept:
             small = om._table(build, 30)
             assert not small.flags.writeable and not kept[build].flags.writeable
@@ -953,7 +968,7 @@ class TestGramMoments:
             with pytest.raises(ValueError):
                 small[0] = 1.0
         assert not log_factorials(10).flags.writeable
-        om._gram(np.ones(2 * 600 - 1))  # 600 x 600 tables of 2.7 MiB each serve that call only
+        om._gram(np.ones(2 * 600 - 1))  # a 600 x 600 table of 2.7 MiB serves that call only
         assert om._tables[om._gram_factor_table] is kept[om._gram_factor_table]
         assert sum(table.nbytes for table in om._tables.values()) <= 4 * om._TABLE_BYTES == 8 * 2**20
 
@@ -1083,11 +1098,15 @@ class TestOperatorNormEstimate:
 
     def test_non_convergence_is_flagged(self, monkeypatch):
         # a tied Gram matrix: its top pair 1 + 1e-20 and 1 - 1e-20 lies
-        # within rounding, so eigh returns a unit vector, and the gap then
-        # closes like 1/n, far too slowly for three steps
+        # within rounding.  Its row sums are its Perron vector, so the
+        # squaring start certifies at once; from the unit vector e_0 the
+        # gap closes like 1/n, far too slowly for three steps
         tied = np.array([[1.0, 1e-20], [1e-20, 1.0]])
         monkeypatch.setattr(operator_matrix, "_gram", lambda d: tied)
         m = build_matrix(DirichletSymbol(2.0, 0.5), 1, 5)
+        est = operator_norm_estimate(m, max_iter=3)
+        assert est.converged and est.iterations == 1
+        monkeypatch.setattr(operator_matrix, "_start_vector", lambda gram: np.array([1.0, 0.0]))
         est = operator_norm_estimate(m, max_iter=3)
         assert not est.converged
         assert est.iterations == 3
@@ -1152,12 +1171,32 @@ class TestOperatorNormEstimate:
         top = float(np.linalg.svd(m.magnitudes, compute_uv=False)[0])
         assert est.lower <= top <= est.upper - m.tail_bound
 
-    def test_slowly_shrinking_gap_still_converges(self):
-        # the gap falls about tenfold per step here (14 steps); a shrinking
-        # gap must not stop the loop
+    def test_slowly_shrinking_gap_still_converges(self, monkeypatch):
+        # from |v|, v the top eigenvector of LAPACK's eigh, which is right
+        # only in absolute terms in the components near 1e-30, the gap
+        # falls about tenfold per step here (14 steps); a shrinking gap
+        # must not stop the loop
+        def eigh_start(gram):
+            x = np.abs(np.linalg.eigh(gram)[1][:, -1])
+            return x / np.max(x)
+
+        monkeypatch.setattr(operator_matrix, "_start_vector", eigh_start)
         m = build_matrix(DirichletSymbol(50.5 + 1e-12, 50.0), 200, 20000)
         est = operator_norm_estimate(m)
         assert est.converged and est.iterations >= 10
+
+    def test_squaring_start_certifies_in_one_step_without_eigh(self, monkeypatch):
+        # the seven matrix bench slots and the hostile (50.5 + 1e-12, 50):
+        # no eigh runs, and the start is accurate enough for one step
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh is not on the norm path")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        for sigma1, c, rows in [(2.0, 0.5, 101), (2.5, 0.5, 126), (1.0, 0.5, 101), (3.0, 1.5, 151),
+                                (1.6, 0.3, 201), (3.0, 2.5, 201), (4.0, 3.5, 201),
+                                (50.5 + 1e-12, 50.0, 201)]:
+            est = operator_norm_estimate(build_matrix(DirichletSymbol(sigma1, c), rows - 1, 20000))
+            assert est.converged and est.iterations == 1, (sigma1, c, rows)
 
     @pytest.mark.parametrize("sigma1, c", [(1.0, 0.5), (3.0, 2.5), (4.0, 3.5)])
     def test_boundary_symbols_certify_in_two_steps(self, sigma1, c):
