@@ -28,6 +28,7 @@ import os
 import threading
 import warnings
 from functools import cached_property
+from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,6 +39,7 @@ from .bounds import schur_polynomial_nonpositive
 from .errors import DomainError, MatrixSizeError, NonCompactError
 from .special_functions import DEFAULT_BUDGET, UNIT_ROUNDOFF, PrecisionBudget
 from .special_functions import _EM_BETA, _EM_REMAINDER, _EM_TERMS, _em_fits
+from .special_functions import _POISSON_RECURRENCE_MAX, _gamma, _poisson_rounding, _poisson_terms
 from .special_functions import _euler_maclaurin_tail, lower_bound_h
 from .special_functions import zeta as _certified_zeta
 from .symbol import DirichletSymbol, SymbolClass, classify
@@ -53,6 +55,7 @@ _MAPPED_MIN_BYTES = 1 << 22
 # every iterate is scaled to x_1 = 1 and raised to at least this floor
 _X_FLOOR = 2.0**-900
 _SQUARINGS, _START_SETTLED = 12, 2.0**-26  # the start vector's bounds (_start_vector)
+_MAX_ITER = 1000  # operator_norm_estimate's steps on the Gram matrix, at most
 # build_matrix uses the row recurrence on the columns with sigma1 ln j at
 # most this: row 0 there is at least e^-700, far inside the normal range
 # (2^-1022 = e^-708.4)
@@ -68,8 +71,6 @@ _EM_BETA_COLUMN = np.array(_EM_BETA)[:, None]
 _EM_ORDERS = np.arange(1.0, 2 * _EM_TERMS, 2.0)[:, None]
 _EM_POWERS = np.arange(2.0 * _EM_TERMS)
 _EM_FIRST = 64
-# (s - 1) ln N at most this keeps e^-z_N, z_N = (s - 1) ln N, in the normal range
-_EM_EXPONENT_MAX = 700.0
 # Euler-Maclaurin errors up to this are charged as absolute ones: k times
 # it, over _X_FLOOR, stays far below u in the norm's bracket
 _EM_ABSOLUTE = 2.0**-1000
@@ -306,21 +307,19 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
 
     One pass adds the rows to a running sum S with O(1) work a row:
     b_i = b_(i-1) 2 (2i-1) r^2 / i, and Q_2i adds the Poisson terms
-    p_m = e^-z z^m / m!, m = 2i-1, 2i, each the exp of its log, so that no
-    row needs e^-z in the normal range.  k_t is the first row whose row
-    piece is at most max(u S, 2^-1074), or I + 1; any k_t gives a bound.
+    p_m = e^-z z^m / m!, m = 2i-1, 2i, the next two that
+    special_functions._poisson_terms(z) gives.  k_t is the first row whose
+    row piece is at most max(u S, 2^-1074), or I + 1; any k_t gives a bound.
 
     Rounded outward in units of u = 2^-53, with gamma_n as in _gamma, exp,
     log and pow within 2u, lgamma(m+1) within 4 log m! + 2 (see
-    special_functions._log_tail_rounding), and the root rounded up:
+    special_functions._poisson_terms), and the root rounded up:
 
     * z is rounded down, as Q_n falls when z grows: the factor 1 - 6u
       undoes the four units of s - 1, ln(J+1) and their product.
-    * p_m's exponent, m >= 1, is off by at most
-      E_m = 5m |ln z| + 2z + 5 log m! + 3.  Where p_m >= e^-746, either
-      z < 1 and m |ln z| + z + log m! <= 746, or m ln z <= z + log m! and
-      z <= 2m + 1490, so E_m <= 14m + 10 log m! + 10433 too; a smaller
-      term comes out below 2^-1022 and costs only the floor.
+    * Each p_m, m <= 2k - 2 with k = k_t, is within eps_p p_m of its value
+      at that z, eps_p = _poisson_rounding(z, 2k - 2), plus 2^-1074 where
+      it comes out below 2^-1022 (the proof is _poisson_terms').
     * P_i = exp(2i (L + log w - w) - 2 log i!), L = ln(2i c / s) and
       w = s t / (2i) = max(1, s ln(J+1) / (2i)), which takes the clamped s
       (that lowers w and raises log w - w).  At w = 1, the peak itself,
@@ -330,16 +329,17 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
       the larger terms rounded later add at most 2 |L| + 7 log w + 4w - 3
       more per unit of 2i, at most 2 |L| + 15 (w - 1) + 1: L + log w - w
       is raised by (2 |L| + 16 w) u, so the bound at w = 1 holds for every
-      row.  Below c / s = 2^-1022 every P_i is below 2^-1074 and none is
-      added.
-    * With k = k_t and E the largest exponent bound used, b_i (8i + 2
-      roundings), Q_2i (a sum of 2i + 1 terms) and their product put each
-      T_i, and each P_i, within (1 + gamma_10k) e^(E u).  Row 0 takes its
-      own rounding bound, (8 + (s+3) ln n) u of its remainder (five
+      row, and with exp's ulp each P_i is within eps_P = expm1(D u)
+      (1 + 2u) + 2u of its value, D that bound at its largest.  Below
+      c / s = 2^-1022 every P_i is below 2^-1074 and none is added.
+    * b_i (8i + 2 roundings), the 2i additions of Q_2i and their product
+      put each T_i within (1 + gamma_(10k-7)) (1 + eps_p).  Row 0 takes
+      its own rounding bound, (8 + (s+3) ln n) u of its remainder (five
       roundings of the coefficient, its exponent's, pow and the product)
-      and gamma_5, and S gamma_2k: eps = gamma_12k + (1 + gamma_12k)
-      expm1(E u), raised by 16u for its own roundings.  1 + 8u covers the
-      product by 1 + eps, the sum and the floor's addition.
+      and gamma_5, and S gamma_2k: eps = gamma_(12k-7) + (1 +
+      gamma_(12k-7)) max(eps_p, eps_P), raised by 16u for its own
+      roundings.  1 + 8u covers the product by 1 + eps, the sum and the
+      floor's addition.
     * The row piece: b_k is below b' (1 + 2 gamma_(8k+2)) plus its
       shortfall, b' the computed one.  Pi_k's exponent is raised by its
       own error bound before exp, which leaves exp's 2u:
@@ -355,7 +355,7 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
       2^-1020 (r or r^2 may be subnormal) adds 3 b_(i-1), a b_i below 2^-1022
       adds 1, both carried by later steps, and each Poisson term below
       2^-1022 adds 1 to Q's.  Row i costs 2 (b_i Q's + b's Q_2i), the 2
-      covering e^(E u) and the gammas, plus 1 for T_i and 2 for P_i below
+      covering 1 + eps_p and the gammas, plus 1 for T_i and 2 for P_i below
       2^-1022.  The row piece costs 2 (b's shortfall + 2) / (1 - rho^2),
       the 2 covering a subnormal Pi_k and the roundings.  Row 0's pieces
       cost 5, and K = (s+2)^3 / 500
@@ -376,7 +376,7 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     band = 700.0 < (s + 3.0) * log_n and (s + 1.0) * log_n < 746.0 + math.log(big_k)
     floor = 5.0 + (big_k if band else 0.0)
 
-    i, row_sq, drift = 1, 0.0, 0.0  # with c2 = 0 rows i >= 1 of B vanish
+    i, row_sq, term_eps = 1, 0.0, 0.0  # with c2 = 0 rows i >= 1 of B vanish
     if c > 0.0:
         try:
             law = approx_number_bound(sym)
@@ -387,8 +387,8 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
         v, r_sq = 0.5 * (c / sym.sigma1), (0.5 * (c / (sym.sigma1 - 0.5))) ** 2  # sigma1, unclamped
         log_y, gap = math.log(c * math.log(2.0)), min(2.0 * (sym.sigma1 - c), 2.0**1000)
         z = s1 * log_n * (1.0 - 6.0 * UNIT_ROUNDOFF)
-        log_z = math.log(z)
-        b, q = 1.0 / s1, math.exp(-z)
+        poisson = _poisson_terms(z)
+        b, q = 1.0 / s1, next(poisson)
         b_low, q_low = 0.0, float(q < _TINY)  # shortfalls in units of 2^-1074
         while True:
             step = 2.0 * (2 * i - 1) / i * r_sq
@@ -411,8 +411,7 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
                 if i > i_max or row_sq <= cut:
                     floor += 2.0 * geometric * (b_low + 2.0)  # rows i.. are charged by this piece
                     break
-            for m in (2 * i - 1, 2 * i):
-                p = math.exp(m * log_z - z - math.lgamma(m + 1.0))
+            for p in islice(poisson, 2):  # m = 2i - 1, 2i
                 q += p
                 q_low += p < _TINY
             t = b * q
@@ -429,15 +428,14 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
             i += 1
         top = i - 1
         if top:
-            n, lgam = 2 * top, math.lgamma(2 * top + 1.0)
-            drift = min(5.0 * n * abs(log_z) + 2.0 * z, 14.0 * n + 5.0 * lgam + 10430.0)
-            drift += 5.0 * lgam + 3.0
-            if v >= _TINY:
+            term_eps = _poisson_rounding(z, 2 * top)
+            if v >= _TINY:  # P_i's exponent bound, at its largest
                 size = 5.0 * max(abs(math.log(2.0 * v)), abs(math.log(2.0 * top * v))) + 5.0
-                drift = max(drift, 2.0 * top * size + 10.0 * math.lgamma(top + 1.0) + 6.0)
+                size = (2.0 * top * size + 10.0 * math.lgamma(top + 1.0) + 6.0) * UNIT_ROUNDOFF
+                term_eps = max(term_eps, math.expm1(size) * (1 + 2 * UNIT_ROUNDOFF) + 2 * UNIT_ROUNDOFF)
 
-    gamma = _gamma(12 * i)
-    eps = (gamma + (1.0 + gamma) * math.expm1(drift * UNIT_ROUNDOFF)) * (1 + 16 * UNIT_ROUNDOFF)
+    gamma = _gamma(12 * i - 7)
+    eps = (gamma + (1.0 + gamma) * term_eps) * (1 + 16 * UNIT_ROUNDOFF)
     total = (row_sq + col * (1.0 + eps)) * (1.0 + 8.0 * UNIT_ROUNDOFF)
     return math.nextafter(math.sqrt(total + floor * 2.0**-1074), math.inf)
 
@@ -447,15 +445,6 @@ class NormEstimate(NamedTuple):
     upper: float
     iterations: int
     converged: bool
-
-
-def _gamma(n: int) -> float:
-    """Higham's gamma_n = n u / (1 - n u) (Accuracy and Stability of Numerical
-    Algorithms, 2002, ch. 3): a sum of n nonnegative products, added in any
-    order, is off by at most gamma_n of its value.  The bound holds only
-    while n u < 1; past that it is +inf."""
-    nu = n * UNIT_ROUNDOFF
-    return nu / (1.0 - nu) if nu < 1.0 else math.inf
 
 
 def _entry_rounding(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
@@ -488,7 +477,7 @@ def _entry_rounding(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
       keeps this test on the safe side): rows i >= 1 are exp of
       E = i L - l_i - x, L = log(|c2| ln j), l_i = lgamma(i+1) and
       x = sigma1 ln j, counted step by step in units of u, with lgamma
-      within 4 l_i + 2 units (special_functions._log_tail_rounding).
+      within 4 l_i + 2 units (special_functions._poisson_terms).
       |c2| ln j carries theta_3 and log adds 2 ulps of L, so L is off by
       at most 2|L| + 3 and i L by i (3|L| + 3); l_i by 4 l_i + 2; x by 3x;
       the two subtractions by i|L| + l_i and i|L| + l_i + x: E is off by
@@ -548,9 +537,9 @@ def _significant_rows(sym: DirichletSymbol, i_max: int, j_max: int) -> tuple[int
     not at all), which moves phi by at most |phi'| 2u t <= 2u (i + sigma1 t).
     Evaluating phi_i + (ln J)/2 rounds the product |c2| t, log (one ulp,
     2u) and the product by i: i (1 + 3 |L|), L = log(|c2| t); sigma1 t
-    once; lgamma within 4 log i! + 2 (see _log_tail_rounding); (ln J)/2
-    within ln J; and the four additions, with the padding's own, within
-    4 times the sum of the parts' sizes.  With
+    once; lgamma within 4 log i! + 2 (see special_functions._poisson_terms);
+    (ln J)/2 within ln J; and the four additions, with the padding's own,
+    within 4 times the sum of the parts' sizes.  With
     M = i (1 + |L|) + sigma1 t + log i! + ln J + 1 that is at most 8 M, and
     9 M covers the second-order terms.  The squared bound is exp of twice
     the padded log, within 2u (plus 2^-1074 when it underflows); each
@@ -651,7 +640,7 @@ def _em_columns(sym: DirichletSymbol, k: int, j_max: int) -> int:
     """
     s = 2.0 * sym.sigma1
     n = _EM_FIRST
-    while 2 * n <= j_max and 0.0 < (s - 1.0) * math.log(n) <= _EM_EXPONENT_MAX:
+    while 2 * n <= j_max and 0.0 < (s - 1.0) * math.log(n) <= _POISSON_RECURRENCE_MAX:
         if _em_fits(s, 2 * k - 2, n):
             return n
         n *= 2
@@ -741,7 +730,7 @@ def _chain_rounding(sym: DirichletSymbol, k: int, j_max: int) -> float:
     with |theta| <= phi and |e| <= k 2^-1074.  numpy's log and exp are
     taken within one ulp (2u relative), each product and quotient within
     u, lgamma(m+1) within 4 log m! + 2 units (see
-    special_functions._log_tail_rounding), and theta_n is a relative error
+    special_functions._poisson_terms), and theta_n is a relative error
     of at most gamma_n (Higham 2002, ch. 3).
 
     * Columns with sigma1 ln j <= 700 (tested as ln j <= 700 / sigma1, as
@@ -847,12 +836,11 @@ def _euler_maclaurin_moments(
       _EM_DERIVATIVES times the powers of s.  Taking F_n(N) out leaves the
       sum over N < j <= J, with (F_n(J) - F_n(N)) / 2.
     * I_n = G_n (Q_n(z_N) - Q_n(z_J)), G_n = C(n, a_n) (c/a)^n / a =
-      G_(n-1) (c/a) r_n, z_x = a ln x and Q_n(z) = sum_(m<=n) p_m(z),
-      p_m = e^-z z^m / m! = p_(m-1) z / m (the regularized upper incomplete
-      gamma function, since integral F_n = (c/a)^n / a times the gamma
-      integral of t^n e^-t / n! over [z_N, z_J]); past z_J = 700, p_m(z_J)
-      is exp(m ln z - z - log m!).  The difference is taken as the lower
-      sums over m <= n or as the upper ones over n < m <= M,
+      G_(n-1) (c/a) r_n, z_x = a ln x and Q_n(z) = sum_(m<=n) p_m(z), the
+      Poisson terms of special_functions._poisson_terms (integral F_n is
+      (c/a)^n / a times that of t^n e^-t / n! over [z_N, z_J]).  The
+      difference is taken as the lower sums over m <= n or as the upper
+      ones over n < m <= M,
       M = 2k - 2 + 2 ceil(z_J) + 64, whichever bound below is smaller; the
       upper form misses sum_(m>M) p_m <= p_M, since z / (M + 1) <= 1/2.
 
@@ -864,15 +852,15 @@ def _euler_maclaurin_moments(
     2p - 2, FF W 2p, the products by t^-j and F and the difference of the
     ends 3, and 1 for subnormal results (for J < 2^53 every term of W's sum
     is at least 2^-916): 11p + 8 <= 12p.  a = s - 1 is exact (1 < s < 2^53),
-    G_n takes 5n + 2; z 3, so p_0 = exp(-z) is within e^(gamma_3 z) <=
-    1 + gamma_(3z+1) and 2, and each step 5; a sum of M + 1 terms M, a
-    difference and the product by G 2, and the four additions that assemble
-    e 4: eps_N = gamma_(5(2k-2) + 3 z_J + 6M + 11).  A p_m from its log has
-    its exponent off by at most E = 5M (|ln z| + 1) + 5z + 5 log M! + 3
-    (m ln z 3m (|ln z| + 1), z 3z, lgamma 4 log m! + 2 as in
-    special_functions._log_tail_rounding, the two subtractions m |ln z| + z
-    and that plus log m!, and 1), so eps_J = eps_N + (expm1(E u) (1 + 2u)
-    + 2u)(1 + eps_N), else eps_N.  With T_n = (1/2 + omega_n)(F_n(N) + F_n(J)),
+    G_n takes 5n + 2.  p_0..p_M are evaluated as _poisson_terms(z_x) takes
+    them (lgamma as log_factorials has it), each within eps'_x p_m of p_m
+    at the float z_x, eps'_x = _poisson_rounding(z_x, M), plus 2^-1074
+    below 2^-1022; z_x is within gamma_3 of a ln x, which moves p_m by a
+    factor within e^(gamma_3 z_x) (1 + gamma_3)^m <= 1 + gamma_B,
+    B = 3 z_x + 3m + 1.  A sum of M + 1 terms takes M, a difference and the
+    product by G 2, and the four additions that assemble e 4: eps_x =
+    gamma_A + (1 + gamma_A) eps'_x, A = 5(2k-2) + 3 z_x + 4M + 9.  With
+    T_n = (1/2 + omega_n)(F_n(N) + F_n(J)),
 
         err_n = K L_n^2p (I'_n + ierr_n) + ierr_n + eps_f T_n,
 
@@ -882,10 +870,10 @@ def _euler_maclaurin_moments(
     (or the result is None), and err is raised by 2^-20 of itself for the
     second-order terms.  floor, in units of 2^-1074: each F carries k (see
     _chain_rounding), which the half difference keeps and FF W, at most
-    2 omega, scales: 2k (1 + 2 omega); from the first subnormal Poisson term
-    on, past the mode, each step adds 1 and scales the carried error by
-    z / m < 1 (a term from its log adds 1), so each sum carries M + 2, times
-    max G (None where a G_n is subnormal); the products and additions 10.
+    2 omega, scales: 2k (1 + 2 omega); a Poisson term below 2^-1022
+    carries 1, so each of the four sums carries M + 1, and the upper form's
+    p_M 1 more, times max G (None where a G_n is subnormal); the products
+    and additions 10.
     """
     s, c = 2.0 * sym.sigma1, sym.c2_abs
     a = s - 1.0
@@ -904,13 +892,10 @@ def _euler_maclaurin_moments(
     top_m = top + 2 * math.ceil(z[1]) + 64
     m = np.arange(top_m + 1.0)
     p = np.cumprod(np.hstack([np.exp(-z)[:, None], z[:, None] / m[1:]]), axis=1)
-    eps_n = _gamma(5 * top + math.ceil(3.0 * z[1]) + 6 * top_m + 11)
-    eps_p = np.array([eps_n, eps_n])
-    if z[1] > _EM_EXPONENT_MAX:  # p_m(z_J) from its log
-        log_z, log_fact = math.log(z[1]), log_factorials(top_m)
-        p[1] = np.exp(m * log_z - z[1] - log_fact)
-        e_u = (5.0 * top_m * (abs(log_z) + 1.0) + 5.0 * (z[1] + log_fact[-1]) + 3.0) * UNIT_ROUNDOFF
-        eps_p[1] += (math.expm1(e_u) * (1.0 + 2.0 * UNIT_ROUNDOFF) + 2.0 * UNIT_ROUNDOFF) * (1.0 + eps_n)
+    if z[1] > _POISSON_RECURRENCE_MAX:  # p_m(z_J) from its log, as _poisson_terms takes it
+        p[1] = np.exp(m * math.log(z[1]) - z[1] - log_factorials(top_m))
+    eps_p = np.array([_gamma(5 * top + math.ceil(3.0 * zx) + 4 * top_m + 9) for zx in z.tolist()])
+    eps_p += (1.0 + eps_p) * [_poisson_rounding(zx, top_m) for zx in z.tolist()]
     low = np.cumsum(p, axis=1)[:, : top + 1]
     high = np.cumsum(p[:, ::-1], axis=1)[:, ::-1][:, 1 : top + 2]
     err_low = eps_p @ low
@@ -929,7 +914,7 @@ def _euler_maclaurin_moments(
     floor = 2.0 * k * (1.0 + 2.0 * omega) + 4.0 * (top_m + 2) * max(1.0, float(np.max(g))) + 10.0
     floor *= 2.0**-1074 * (1.0 + 2.0**-20)
     finite = np.isfinite(e + err).all() and j_max < 2**53
-    if not (max(eps_p[1], eps_f) <= 2.0**-24 and np.min(g) >= _TINY and finite):
+    if not (max(*eps_p, eps_f) <= 2.0**-24 and np.min(g) >= _TINY and finite):
         return None
     return e, err, floor
 
@@ -1009,9 +994,7 @@ def _start_vector(gram: np.ndarray) -> np.ndarray:
     return y
 
 
-def operator_norm_estimate(
-    m: TruncatedMatrix, tol: float = 1e-12, max_iter: int = 1000
-) -> NormEstimate:
+def operator_norm_estimate(m: TruncatedMatrix, tol: float = 1e-12) -> NormEstimate:
     """Certified bracket [lower, upper] on the operator norm from the truncation.
 
     The norm bracketed is that of the symbol's (I+1) x J truncation
@@ -1044,7 +1027,7 @@ def operator_norm_estimate(
     G.  In exact arithmetic the Collatz-Wielandt bound never increases from
     step to step, so a gap that fails to shrink means rounding has taken
     over: the loop stops there too, with ``converged`` false, instead of
-    running to ``max_iter``.  Both ends carry derived rounding terms, for
+    running to _MAX_ITER steps.  Both ends carry derived rounding terms, for
     the Gram matrix (the moments' delta and eps: the recurrence's error,
     the N-term sums and the Euler-Maclaurin remainder and rounding, see
     _gram_moments, _chain_rounding and _gram_rounding) and for the steps, and
@@ -1056,8 +1039,6 @@ def operator_norm_estimate(
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
-        raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
     sym = m.symbol
     k, dropped = _significant_rows(sym, m.i_max, m.j_max)
@@ -1072,7 +1053,7 @@ def operator_norm_estimate(
     x = _start_vector(gram)
     converged = False
     last_gap = math.inf
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         np.maximum(x, _X_FLOOR, out=x)  # x > 0, and no y_i / x_i overflows
         y = gram @ x
         xy, xx = float(x @ y), float(x @ x)

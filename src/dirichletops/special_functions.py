@@ -16,6 +16,9 @@ Contents:
   first omitted Bernoulli term, plus a bound on the rounding.
 * ``log_moment_sum(s, i)``: sum_{k>=1} (log k)^i k^(-s), zeta at i = 0, by the
   eight-term Euler-Maclaurin model that the matrix layer's Gram moments share.
+* ``_poisson_terms(z)``: the Poisson terms e^-z z^m / m! of every incomplete
+  gamma tail here and in the matrix layer, with the library's one proof of
+  their rounding and its one statement of lgamma's accuracy.
 * ``lower_bound_h``, ``lower_bound_g``, ``lower_bound_f``: closed-form
   comparison functions for zeta lower bounds,
 
@@ -33,14 +36,15 @@ Contents:
 from __future__ import annotations
 
 import math
-from itertools import accumulate, repeat
-from operator import mul
-from typing import NamedTuple
+from itertools import accumulate, count, islice, repeat
+from operator import mul, truediv
+from typing import Iterator, NamedTuple
 
 from .errors import BracketingError, BudgetExhaustedError, DomainError
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 UNIT_ROUNDOFF = 2.0**-53
+_POISSON_RECURRENCE_MAX = 700.0  # e^-z stays normal up to here (see _poisson_terms)
 
 
 class _Budget(NamedTuple):
@@ -259,7 +263,7 @@ def _moment_tail(s: float, i: int, n: int) -> tuple[float, float, float]:
       recurrence with + for -, at most (L n)^(2r-1) h_i(n); beta_r and the
       product 2 (n^(2r-1) is a power of two): the derivative terms are within
       (2i + 52) omega h_i(n), omega = sum_r |beta_r| L^(2r-1);
-    * the integral its own bound, and the final fsum u |value|.
+    * the integral its own bound (see _poisson_terms), the fsum u |value|.
 
     Below 2^-1022 a pow is off by at most 2^-1074 and a product by 2^-1075
     past its relative bound, times what multiplies it later: each head term
@@ -307,112 +311,97 @@ def _moment_tail(s: float, i: int, n: int) -> tuple[float, float, float]:
 def _moment_tail_integral(s: float, i: int, n: int, e: int) -> tuple[float, float]:
     """2^-(e i) integral_n^inf (ln x)^i x^-s dx, i >= 1, and a bound on its rounding.
 
-    The integral is G Q_i(z), G = i! / (s-1)^(i+1), z = (s-1) ln n and
-    Q_i(z) = sum_(m<=i) p_m, p_m = e^-z z^m / m! (the regularized upper
-    incomplete gamma function).  Where z <= 700 and every partial product
-    is normal, G 2^-(e i) is the running product of m / (2^e (s-1)) from
-    1 / (s-1), and Q the fsum of p_m = p_(m-1) (z/m) from p_0 = e^-z.  With
-    u = 2^-53 and exp within one ulp (2u), its relative error is then at
-    most u times:
-
-    * 3 w z, w = p_i / Q_i, for the rounding of z (ln n 2 and the product
-      1; s - 1 is exact for s < 2^53), as d ln Q_i / dz = -w;
-    * 2i + 1 for G's division, quotients and products, 2i + 3 for Q (p_m
-      within 2m + 2) and 1 for G Q;
-    * (i + 1) / 2048 for the Poisson terms below 2^-1022, which lie past the
-      mode (p_0 >= e^-700): from the first, each step adds at most 2^-1075
-      and scales the error carried by z/m < 1, so Q is off by at most
-      (i + 1) 2^-1074 <= (i + 1) 2^-64 Q;
-
-    and two more units cover the second-order terms, 2^-1074 a subnormal
-    product.  Elsewhere it is exp of ``log_moment_tail_integral`` scaled by
-    2^-(e i), off by at most expm1(rho) + 2u relatively, rho the
-    ``_log_tail_rounding``, and by 2^-1073 more below 2^-1022.
+    The integral is G Q_i(z), G = i! / (s-1)^(i+1), z = (s-1) ln n and Q_i
+    the fsum of the terms p_0..p_i of _poisson_terms(z).  G 2^-(e i) is the
+    running product g 2^k of m / (2^e (s-1)) from 1 / (s-1), its exponent
+    taken out by frexp at each step, so no partial product leaves the
+    normal range.  The result g Q 2^k is taken through the integral itself,
+    g Q 2^(k + e i), which raises OverflowError past binary64.  Its relative
+    error is at most eps_i (1 + 2^-20), eps_i = _poisson_rounding(z, i),
+    plus u = 2^-53 times: 3 w z for the rounding of z (ln n 2 and the
+    product 1; s - 1 is exact for s < 2^53), as d ln Q_i / dz = -w,
+    w = p_i / Q_i (1 past z = 700); 2i + 1 for g; 1 each for the fsum and
+    g Q; and 2 for the second-order terms.  Below 2^-1022 a term adds at
+    most 2^-1074 to Q, g Q 2^(k-1075) and each ldexp 2^-1075: as g < 1,
+    (i + 3) 2^(k-1074) + 2^-1074 covers them.
     """
     a = s - 1.0
     z = a * math.log(n)
-    partial = list(accumulate((m / (a * 2.0**e) for m in range(1, i + 1)), mul, initial=1.0 / a))
-    g = partial[-1]
-    if z <= 700.0 and min(partial) >= 2.0**-1022 and g < math.inf:
-        p = list(accumulate((z / m for m in range(1, i + 1)), mul, initial=math.exp(-z)))
-        q = math.fsum(p)
-        units = 3.0 * z * p[-1] / q + 4.0 * i + 7.0 + (i + 1.0) / 2048.0
-        return g * q, units * UNIT_ROUNDOFF * (g * q) + 2.0**-1074
-    log_integral = log_moment_tail_integral(s, i, n)
-    integral = math.ldexp(math.exp(log_integral), -e * i)
-    rho = _log_tail_rounding(s, i, float(n), log_integral)
-    return integral, integral * (math.expm1(rho) + 2.0 * UNIT_ROUNDOFF) + 2.0**-1073
+    g, k = math.frexp(1.0 / a)
+    for m in range(1, i + 1):
+        g, shift = math.frexp(g * (m / (a * 2.0**e)))
+        k += shift
+    terms = list(islice(_poisson_terms(z), i + 1))
+    q = math.fsum(terms)
+    integral = math.ldexp(math.ldexp(g * q, k + e * i), -e * i)
+    w = terms[-1] / q if z <= _POISSON_RECURRENCE_MAX else 1.0
+    rel = (3.0 * w * z + 2.0 * i + 5.0) * UNIT_ROUNDOFF + _poisson_rounding(z, i) * (1.0 + 2.0**-20)
+    return integral, rel * integral + math.ldexp(i + 3.0, k - 1074) + 2.0**-1074
 
 
-def log_moment_tail_integral(s: float, i: int, x: float) -> float:
-    """log of integral_x^inf (log t)^i t^(-s) dt, for s > 1, i >= 0, x >= 1.
+def _poisson_terms(z: float) -> Iterator[float]:
+    """The Poisson terms p_m(z) = e^-z z^m / m!, m = 0, 1, ..., at the float
+    z > 0, one step a term as they are drawn (Q_n(z) = sum_(m<=n) p_m is the
+    regularized upper incomplete gamma function, DLMF 8.4.10): up to
+    z = 700 by p_0 = e^-z and p_m = p_(m-1) (z/m), past it each as
+    exp(m ln z - z - lgamma(m+1)).
 
-    Substituting u = (s-1) log t turns the integral into an upper incomplete
-    gamma function:
+    The library's one proof of their rounding and one statement of
+    lgamma's accuracy.  With u = 2^-53, exp and log are within one ulp (2u
+    relative, 2^-1074 below 2^-1022), a product or quotient within u
+    (2^-1075 below 2^-1022), and math.lgamma at an integer y in [3, 2^28]
+    within 2.8u |lgamma y| + 2u <= (4 lgamma y + 2) u, exact at y = 1, 2
+    (CPython's Lanczos sum; the tests check it against 40-digit mpmath on
+    1,985 integers drawn log-uniform there, worst 2.45 at y = 92).  Term
+    m < 2^28 is within eps_m p_m(z), eps_m = _poisson_rounding(z, m), plus
+    2^-1074 where it comes out below 2^-1022:
 
-        integral = Gamma(i+1, (s-1) log x) / (s-1)^(i+1)
+    * Recurrence: e^-z and each step carry 2u: eps_m = gamma_(2m+2) (see
+      _gamma).  The terms rise to the mode and fall past it, and
+      p_0 >= e^-700, so the first below 2^-1022, m_1, has p_m < 2^-1021
+      < e^-7 p_0, z^m / m! < e^-7 and so m_1 >= 2z (for m < 2z,
+      m! <= e sqrt(m) (m/e)^m gives z^m / m! > (e/2)^m / (e sqrt m) > 1/e).
+      From m_1 on each step scales the error carried by z/m <= 1/2 and
+      adds at most 2^-1075, so that error stays below 2^-1074.
+    * Logs (z > 700): m ln z carries 3 m ln z units, the subtraction of z
+      m ln z + z, lgamma 4 lgamma + 2 and the last subtraction
+      m ln z + z + lgamma, so with one unit for the second-order terms the
+      exponent is within E_m = 5 m ln z + 2z + 5 lgamma + 3 units, and
+      eps_m = expm1(E_m u) (1 + 2u) + 2u.  Where p_m >= e^-746,
+      m ln z <= z + lgamma (p_m <= 1) and z <= 2m + 1490 (past z = 2m,
+      ln p_m falls at rate 1/2 or more from -m (1 - ln 2) - ln(2 pi m) / 2
+      or less), so E_m <= 14m + 10 lgamma + 10433, taken where smaller.
+      Where p_m < e^-746, exp returns 0 or 2^-1074, as the exponent's error
+      is below (10B + 3) u < 1, B = z + lgamma >= m ln z, for B <= 2^49,
+      and past that z > 2^48 (lgamma < 2^37), m ln z < 2^-10 z and the
+      exponent is below -B (1 - 2^-10 - 6u).
 
-    with Gamma(i+1, z) = i! e^-z sum_{m<=i} z^m/m! for integer i.  The terms
-    are summed relative to the largest, at m = min(floor(z), i), by the ratios
-    z/(m+1) upward and m/z downward, and the rest is assembled in log space.
+    eps_m grows with m, so eps_n bounds terms 0..n; it is raised by 8u of
+    itself for its own roundings.
     """
-    z = (s - 1.0) * math.log(x)
-    mode = min(math.floor(z), i)
-    up = accumulate((z / m for m in range(mode + 1, i + 1)), mul, initial=1.0)
-    total = sum(up) + sum(accumulate((m / z for m in range(mode, 0, -1)), mul))
-    log_mode = mode * math.log(z) - math.lgamma(mode + 1.0) if mode else 0.0
-    return math.lgamma(i + 1.0) - z + log_mode + math.log(total) - (i + 1.0) * math.log(s - 1.0)
+    if z <= _POISSON_RECURRENCE_MAX:
+        return accumulate(map(truediv, repeat(z), count(1)), mul, initial=math.exp(-z))
+    log_z = math.log(z)
+    return (math.exp(m * log_z - z - math.lgamma(m + 1.0)) for m in count())
 
 
-def _log_tail_rounding(s: float, i: int, x: float, log_integral: float) -> float:
-    """A-priori bound on the rounding error of ``log_moment_tail_integral``.
+def _poisson_rounding(z: float, n: int) -> float:
+    """eps_n of _poisson_terms(z), which bounds its terms 0..n, n < 2^28."""
+    if z <= _POISSON_RECURRENCE_MAX:
+        return _gamma(2 * n + 2) * (1.0 + 8.0 * UNIT_ROUNDOFF)
+    lgam = math.lgamma(n + 1.0)
+    e = min(5.0 * n * math.log(z) + 2.0 * z, 14.0 * n + 5.0 * lgam + 10430.0) + 5.0 * lgam + 3.0
+    eps = math.expm1(e * UNIT_ROUNDOFF) * (1.0 + 2.0 * UNIT_ROUNDOFF) + 2.0 * UNIT_ROUNDOFF
+    return eps * (1.0 + 8.0 * UNIT_ROUNDOFF)
 
-    The result is log_integral = A - z + M + T - S with A = lgamma(i+1),
-    z = (s-1) ln x, M = mode log z - lgamma(mode+1), T the log of the sum
-    of the terms z^m/m! relative to the mode term and S = (i+1) log(s-1).
-    With u = 2^-53, log within one ulp (2u relative), as pow in
-    ``_zeta_rounding``, and lgamma at an integer y >= 3 within 2 ulps of
-    its result plus 2u, as in ``operator_matrix._entry_rounding``
-    (CPython's Lanczos sum; against 40-digit mpmath its error stays below
-    2.8u |lgamma y| + 2u at every integer y <= 60000), and exact at
-    y = 1, 2, the error is at most u times the sum of:
 
-    * z: s - 1 is exact for 1 < s < 2^53 (1 is a multiple of the ulp of
-      s), ln x within 2u and the product u, so z is within 3u relatively.
-      As a function of z the exact log integral has slope
-      -(z^i/i!) / sum_(m<=i) z^m/m!, in [-1, 0], so this costs 3z, and the
-      steps below evaluate it at the rounded z;
-    * A: 4 A + 2;
-    * M: log z within 2 |log z|, the product by mode and the subtraction
-      one rounding each, and lgamma(mode+1) as above:
-      3 mode |log z| + |M| + 4 lgamma(mode+1) + 2;
-    * T: each of the i+1 terms is a product of k <= K = max(mode, i - mode)
-      quotients z/m or m/z, 2k - 1 roundings, and the nonnegative terms are
-      added in i steps, so their sum is within gamma_(i+2K-1) relatively,
-      and log adds 2 |T|;
-    * S: log(s-1) within 2 |log(s-1)| and the product one rounding:
-      (i+1) 3 |log(s-1)|;
-    * the four additions that assemble the result, each one rounding of
-      its partial sum: |A - z| + |A - z + M| + |A - z + M + T| + |result|.
-
-    Two more units cover the second-order terms.
-    """
-    z = (s - 1.0) * math.log(x)
-    mode = min(math.floor(z), i)
-    a = math.lgamma(i + 1.0)
-    log_s1 = math.log(s - 1.0)
-    units = 3.0 * z + 4.0 * a + 2.0 + 3.0 * (i + 1.0) * abs(log_s1)
-    partial = a - z  # A - z, then A - z + M
-    units += abs(partial)
-    if mode:
-        lgam = math.lgamma(mode + 1.0)
-        log_mode = mode * math.log(z) - lgam
-        units += 3.0 * mode * abs(math.log(z)) + abs(log_mode) + 4.0 * lgam + 2.0
-        partial += log_mode
-    log_total = log_integral + (i + 1.0) * log_s1 - partial
-    units += max(i + 2.0 * max(mode, i - mode) - 1.0, 0.0) + 2.0 * abs(log_total)
-    units += abs(partial) + abs(partial + log_total) + abs(log_integral) + 2.0
-    return units * UNIT_ROUNDOFF
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u) (Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 3): a sum of n nonnegative products, added in any
+    order, is off by at most gamma_n of its value.  The bound holds only
+    while n u < 1; past that it is +inf."""
+    nu = n * UNIT_ROUNDOFF
+    return nu / (1.0 - nu) if nu < 1.0 else math.inf
 
 
 def log_moment_sum(

@@ -1077,7 +1077,7 @@ class TestOperatorNormEstimate:
         # truncated norm^2 must land inside the certified zeta bracket
         sym = DirichletSymbol(2.0, 0.5)
         m = build_matrix(sym, 60, 5000)
-        est = operator_norm_estimate(m, tol=1e-12, max_iter=1000)
+        est = operator_norm_estimate(m, tol=1e-12)
         rep = norm_bounds(sym)
         assert m.tail_bound < 0.01
         assert rep.lower_sq - 5e-3 <= est.lower**2 <= rep.upper_sq + 5e-3
@@ -1103,11 +1103,12 @@ class TestOperatorNormEstimate:
         # gap closes like 1/n, far too slowly for three steps
         tied = np.array([[1.0, 1e-20], [1e-20, 1.0]])
         monkeypatch.setattr(operator_matrix, "_gram", lambda d: tied)
+        monkeypatch.setattr(operator_matrix, "_MAX_ITER", 3)
         m = build_matrix(DirichletSymbol(2.0, 0.5), 1, 5)
-        est = operator_norm_estimate(m, max_iter=3)
+        est = operator_norm_estimate(m)
         assert est.converged and est.iterations == 1
         monkeypatch.setattr(operator_matrix, "_start_vector", lambda gram: np.array([1.0, 0.0]))
-        est = operator_norm_estimate(m, max_iter=3)
+        est = operator_norm_estimate(m)
         assert not est.converged
         assert est.iterations == 3
         # the bracket still holds the Perron root 1 + 1e-20
@@ -1164,7 +1165,7 @@ class TestOperatorNormEstimate:
     def test_tolerance_below_rounding_stops_early(self, tol):
         # the computed gap on the 46 x 46 Gram matrix stops shrinking at
         # about 2e-16: the loop stops there, unconverged, instead of
-        # running all max_iter steps
+        # running all _MAX_ITER steps
         m = build_matrix(DirichletSymbol(3.0, 1.5), 80, 4000)
         est = operator_norm_estimate(m, tol=tol)
         assert not est.converged and est.iterations <= 5
@@ -1327,8 +1328,6 @@ class TestOperatorNormEstimate:
         m = build_matrix(DirichletSymbol(2.0, 0.5), 2, 5)
         with pytest.raises(DomainError):
             operator_norm_estimate(m, tol=0.0)
-        with pytest.raises(DomainError):
-            operator_norm_estimate(m, max_iter=0)
 
 
 class TestSingularValues:

@@ -29,10 +29,11 @@ from dirichletops import (
 )
 from dirichletops import special_functions
 from dirichletops.special_functions import (
+    UNIT_ROUNDOFF,
     CertifiedValue,
-    _log_tail_rounding,
     _moment_tail_integral,
-    log_moment_tail_integral,
+    _poisson_rounding,
+    _poisson_terms,
     verification_suite,
 )
 from mp_tails import mp_moment_tails
@@ -172,21 +173,6 @@ def test_log_moment_tail_is_included():
     assert v.value > partial + 1e-3
 
 
-def test_log_moment_tail_integral_vs_scipy():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        s = float(rng.uniform(1.05, 12.0))
-        i = int(rng.integers(0, 60))
-        x = float(rng.uniform(2.0, 5e5))
-        mine = log_moment_tail_integral(s, i, x)
-        ref = (
-            math.log(gammaincc(i + 1, (s - 1.0) * math.log(x)))
-            + math.lgamma(i + 1)
-            - (i + 1) * math.log(s - 1.0)
-        )
-        assert abs(mine - ref) <= 1e-12 * max(1.0, abs(ref))
-
-
 def test_log_moment_tail_bounds_hurwitz_oracle():
     # sum_{k>J} (log k)^i k^-s = (-1)^i d^i/ds^i zeta(s, J+1) against the
     # closed-form bounds the matrix layer's tails rest on (mp_moment_tails:
@@ -212,45 +198,76 @@ def test_log_moment_tail_bounds_hurwitz_oracle():
                 assert bound <= exact + slack, (s, j_max)
 
 
-def test_log_tail_rounding_covers_the_error():
-    # 3,000 random (s, i, x), s in [1.001, 101], i <= 400, x <= 10^7, half
-    # of x integers: the derived bound covers the 40-digit error of the log
-    # integral
-    mpmath = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(41)
-    with mpmath.workdps(40):
-        for _ in range(3000):
-            s = float(10.0 ** rng.uniform(math.log10(1.001), math.log10(101.0)))
-            i = int(rng.integers(0, 401))
-            x = float(10.0 ** rng.uniform(0.0, 7.0))
-            if rng.random() < 0.5:
-                x = float(math.floor(x))
-            got = log_moment_tail_integral(s, i, x)
-            ms = mpmath.mpf(s)
-            z = (ms - 1) * mpmath.log(x)
-            exact = mpmath.log(mpmath.gammainc(i + 1, z)) - (i + 1) * mpmath.log(ms - 1)
-            assert abs(got - exact) <= _log_tail_rounding(s, i, x, got), (s, i, x)
-
-
 def test_linear_tail_integral_covers_the_error():
     # the engine's integral, as the running product G times the Poisson
     # sum, scaled by 2^-(e i), within its derived bound of the 40-digit
-    # value; 1,000 random (s, i, n, e)
+    # value, or OverflowError where the integral passes binary64; 1,000
+    # random (s, i, n, e) with s up to 400, about a third of them past
+    # z = (s - 1) ln n = 700, where the terms come from their logs
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(43)
+    past = 0
     with mpmath.workdps(40):
         for _ in range(1000):
-            s = float(10.0 ** rng.uniform(math.log10(1.001), math.log10(30.0)))
+            s = float(10.0 ** rng.uniform(math.log10(1.001), math.log10(400.0)))
             i = int(rng.integers(1, 201))
-            n = int(10.0 ** rng.uniform(math.log10(16.0), 6.0))
+            n = int(10.0 ** rng.uniform(math.log10(16.0), 8.0))
             e = int(rng.integers(0, 2))
             ms = mpmath.mpf(s)
             exact = mpmath.gammainc(i + 1, (ms - 1) * mpmath.log(n)) / (ms - 1) ** (i + 1)
-            exact = mpmath.ldexp(exact, -e * i)
-            if exact > 1e300:
+            if exact > sys.float_info.max:  # the integral itself passes binary64
+                with pytest.raises(OverflowError):
+                    _moment_tail_integral(s, i, n, e)
                 continue
+            exact = mpmath.ldexp(exact, -e * i)
+            past += (s - 1.0) * math.log(n) > 700.0
             value, rounding = _moment_tail_integral(s, i, n, e)
             assert abs(value - exact) <= rounding, (s, i, n, e)
+        # G's partial products pass below 2^-1022 near m = s - 1, and G
+        # and the integral end normal
+        for s, i in ((751.0, 2000), (1200.0, 3000)):
+            exact = mpmath.gammainc(i + 1, (s - 1) * mpmath.log(16)) / mpmath.mpf(s - 1) ** (i + 1)
+            value, rounding = _moment_tail_integral(s, i, 16, 0)
+            assert 1e-120 < value and abs(value - exact) <= rounding, (s, i)
+    assert 250 <= past <= 420, past
+
+
+def test_poisson_terms_within_their_bound():
+    # every term of _poisson_terms(z) within _poisson_rounding(z, m) of the
+    # 40-digit e^-z z^m / m! at the float z, plus 2^-1074: z log-uniform over
+    # [1e-3, 1e6] and across 690..760, where the route changes, each with
+    # orders from 0 to past the underflow of the right tail
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(53)
+    zs = [float(10.0 ** v) for v in rng.uniform(-3.0, 6.0, 40)]
+    zs += [float(v) for v in rng.uniform(690.0, 760.0, 20)] + [700.0, math.nextafter(700.0, 800.0)]
+    underflowed = 0
+    with mpmath.workdps(40):
+        for z in zs:
+            top = int(z + 40.0 * math.sqrt(z) + 200.0)
+            orders = set(rng.integers(0, top + 1, 30).tolist()) | {0, 1, int(z), top}
+            for m, got in zip(range(top + 1), _poisson_terms(z)):
+                if m in orders:
+                    exact = mpmath.exp(m * mpmath.log(z) - z - mpmath.loggamma(m + 1))
+                    bound = _poisson_rounding(z, m) * exact + 2.0**-1074
+                    assert abs(got - exact) <= bound, (z, m, got, exact)
+                    underflowed += got < 2.0**-1022
+    assert underflowed > 100, underflowed
+
+
+def test_lgamma_accuracy_that_the_log_bounds_cite():
+    # math.lgamma at integers y in [3, 2^28] within 2.8u |lgamma y| + 2u of
+    # 40-digit mpmath: about 2,000 integers drawn log-uniform, and the ends
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(47)
+    ys = np.floor(np.exp(rng.uniform(math.log(3.0), math.log(2.0**28 + 1.0), 2400)))
+    ys = sorted(set(ys.astype(np.int64).tolist()) | {3, 4, 2**28})
+    assert len(ys) >= 1900
+    with mpmath.workdps(40):
+        for y in ys:
+            got = math.lgamma(float(y))
+            err = abs(mpmath.mpf(got) - mpmath.loggamma(y))
+            assert err <= UNIT_ROUNDOFF * (2.8 * abs(got) + 2.0), y
 
 
 def test_log_moment_factorial_zeta_bound_grid():
