@@ -141,12 +141,18 @@ def _kernel_denominators(budget: PrecisionBudget) -> tuple[float, ...]:
 def kernel_lower_bound(
     sym: DirichletSymbol, budget: PrecisionBudget = DEFAULT_BUDGET
 ) -> float:
-    """sup over x > 1/2 of zeta(2 sigma1 - 2 |c2| q^(-x)) / zeta(2 x).
+    """sup over x > 1/2 of zeta(2 sigma1 - 2 |c2| 2^(-x)) / zeta(2 x).
 
-    Reproducing-kernel lower bound for the squared norm.  The ratio tends to
-    zeta(2 sigma1) as x -> inf but can peak at finite x, so the implementation
-    scans a log-spaced grid and refines the best bracket by golden section
-    before taking the max with the limit value.
+    Reproducing-kernel lower bound for the squared norm, taken at q = 2
+    whatever ``sym.q`` is.  The norm does not depend on q: the isometry U
+    that sends (q^i)^-s to (q'^i)^-s maps the closed span where C_phi
+    takes its values for base q onto the one for q', and C_phi for q' is
+    U C_phi for q, so the bound at q = 2 holds for every q.  At a fixed
+    t = q^-x a larger q means a smaller x and so a larger zeta(2x), so
+    q = 2 gives the largest bound.  The ratio tends to zeta(2 sigma1) as
+    x -> inf but can peak at finite x, so the implementation scans a
+    log-spaced grid and refines the best bracket by golden section before
+    taking the max with the limit value.
     """
     sigma1 = sym.sigma1
     c = sym.c2_abs
@@ -154,7 +160,7 @@ def kernel_lower_bound(
     if classify(sym) is SymbolClass.CONSTANT:
         return limit
 
-    log_q = math.log(sym.q)
+    log_q = math.log(2.0)
 
     def numerator(x: float) -> float:
         return zeta(2.0 * (sigma1 - c * math.exp(-x * log_q)), budget).value

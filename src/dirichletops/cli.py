@@ -75,7 +75,8 @@ _OPTIONS = (
     _option("c1_im", 0.0, "Im c1 (default 0)"),
     _option("c2_abs", 0.5, "|c2| (default 0.5)"),
     _option("c2_arg", 0.0, "arg c2 in radians (default 0)"),
-    _option("q", 2, "integer base q >= 2 (default 2)"),
+    _option("q", 2, "integer base q >= 2 (default 2); the norm does not depend on q, "
+            "so it moves no number printed"),
     _option("rows", 40, "highest row index I; the matrix has I+1 rows"),
     _option("cols", 2000, "number of columns J"),
     _option("abs_tol", 1e-12, "absolute and relative tolerance (default 1e-12)", flag="tol"),

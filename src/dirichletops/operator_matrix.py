@@ -121,7 +121,7 @@ def _zeros(shape: tuple[int, int], dtype) -> np.ndarray:
 def _table(build: Callable[[int], np.ndarray], size: int) -> np.ndarray:
     """build(size), read-only, cut from the largest table build has made.
 
-    The tables built here (_log_factorial_table, _step_table,
+    The tables built here (_log_factorial_table, _inverse_table,
     _gram_factor_table and _falling_factorial_table) depend on nothing but
     their size, and each is a prefix, or a leading block, of every larger
     one.  So one table serves every smaller size, and it is rebuilt only
@@ -231,43 +231,54 @@ def build_matrix(sym: DirichletSymbol, i_max: int, j_max: int) -> TruncatedMatri
 def _rows(sym: DirichletSymbol, count: int, out: np.ndarray) -> None:
     """Fill rows 0..count-1 of the count x J block out with B, in order.
 
-    Row 0 is exp(-sigma1 ln j), one exp per column.  Each later row follows
-    from the one above by the exact recurrence
+    _log_space_rows gives row 0 and the columns past the recurrence.  On the
+    others each row follows from the one above by the exact recurrence
 
         B[i][j] = B[i-1][j] * g_j * (1/i),    g_j = |c2| ln j,
 
-    two in-place products per entry into a row that is still in cache, on
-    every column whose row 0 stays in the normal range, sigma1 ln j <=
-    _ROW0_EXPONENT_MAX.  Past that column, rows i >= 1 are assembled in log
-    space, exp(i log(|c2| ln j) - lgamma(i+1) - sigma1 ln j).  With c2 = 0,
-    g is 0 and log(0) is -inf, so rows i >= 1 come out 0.  Where |c2| ln j
-    overflows, sigma1 ln j is at least about 1.8e308 (sigma1 >= |c2|), so
-    every entry of the column lies below 2^-1074, and its log is taken as
-    -inf too.  No entry exceeds 1 because sigma1 >= |c2|, and
+    two in-place products per entry into a row that is still in cache.
     _entry_rounding bounds the error of every entry.  Column j = 1 has
     ln j = 0, so the recurrence makes it (1, 0, 0, ...) exactly.
     """
     lj = np.log(np.arange(1.0, out.shape[1] + 1.0))
-    near = int(np.searchsorted(lj, _ROW0_EXPONENT_MAX / sym.sigma1, side="right"))
+    near = _log_space_rows(sym, lj, out)
     g = sym.c2_abs * lj[:near]
-    with np.errstate(divide="ignore", over="ignore"):  # log(0) = -inf when c2 = 0
-        log_g = np.log(sym.c2_abs * lj[near:])
-        sigma_lj = sym.sigma1 * lj  # inf past 1.8e308: the entry is 0
-    log_g[log_g == math.inf] = -math.inf
-    sigma_far = sigma_lj[near:]
-    log_fact = log_factorials(max(count - 1, 0)) if log_g.size else None
-    np.negative(sigma_lj, out=out[0])
-    np.exp(out[0], out=out[0])
     for i in range(1, count):
         head = out[i, :near]
         np.multiply(out[i - 1, :near], g, out=head)
         head *= 1.0 / i
-        if log_g.size:  # columns past the normal range, often none
-            far = out[i, near:]
-            np.multiply(log_g, float(i), out=far)
-            far -= log_fact[i]
-            far -= sigma_far
-            np.exp(far, out=far)
+
+
+def _log_space_rows(sym: DirichletSymbol, lj: np.ndarray, out: np.ndarray) -> int:
+    """Row 0 of B, exp(-sigma1 ln j), at the ascending columns with ln j = lj,
+    into out[0], and rows 1.. of out, each entry as exp of its log, on the
+    columns past the recurrence's; returns the count of the recurrence's
+    columns, the first ones.
+
+    The recurrence (_rows, _chain) takes the columns whose row 0 stays in
+    the normal range, sigma1 ln j <= _ROW0_EXPONENT_MAX.  Past them row i
+    is assembled in log space, exp(i log(|c2| ln j) - lgamma(i+1) -
+    sigma1 ln j).  With c2 = 0, log(0) is -inf, so rows i >= 1 come out 0.
+    Where |c2| ln j overflows, sigma1 ln j is at least about 1.8e308
+    (sigma1 >= |c2|), so every entry of the column lies below 2^-1074, and
+    its log is taken as -inf too.  No entry exceeds 1 because
+    sigma1 >= |c2|.
+    """
+    near = int(np.searchsorted(lj, _ROW0_EXPONENT_MAX / sym.sigma1, side="right"))
+    with np.errstate(over="ignore"):
+        sigma_lj = sym.sigma1 * lj  # inf past 1.8e308: the entry is 0
+    np.negative(sigma_lj, out=out[0])
+    np.exp(out[0], out=out[0])
+    far = out[1:, near:]
+    if far.size:  # columns past the normal range, often none
+        with np.errstate(divide="ignore", over="ignore"):  # log(0) = -inf when c2 = 0
+            log_g = np.log(sym.c2_abs * lj[near:])
+        log_g[log_g == math.inf] = -math.inf
+        np.multiply.outer(np.arange(1.0, out.shape[0]), log_g, out=far)
+        far -= log_factorials(out.shape[0] - 1)[1:, None]
+        far -= sigma_lj[near:]
+        np.exp(far, out=far)
+    return near
 
 
 def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
@@ -300,10 +311,12 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
       at most (b_k + Pi_k) / (1 - rho^2): Pi_k is the peak, which bounds
       P*_i for every row, or, where 2k/s < ln 2 (tested with 4u to spare),
       sum_(i>=k) g_i(2) <= 2^-s (y^k / k!)^2 e^2y, y = c ln 2,
-      as y^i / i! <= (y^k / k!)(y^(i-k) / (i-k)!), so
-      Pi_k = exp(2 (k ln y - log k!) - (s - 2c) ln 2).  1 / (1 - rho^2) is
-      the square of approx_number_bound's prefactor times (s-1)/s, +inf
-      for boundary symbols.
+      as y^i / i! <= (y^k / k!)(y^(i-k) / (i-k)!), and at most 2^-s e^2y,
+      the whole series, whichever is smaller (the first grows without
+      limit while k < y):
+      Pi_k = exp(2 min(k ln y - log k!, 0) - (s - 2c) ln 2).
+      1 / (1 - rho^2) is the square of approx_number_bound's prefactor
+      times (s-1)/s, +inf for boundary symbols.
 
     One pass adds the rows to a running sum S with O(1) work a row:
     b_i = b_(i-1) 2 (2i-1) r^2 / i, and Q_2i adds the Poisson terms
@@ -400,7 +413,7 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
             row_sq = geometric * b * (1.0 + 2.0 * _gamma(8 * i + 2)) * (1.0 + 4.0 * UNIT_ROUNDOFF)
             if i > i_max or row_sq <= cut:  # else the row piece passes the cut already
                 if 2 * i < s * math.log(2.0) * (1.0 - 4.0 * UNIT_ROUNDOFF):  # the peak lies left of 2
-                    lead = 2.0 * (i * log_y - lgam) - gap * math.log(2.0)
+                    lead = 2.0 * min(i * log_y - lgam, 0.0) - gap * math.log(2.0)
                     size = 2 * i * (4.0 * abs(log_y) + 3.0) + 10.0 * lgam + 4.0 * gap + 10.0 + abs(lead)
                 else:  # the peak, which bounds every row's largest summand
                     big_l = math.log(2 * i * v)
@@ -447,14 +460,20 @@ class NormEstimate(NamedTuple):
     converged: bool
 
 
-def _entry_rounding(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
-    """Bound eta on the relative rounding of every entry build_matrix computes.
+def _entry_rounding(
+    sym: DirichletSymbol, i_max: int, j_max: int, reach: float = _UNDERFLOW_EXPONENT
+) -> float:
+    """Bound eta on the relative rounding of every entry of B's rows 0..I at
+    the columns j <= J that _rows or _chain computes, where sigma1 ln j is
+    at most I max|L| + reach past the recurrence's columns (L below).
 
-    Each computed entry is B[i][j] (1 + theta) + e with |theta| <= eta and
-    |e| <= max(I, 1) 2^-1074.  numpy's log and exp are taken within one ulp
-    (2u relative), as numpy's own accuracy tests hold them, and each
-    product within u; theta_n is a relative error of at most gamma_n
-    (Higham 2002, ch. 3).
+    Each such entry is B[i][j] (1 + theta) + e with |theta| <= eta, and
+    every entry carries |e| <= max(I, 1) 2^-1074.  The block needs the
+    entries of at least e^-746, which have sigma1 ln j <= I max|L| + 746:
+    reach = 746 (_UNDERFLOW_EXPONENT) covers them.  numpy's log and exp are
+    taken within one ulp (2u relative), as numpy's own accuracy tests hold
+    them, and each product within u; theta_n is a relative error of at most
+    gamma_n (Higham 2002, ch. 3).
 
     * Row 0: ln j carries theta_2 and sigma1 ln j one more rounding, so
       exp's argument is off by at most gamma_3 sigma1 ln j, which moves
@@ -462,19 +481,23 @@ def _entry_rounding(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
       d = gamma_3 min(sigma1 ln J, 746); exp adds theta_2.  Past
       sigma1 ln j = 746 (_UNDERFLOW_EXPONENT) the computed entry and the
       exact one are both at most 2^-1074: e covers their difference.
-    * Rows i >= 1 on the recurrence columns: g_j = |c2| ln j carries
-      theta_3, 1/i theta_1 and the two products theta_2, so each row adds
-      theta_6, and eta <= gamma_(6I+2) + d e^d (1 + gamma_(6I+2)).
+    * Rows i >= 1 on the recurrence columns: a step of _rows multiplies by
+      g_j = |c2| ln j and then by fl(1/i), one of _chain by fl(1/i) g_j.
+      Either rounds g_j (theta_3), 1/i (theta_1) and two products
+      (theta_2), so each row adds theta_6, and
+      eta <= gamma_(6I+2) + d e^d (1 + gamma_(6I+2)).
     * Underflow on those columns: row 0 is at least e^-700 and a column's
       entries rise while g_j >= i, so no product leaves the normal range
       before the entries fall, by the factor g_j / i < 1 a row.  From the
-      first subnormal product on, a row adds at most 2^-1075 (1 + fl(1/i)
-      (1 + u)) < 2^-1074 (row 1's second product is exact) and scales the
-      absolute error it carries by (g_j / i)(1 + theta_6), which exceeds 1
-      on at most one row: I 2^-1074 in all.
-    * Columns past _ROW0_EXPONENT_MAX (only when sigma1 ln J passes it; the
-      build compares numpy's ln j with 700 / sigma1, and a margin of 1
-      keeps this test on the safe side): rows i >= 1 are exp of
+      first subnormal product on, a row adds less than 2^-1074: in _rows'
+      order 2^-1075 (1 + fl(1/i) (1 + u)) (row 1's second product is
+      exact), in _chain's 2^-1075 for the product plus, where the step
+      fl(1/i) g_j is itself subnormal, 2^-1075 times an entry below 1.  It
+      scales the absolute error it carries by (g_j / i)(1 + theta_6), which
+      exceeds 1 on at most one row: I 2^-1074 in all.
+    * Columns past _ROW0_EXPONENT_MAX (only when sigma1 ln J passes it;
+      the recurrence compares numpy's ln j with 700 / sigma1, and a margin
+      of 1 keeps this test on the safe side): rows i >= 1 are exp of
       E = i L - l_i - x, L = log(|c2| ln j), l_i = lgamma(i+1) and
       x = sigma1 ln j, counted step by step in units of u, with lgamma
       within 4 l_i + 2 units (special_functions._poisson_terms).
@@ -483,16 +506,16 @@ def _entry_rounding(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
       the two subtractions by i|L| + l_i and i|L| + l_i + x: E is off by
       at most 5i|L| + 3i + 6 l_i + 4x + 2 units, and one more covers the
       second-order terms.  All of it grows with i, and |L| is largest at
-      j = 2 or J (L is monotone in j).  An E of at least -746 has
-      x <= I max|L| + 746, so E is off by at most
-      eps = (5I max|L| + 3I + 6 log I! + 4 min(sigma1 ln J, I max|L| + 746) + 3) u,
+      j = 2 or J (L is monotone in j).  With x <= I max|L| + reach, E is
+      off by at most
+      eps = (5I max|L| + 3I + 6 log I! + 4 min(sigma1 ln J, I max|L| + reach) + 3) u,
       and the entry by a factor within expm1(eps) (1 + 2u) + 2u of 1.
-      Below -746, as x <= |E| + i|L|, the computed E is at most
-      -|E| (1 - 4u) + (9I max|L| + 3I + 6 log I! + 3) u < -745.5 while
-      eta <= 1/5 (then eps <= log 1.2, and that u term is at most
-      1.8 eps), and exp returns at most 2^-1074 (2^-1075 = e^-745.13),
-      which e covers, as it covers a subnormal result.  With c2 = 0 these
-      rows are exactly 0.
+      For the block, an E below -746 has x <= |E| + i|L|, so the computed
+      E is at most -|E| (1 - 4u) + (9I max|L| + 3I + 6 log I! + 3) u
+      < -745.5 while eta <= 1/5 (then eps <= log 1.2, and that u term is
+      at most 1.8 eps), and exp returns at most 2^-1074
+      (2^-1075 = e^-745.13), which e covers, as it covers a subnormal
+      result.  With c2 = 0 these rows are exactly 0.
 
     About a dozen roundings compute eta itself; 16 u relative covers them.
     An eta above 1/5, past what the callers' proofs assume, raises
@@ -508,7 +531,7 @@ def _entry_rounding(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
         log_base = max(abs(log_c + math.log(math.log(j))) for j in (2, j_max))
         powers = i_max * log_base
         size = 5.0 * powers + 3.0 * i_max + 6.0 * math.lgamma(i_max + 1.0)
-        size += 4.0 * min(exponent, powers + _UNDERFLOW_EXPONENT)
+        size += 4.0 * min(exponent, powers + reach)
         eps = (size + 3.0) * UNIT_ROUNDOFF
         eta = max(eta, math.expm1(eps) * (1.0 + 2.0 * UNIT_ROUNDOFF) + 2.0 * UNIT_ROUNDOFF)
     eta = math.nextafter(eta * (1.0 + 16.0 * UNIT_ROUNDOFF), math.inf)
@@ -574,16 +597,15 @@ def _gram_moments(sym: DirichletSymbol, k: int, j_max: int) -> tuple[np.ndarray,
     with |theta| <= delta and |e| <= eps.
 
     Row i of B is w_j g_j^i / i!, w_j = j^-sigma1 and g_j = |c2| ln j, so
-    d_n = sum_(j<=J) F_n(j), F_n(x) = x^-s (|c2| ln x)^n / (a! b!), s = 2 sigma1,
-    and F_n = F_(n-1) g / ceil(n/2).  The columns j <= N, N from
-    _em_columns, are summed directly (_chain_moments, which takes every
-    F_n of a column from that one recurrence); the columns N < j <= J by
-    _euler_maclaurin_moments, from the values F_n(N) and F_n(J) of the same
-    recurrence.  The moments so cost 2k - 1 products over N + 1 columns and
-    O(k p) more, whatever J is.  Where N = J, or the Euler-Maclaurin part is
-    out of its model or costs more than summing its J - N columns would
-    (rho > gamma_(J-N), below), the J columns are summed directly, by the
-    same recurrence.
+    d_n = sum_(j<=J) F_n(j), F_n(x) = x^-s (|c2| ln x)^n / (a! b!) =
+    B[a](x) B[b](x), s = 2 sigma1.  The columns j <= N, N from _em_columns,
+    are summed directly (_chain_moments, from the first k rows of B); the
+    columns N < j <= J by _euler_maclaurin_moments, from the values F_n(N)
+    and F_n(J), the same products at those columns.  The moments so cost
+    O(k N) products and O(k p) more, whatever J is.  Where N = J, or the
+    Euler-Maclaurin part is out of its model or costs more than summing its
+    J - N columns would (rho > gamma_(J-N), below), the J columns are
+    summed directly, the same way.
 
     Rounding.  The direct part is D_n (1 + theta) + e, |theta| <= delta_0 and
     |e| <= eps_0 (_gram_rounding with N columns), and the Euler-Maclaurin
@@ -604,8 +626,7 @@ def _gram_moments(sym: DirichletSymbol, k: int, j_max: int) -> tuple[np.ndarray,
     """
     n_cut = _em_columns(sym, k, j_max)
     d, f = _chain_moments(sym, k, n_cut, j_max)
-    phi = _chain_rounding(sym, k, j_max)
-    delta, eps = _gram_rounding(phi, k, n_cut, j_max)
+    phi, delta, eps = _gram_rounding(sym, k, n_cut, j_max)
     if n_cut < j_max:
         with np.errstate(over="ignore", invalid="ignore"):  # out of its model it returns None
             part = _euler_maclaurin_moments(sym, k, n_cut, j_max, f, phi)
@@ -624,7 +645,7 @@ def _gram_moments(sym: DirichletSymbol, k: int, j_max: int) -> tuple[np.ndarray,
             eps = (eps + floor) * (1.0 + 2.0 * UNIT_ROUNDOFF)
         else:
             d, _ = _chain_moments(sym, k, j_max, j_max)
-            delta, eps = _gram_rounding(phi, k, j_max, j_max)
+            _, delta, eps = _gram_rounding(sym, k, j_max, j_max)
     if not delta <= 0.5:
         raise DomainError(f"Gram rounding bound {delta:.3e} of {k} rows exceeds 1/2")
     return d, delta, eps
@@ -634,13 +655,12 @@ def _em_columns(sym: DirichletSymbol, k: int, j_max: int) -> int:
     """N, the columns _gram_moments sums directly: the least power of two
     from _EM_FIRST at which Lambda = (2k - 2) / ln N + s + p - 1/2 is at most
     theta N (special_functions._em_fits), so that the Euler-Maclaurin
-    remainder is about u of its integral, and z_N = (s - 1) ln N in (0, 700]
-    keeps e^-z_N normal and column N in the chain's recurrence (see _chain);
-    J where no such N is at most J / 2.
+    remainder is about u of its integral, and z_N = (s - 1) ln N > 0; J
+    where no such N is at most J / 2.
     """
     s = 2.0 * sym.sigma1
     n = _EM_FIRST
-    while 2 * n <= j_max and 0.0 < (s - 1.0) * math.log(n) <= _POISSON_RECURRENCE_MAX:
+    while 2 * n <= j_max and 0.0 < (s - 1.0) * math.log(n):
         if _em_fits(s, 2 * k - 2, n):
             return n
         n *= 2
@@ -654,141 +674,55 @@ def _chain_moments(
     and, where N < J, f = (F_n(N), F_n(J)) as a (2k - 1) x 2 array (else
     None).
 
-    _chain evaluates the columns 1..N, and J with the last of them, in
-    chunks of at most _CHAIN_ENTRIES entries, so the sums hold no more than
-    that whatever N is, and each chunk's sums are one matrix-vector
-    product: F_n(j) = T[n, j] m[j], so d += T m.
+    _chain evaluates the first k rows of B at the columns 1..N, and J with
+    the last of them, in chunks of at most _CHAIN_ENTRIES entries, so the
+    sums hold no more than that whatever N is.  Each chunk adds
+    F_2a = B[a] B[a] and F_2a+1 = B[a] B[a+1] over its columns to d, and
+    f is the same products at columns N and J.
     """
-    top = 2 * k - 1
-    width = max(_CHAIN_ENTRIES // top, 1)
-    d = np.zeros(top)
+    width = max(_CHAIN_ENTRIES // k, 1)
+    d = np.zeros(2 * k - 1)
     for start in range(1, n_cut + 1, width):
         size = min(width, n_cut + 1 - start)
         last = start + size > n_cut and n_cut < j_max
         columns = np.arange(float(start), float(start + size + last))
         if last:  # the last chunk also takes column J
             columns[-1] = j_max
-        table, scale = _chain(sym, top, columns)
-        d += table[:, :size] @ scale[:size]
+        rows = _chain(sym, k, columns)
+        head = rows[:, :size]
+        d[0::2] += np.einsum("ij,ij->i", head, head)
+        d[1::2] += np.einsum("ij,ij->i", head[:-1], head[1:])
     if n_cut == j_max:
         return d, None
-    return d, table[:, -2:] * scale[-2:]
+    ends = rows[:, -2:]
+    f = np.empty((2 * k - 1, 2))
+    np.multiply(ends, ends, out=f[0::2])
+    np.multiply(ends[:-1], ends[1:], out=f[1::2])
+    return d, f
 
 
-def _chain(sym: DirichletSymbol, top: int, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T, m): F_n(j) = T[n, i] m[i] for n < top and the ascending column
-    indices j = columns[i] >= 1, F_n as in _gram_moments.
+def _chain(sym: DirichletSymbol, k: int, columns: np.ndarray) -> np.ndarray:
+    """Rows 0..k-1 of B at the ascending column indices columns >= 1, as a
+    k x columns.size array.
 
-    On the columns with sigma1 ln j <= _ROW0_EXPONENT_MAX, T[0] = m = w,
-    w = exp(-sigma1 ln j), which stays in the normal range there (as row 0
-    of B does in _rows), and one cumprod along n gives
-    T[n] = T[n-1] g / ceil(n/2), g = |c2| ln j: T is F / w, so T m is F.
-    Starting from w, not from F_0 = w^2, keeps the start normal on every
-    column where it is for the rows of B (w^2 leaves the normal range at
-    half the exponent), and no entry of T exceeds 1 / w <= e^700, as
-    F <= 1.  Past that column, F_n = exp(n log g - log a! - log b! -
-    2 sigma1 ln j) directly, and m = 1; with c2 = 0, or where |c2| ln j
-    overflows (every entry is then below 2^-1074, see _rows), log g is
-    taken as -inf, and rows n >= 1 come out 0.  _chain_rounding bounds the
-    error of every F_n(j).
+    _log_space_rows gives row 0 and the columns past the recurrence's.  On the
+    others one cumprod down the rows takes the steps fl(1/i) g_j,
+    g_j = |c2| ln j, where _rows multiplies by g_j and then by 1/i: both
+    orders round g_j, 1/i and two products a step, and _entry_rounding
+    bounds every entry under either.
     """
     lj = np.log(columns)
-    near = int(np.searchsorted(lj, _ROW0_EXPONENT_MAX / sym.sigma1, side="right"))
-    with np.errstate(over="ignore"):
-        exponent = (-sym.sigma1) * lj  # -inf past 1.8e308: the entry is 0
-    scale = np.exp(exponent)
-    table = np.empty((top, columns.size))
-    head = table[:, :near]
-    head[0] = scale[:near]
-    np.multiply.outer(_table(_step_table, top - 1), sym.c2_abs * lj[:near], out=head[1:])
+    rows = np.empty((k, columns.size))
+    near = _log_space_rows(sym, lj, rows)
+    head = rows[:, :near]
+    np.multiply.outer(_table(_inverse_table, k - 1), sym.c2_abs * lj[:near], out=head[1:])
     np.cumprod(head, axis=0, out=head)
-    if near < columns.size:  # columns past the normal range, often none
-        with np.errstate(divide="ignore", over="ignore"):  # log(0) = -inf when c2 = 0
-            log_g = np.log(sym.c2_abs * lj[near:])
-            far_exponent = 2.0 * exponent[near:]
-        log_g[log_g == math.inf] = -math.inf
-        n = np.arange(top)
-        log_fact = log_factorials((top - 1) // 2)
-        far = table[:, near:]
-        far[0] = 0.0
-        np.multiply.outer(n[1:], log_g, out=far[1:])
-        far -= (log_fact[n // 2] + log_fact[n - n // 2])[:, None]
-        far += far_exponent
-        np.exp(far, out=far)
-        scale[near:] = 1.0
-    return table, scale
+    return rows
 
 
-def _step_table(size: int) -> np.ndarray:
-    """1 / ceil(n/2) for n = 1..size (see _chain)."""
-    return 1.0 / np.ceil(0.5 * np.arange(1.0, size + 1.0))
-
-
-def _chain_rounding(sym: DirichletSymbol, k: int, j_max: int) -> float:
-    """Bound phi on the relative rounding of every F_n(j), n <= 2k - 2,
-    j <= J, that _chain computes, as T m: each is F_n(j) (1 + theta) + e
-    with |theta| <= phi and |e| <= k 2^-1074.  numpy's log and exp are
-    taken within one ulp (2u relative), each product and quotient within
-    u, lgamma(m+1) within 4 log m! + 2 units (see
-    special_functions._poisson_terms), and theta_n is a relative error
-    of at most gamma_n (Higham 2002, ch. 3).
-
-    * Columns with sigma1 ln j <= 700 (tested as ln j <= 700 / sigma1, as
-      _rows does, which keeps sigma1 ln j below 701).  ln j carries
-      theta_2 and sigma1 ln j one more rounding, so exp's argument is off
-      by at most d = gamma_3 min(sigma1 ln J, 746), which moves w by a
-      factor within d e^d of 1, and exp adds theta_2:
-      w is within h = d e^d + gamma_2 (1 + d e^d).  Each of the 2k - 2
-      steps of the chain rounds g = |c2| ln j (theta_3), 1 / ceil(n/2),
-      the product of the two and the cumulative product (theta_1 each):
-      theta_6.  T m rounds once more, and carries w twice, so
-      1 + theta <= (1 + h)^2 (1 + gamma_(12k-11)).
-    * Underflow on those columns: T[0] = w >= e^-700 (1 - 2u), and a
-      column's entries rise while g >= ceil(n/2), so no product leaves the
-      normal range before the entries fall, by a factor below 1 a step.
-      From the first subnormal product on, a step adds at most 2^-1075 and
-      scales the absolute error it carries by at most 1 + gamma_6, and T m,
-      with m = w <= 1, adds 2^-1075 more: (2k - 1) 2^-1075 (1 + gamma_12k)
-      <= k 2^-1074 in all.
-    * Columns past 700 (only when sigma1 ln J passes 699): F_n is exp of
-      E = n L - l_n - x, L = log g, l_n = log a! + log b!, x = 2 sigma1 ln j.
-      g rounds as above and log adds 2 ulps of L, so n L is off by at most
-      n (3 |L| + 3) units; l_n by 5 l_n + 4; x by 3 x; the two
-      subtractions by n |L| + l_n + x each: E is off by at most
-      5 n (1 + |L|) + 7 l_n + 4 x + 4 units, and one more covers the
-      second-order terms.  With P = (2k - 2)(1 + max |L|), max |L| taken
-      at j = 2 and J (L is monotone in j), and l_n <= 2 log (k-1)!, an E of
-      at least -746 has x <= P + 746, so E is off by at most
-      eps = (5 P + 14 log (k-1)! + 4 min(2 sigma1 ln J, P + 746) + 5) u,
-      and F_n(j) by a factor within expm1(eps) (1 + 2u) + 2u of 1.  Below
-      -746, as x <= |E| + n |L|, the computed E is at most
-      -|E| (1 - 4u) + (9 P + 14 log (k-1)! + 4) u < -745.5 while
-      phi <= 1/5 (then eps <= log 1.2, so (9 P + 14 log (k-1)!) u < 0.33),
-      and exp returns at most 2^-1074 (2^-1075 = e^-745.13), which e
-      covers, as it covers a subnormal result; row 0 there is
-      exp(-x) < 2^-1074 likewise.  With c2 = 0 rows n >= 1 are exactly 0.
-
-    phi is the larger bound, computed as a sum of nonnegative terms and
-    raised by 16 u for its own roundings.  A phi above 1/5, past what the
-    callers' proofs assume, raises DomainError.
-    """
-    log_j = math.log(j_max)
-    exponent = sym.sigma1 * log_j
-    d = _gamma(3) * min(exponent, _UNDERFLOW_EXPONENT)
-    shift = d * math.exp(d)
-    head = shift + _gamma(2) * (1.0 + shift)
-    phi = 2.0 * head + head * head + _gamma(12 * k - 11) * (1.0 + head) ** 2
-    if sym.c2 != 0 and exponent > _ROW0_EXPONENT_MAX - 1.0:
-        log_c = math.log(sym.c2_abs)  # log(|c2| ln j) without overflow
-        log_base = max(abs(log_c + math.log(math.log(j))) for j in (2, j_max))
-        powers = (2 * k - 2) * (1.0 + log_base)
-        size = 5.0 * powers + 14.0 * math.lgamma(k) + 4.0 * min(2.0 * exponent, powers + 746.0)
-        eps = (size + 5.0) * UNIT_ROUNDOFF
-        phi = max(phi, math.expm1(eps) * (1.0 + 2.0 * UNIT_ROUNDOFF) + 2.0 * UNIT_ROUNDOFF)
-    phi = math.nextafter(phi * (1.0 + 16.0 * UNIT_ROUNDOFF), math.inf)
-    if not phi <= 0.2:
-        raise DomainError(f"moment rounding bound {phi:.3e} of {k} rows and {j_max} columns exceeds 1/5")
-    return phi
+def _inverse_table(size: int) -> np.ndarray:
+    """1 / i for i = 1..size (see _chain)."""
+    return 1.0 / np.arange(1.0, size + 1.0)
 
 
 def _derivative_table() -> np.ndarray:
@@ -819,8 +753,8 @@ def _euler_maclaurin_moments(
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
     """(e, err, floor): e_n is sum_(N<j<=J) F_n(j), n = 0..2k-2, within
     err_n + floor, by Euler-Maclaurin summation with p = _EM_TERMS Bernoulli
-    terms from the values f[n] = (F_n(N), F_n(J)) of _chain, each within
-    phi (_chain_rounding); None where the evaluation leaves its model.
+    terms from the values f[n] = (F_n(N), F_n(J)) of _chain_moments, each
+    within phi (_gram_rounding); None where the evaluation leaves its model.
 
     With c = |c2|, s = 2 sigma1, a = s - 1 and r_n = n / ceil(n/2) (r_n F_n
     has the factorials of F_(n-1) over those of F_n, times n):
@@ -868,9 +802,9 @@ def _euler_maclaurin_moments(
     taken at z_x, plus 2 (1 + eps_x) G_n p_M(z_x) for the upper form, and
     eps_f = phi + gamma_12p (1 + phi).  Each relative bound is below 2^-24
     (or the result is None), and err is raised by 2^-20 of itself for the
-    second-order terms.  floor, in units of 2^-1074: each F carries k (see
-    _chain_rounding), which the half difference keeps and FF W, at most
-    2 omega, scales: 2k (1 + 2 omega); a Poisson term below 2^-1022
+    second-order terms.  floor, in units of 2^-1074: each F carries 3k (see
+    _gram_rounding), which the half difference keeps and FF W, at most
+    2 omega, scales: 6k (1 + 2 omega); a Poisson term below 2^-1022
     carries 1, so each of the four sums carries M + 1, and the upper form's
     p_M 1 more, times max G (None where a G_n is subnormal); the products
     and additions 10.
@@ -891,9 +825,13 @@ def _euler_maclaurin_moments(
     z = a * log_x
     top_m = top + 2 * math.ceil(z[1]) + 64
     m = np.arange(top_m + 1.0)
-    p = np.cumprod(np.hstack([np.exp(-z)[:, None], z[:, None] / m[1:]]), axis=1)
-    if z[1] > _POISSON_RECURRENCE_MAX:  # p_m(z_J) from its log, as _poisson_terms takes it
-        p[1] = np.exp(m * math.log(z[1]) - z[1] - log_factorials(top_m))
+    p = np.empty((2, top_m + 1))
+    for side, zx in zip(p, z.tolist()):  # as _poisson_terms takes them
+        if zx <= _POISSON_RECURRENCE_MAX:
+            side[0], side[1:] = math.exp(-zx), zx / m[1:]
+            np.cumprod(side, out=side)
+        else:
+            np.exp(m * math.log(zx) - zx - log_factorials(top_m), out=side)
     eps_p = np.array([_gamma(5 * top + math.ceil(3.0 * zx) + 4 * top_m + 9) for zx in z.tolist()])
     eps_p += (1.0 + eps_p) * [_poisson_rounding(zx, top_m) for zx in z.tolist()]
     low = np.cumsum(p, axis=1)[:, : top + 1]
@@ -911,7 +849,7 @@ def _euler_maclaurin_moments(
     err *= 1.0 + 2.0**-20
     e = integral + 0.5 * (f[:, 1] - f[:, 0]) + (corr[:, 1] - corr[:, 0])
 
-    floor = 2.0 * k * (1.0 + 2.0 * omega) + 4.0 * (top_m + 2) * max(1.0, float(np.max(g))) + 10.0
+    floor = 6.0 * k * (1.0 + 2.0 * omega) + 4.0 * (top_m + 2) * max(1.0, float(np.max(g))) + 10.0
     floor *= 2.0**-1074 * (1.0 + 2.0**-20)
     finite = np.isfinite(e + err).all() and j_max < 2**53
     if not (max(*eps_p, eps_f) <= 2.0**-24 and np.min(g) >= _TINY and finite):
@@ -948,16 +886,37 @@ def _gram_factor_table(k: int) -> np.ndarray:
     return f
 
 
-def _gram_rounding(phi: float, k: int, n_cut: int, j_max: int) -> tuple[float, float]:
-    """(delta_0, eps_0): each balanced moment summed directly over the
-    columns j <= N (see _chain_moments), times the factor F[i][l] of
-    _gram, is its exact value (1 + theta) + e with |theta| <= delta_0 and
-    |e| <= eps_0, and delta_0 leaves one rounding for _gram_moments'
-    addition of the columns past N.
+def _gram_rounding(
+    sym: DirichletSymbol, k: int, n_cut: int, j_max: int
+) -> tuple[float, float, float]:
+    """(phi, delta_0, eps_0): each F_n(j), n <= 2k - 2, j <= J, that
+    _chain_moments computes is F_n(j) (1 + theta) + e with |theta| <= phi
+    and |e| <= 3k 2^-1074; each balanced moment summed directly over the
+    columns j <= N, times the factor F[i][l] of _gram, is its exact value
+    (1 + theta) + e with |theta| <= delta_0 and |e| <= eps_0, and delta_0
+    leaves one rounding for _gram_moments' addition of the columns past N.
 
-    * Every F_n(j), j <= J, that _chain computes is F_n(j) (1 + theta) + e
-      with |theta| <= phi = _chain_rounding(sym, k, J), which counts the
-      product T m, and |e| <= k 2^-1074.
+    * F_n = B[a] B[b] is one rounded product of two entries of rows
+      0..k-1, I = k - 1 in _entry_rounding's terms.  An F_n(j) of at least
+      e^-746 past the recurrence's columns has
+      2 sigma1 ln j <= n L - log a! - log b! + 746 <= 2I max|L| + 746, so
+      both its factors lie within reach = 373 (row 0 enters only F_0 and
+      F_1 = e^(L - 2x), x = sigma1 ln j, and L <= ln x as |c2| <= sigma1
+      keeps x below 376 there, inside row 0's own cap of 746): with
+      eta = _entry_rounding(sym, k - 1, J, 373), which holds on the
+      recurrence's columns whatever reach is, such an F_n is within
+      phi = (1 + eta)^2 (1 + u) - 1, computed as 2 eta + eta^2 +
+      u (1 + eta)^2 and raised by 16u.  Each factor carries at most
+      max(I, 1) 2^-1074 and the other is at most 1 + eta <= 6/5, and a
+      subnormal product adds 2^-1075: 3k 2^-1074 covers them.
+    * An F_n below e^-746 past those columns: each factor's computed
+      exponent is at most E (1 - 4u) + c u, E <= 0 its exact one and
+      c = 9a max|L| + 3a + 6 log a! + 3 (see _entry_rounding; row 0 takes
+      c = 3, and with c2 = 0 the other rows are exactly 0), and the two
+      c's add up to at most 3.6 times eps/u of eta, at most 3.6 eta <= 0.72
+      as eta <= 1/5.  So the factors' exps multiply to below
+      e^(-746 + 0.72 + 3000u) < 2^-1075 = e^-745.13, and with a subnormal
+      factor's 2^-1074 the computed F_n is at most 3 2^-1074: e covers it.
     * d_n adds N such values, N - 1 additions, within gamma_(N-1) of its
       value in any order and grouping (Higham 2002, ch. 3), chunks
       included; sums of subnormals are exact.
@@ -971,12 +930,15 @@ def _gram_rounding(phi: float, k: int, n_cut: int, j_max: int) -> tuple[float, f
     1 + theta <= (1 + phi)(1 + gamma_(N+2k-2)), and
     delta_0 = phi + gamma_(N+2k-2) (1 + phi), computed as a sum of
     nonnegative terms and raised by 16 u for its own roundings.  The
-    absolute parts add up to at most k N (1 + gamma_N) + k J / 2 units of
-    2^-1074, and eps_0 = (2 k N + k J) 2^-1074 covers them times 1 + u.
+    absolute parts add up to at most 3k N (1 + gamma_N) + k J / 2 units of
+    2^-1074, and eps_0 = (4 k N + k J) 2^-1074 covers them times 1 + u.
     """
+    eta = _entry_rounding(sym, k - 1, j_max, 0.5 * _UNDERFLOW_EXPONENT)
+    phi = 2.0 * eta + eta * eta + UNIT_ROUNDOFF * (1.0 + eta) ** 2
+    phi = math.nextafter(phi * (1.0 + 16.0 * UNIT_ROUNDOFF), math.inf)
     delta = phi + _gamma(n_cut + 2 * k - 2) * (1.0 + phi)
     delta = math.nextafter(delta * (1.0 + 16.0 * UNIT_ROUNDOFF), math.inf)
-    return delta, (2.0 * k * n_cut + k * j_max) * 2.0**-1074
+    return phi, delta, (4.0 * k * n_cut + k * j_max) * 2.0**-1074
 
 
 def _start_vector(gram: np.ndarray) -> np.ndarray:
@@ -1004,10 +966,10 @@ def operator_norm_estimate(m: TruncatedMatrix, tol: float = 1e-12) -> NormEstima
     _significant_rows).  ||B_k||^2, B_k the first k rows, is the Perron
     root of the k x k Gram matrix G = B_k B_k^T >= 0, assembled from 2k - 1
     moments (see _gram_moments and _gram): the first N columns summed from
-    one cumulative product over a (2k - 1) x (N + 1) table, the rest by
-    Euler-Maclaurin with p = _EM_TERMS Bernoulli terms, O(k N + k p) work
-    whatever J is, N a power of two from 64 (or N = J, summed at most
-    2^17 table entries at a time).  The tables that depend on k alone are
+    products of B_k's own rows, built by one cumulative product, the rest
+    by Euler-Maclaurin with p = _EM_TERMS Bernoulli terms, O(k N + k p)
+    work whatever J is, N a power of two from 64 (or N = J, summed at most
+    2^17 entries of B_k at a time).  The tables that depend on k alone are
     kept between calls, read-only, in at most 8 MiB (see _table).  The
     start vector is taken by squaring G (see _start_vector); any x > 0
     would do.  Each step computes y = G x, k^2 products, and brackets the
@@ -1030,7 +992,7 @@ def operator_norm_estimate(m: TruncatedMatrix, tol: float = 1e-12) -> NormEstima
     running to _MAX_ITER steps.  Both ends carry derived rounding terms, for
     the Gram matrix (the moments' delta and eps: the recurrence's error,
     the N-term sums and the Euler-Maclaurin remainder and rounding, see
-    _gram_moments, _chain_rounding and _gram_rounding) and for the steps, and
+    _gram_moments and _gram_rounding) and for the steps, and
     outward-rounded square roots: whether or not the loop converged,
     [lower, upper - tail_bound] holds the norm of the exact truncation and
     [lower, upper] that of the full operator (upper is infinite for

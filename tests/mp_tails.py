@@ -48,7 +48,7 @@ def mp_tail_sq(sigma1, c, i_max, j_max):
     the rows from I + 1 over all columns, (b_k + Pi_k) / (1 - rho^2) at
     k = I + 1: b_k = C(2k, k) r^2k / (s-1), rho = 2r, s = 2 sigma1, and
     Pi_k the summand's peak (2kc / (se))^2k / (k!)^2 where 2k/s >= ln 2,
-    else 2^-(s - 2c) ((c ln 2)^k / k!)^2.  Each column tail of row i is at
+    else 2^-(s - 2c) min((c ln 2)^k / k!, 1)^2.  Each column tail of row i is at
     most the whole of row i, so this is the least closed form over all row
     cuts k_t.  Past the first row i whose row piece is below 1e-40 times
     the sum, the remaining rows are bracketed by the row piece from i
@@ -68,7 +68,8 @@ def mp_tail_sq(sigma1, c, i_max, j_max):
             peak = (2 * k * c / (s * mpmath.e)) ** (2 * k) / mpmath.factorial(k) ** 2
         else:
             y = c * mpmath.log(2)
-            peak = mpmath.exp(2 * (k * mpmath.log(y) - mpmath.loggamma(k + 1)) - (s - 2 * c) * mpmath.log(2))
+            lead = min(k * mpmath.log(y) - mpmath.loggamma(k + 1), 0)
+            peak = mpmath.exp(2 * lead - (s - 2 * c) * mpmath.log(2))
         return (b + peak) / (1 - rho_sq)
 
     z, log_n = (s - 1) * mpmath.log(j_max + 1), mpmath.log(j_max + 1)

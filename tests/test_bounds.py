@@ -22,6 +22,8 @@ from dirichletops.bounds import (
     schur_radius,
 )
 from dirichletops.errors import DomainError, NonCompactError
+from dirichletops.operator_matrix import build_matrix, operator_norm_estimate
+from dirichletops.special_functions import zeta
 from dirichletops.symbol import EQ_TOL, DirichletSymbol, SymbolClass
 
 
@@ -242,6 +244,18 @@ class TestNormBounds:
         assert kernel_lower_bound(sym) >= math.pi**2 / 6.0 - 1e-12
         # on the boundary the kernel ratio peaks well above the limit
         assert kernel_lower_bound(sym) > math.pi**2 / 6.0 + 0.05
+
+    def test_kernel_bound_is_taken_at_q_2(self):
+        # the norm does not depend on q, so the kernel bound is the one at
+        # q = 2, the largest: bit-identical for every q, and for q = 10
+        # below the certified norm^2 lower end of the 101 x 2e4 truncation
+        # and strictly above zeta(2 sigma1), which it would equal at q = 10
+        for c1, c2 in [(2.0, 0.5), (1.0, 0.45)]:
+            bounds = {kernel_lower_bound(DirichletSymbol(c1, c2, q)) for q in (2, 3, 10, 1000)}
+            assert len(bounds) == 1
+            sym = DirichletSymbol(c1, c2, 10)
+            lower = operator_norm_estimate(build_matrix(sym, 100, 20000)).lower
+            assert zeta(2.0 * c1).upper < bounds.pop() <= lower * lower
 
     def test_invariance_under_translation_and_rotation(self):
         # bounds depend on (Re c1, |c2|) only, bit for bit

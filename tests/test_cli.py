@@ -185,6 +185,18 @@ class TestMatrixNorm:
             assert result["upper_status"] == "uncertified"
         assert result["within_theorem_bracket"] is True
 
+    @pytest.mark.parametrize(
+        "c1_re, c2_abs, rows, cols",
+        [("2000", "1999", "100", "1000"), ("50000.500000001", "50000", "200", "100000")],
+    )
+    def test_steep_row_piece_answers(self, capsys, c1_re, c2_abs, rows, cols):
+        # the rows past the truncation peak left of column 2, where their
+        # charge once overflowed exp; now it is capped by the whole series
+        argv = ["matrix-norm", "--c1-re", c1_re, "--c2-abs", c2_abs, "--rows", rows, "--cols", cols]
+        code, doc, _ = run_json(capsys, argv)
+        assert code == 0
+        assert math.isfinite(doc["result"]["tail_bound"])
+
     @pytest.mark.parametrize("c2_arg", ["0", "0.5"])
     def test_largest_float_symbol_answers(self, capsys, c2_arg):
         big = "1.7976931348623157e308"

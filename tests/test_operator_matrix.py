@@ -34,7 +34,7 @@ from dirichletops.operator_matrix import (
     tail_bounds,
     write_matrix,
 )
-from dirichletops.special_functions import UNIT_ROUNDOFF, zeta
+from dirichletops.special_functions import UNIT_ROUNDOFF, _gamma, zeta
 from dirichletops.symbol import DirichletSymbol, SymbolClass, classify
 from mp_tails import mp_moment_tails, mp_tail_sq
 
@@ -589,6 +589,20 @@ class TestTailBounds:
     def test_rounded_outward_against_mpmath(self, sigma1, c2, i_max, j_max):
         assert_tail_matches_closed_form(DirichletSymbol(sigma1, c2), i_max, j_max)
 
+    @pytest.mark.parametrize(
+        "sigma1, c, i_max, j_max, most",
+        [(2000.0, 1999.0, 100, 1000, 100.0), (1000.0, 999.0, 99, 2000, 100.0),
+         (300.0, 299.0, 99, 2000, 100.0), (1100.0, 1000.0, 100, 1000, 1e-6)],
+    )
+    def test_row_piece_left_of_column_2_is_capped(self, sigma1, c, i_max, j_max, most):
+        # rows from k whose summands peak left of column 2 sum there to at
+        # most 2^-s (y^k / k!)^2 e^2y, y = |c2| ln 2, which grows without
+        # limit while k < y: exp overflowed at (2000, 1999), and the bound
+        # read 1.85e127, 4.1e74 and 1.7e97 on the others.  The whole series
+        # caps it at 2^-s e^2y
+        t = assert_tail_matches_closed_form(DirichletSymbol(sigma1, c), i_max, j_max)
+        assert t < most
+
     def test_closed_form_sweep(self):
         # gaps from 1e-12 (boundary symbols within EQ_TOL: +inf) to 10,
         # |c2| in [1e-3, 1e3] or a fraction rho/2 of 2 Re c1 - 1, some
@@ -841,7 +855,10 @@ class TestGramMoments:
         # included), c2 = 0, sigma1 up to 1e3, 1 <= J <= 1e6 with J near
         # twice the N the Euler-Maclaurin part would use, orders up to 400,
         # and steep symbols whose z_J = (2 sigma1 - 1) ln J passes 708, where
-        # the Poisson terms at J come from their logs
+        # the Poisson terms at J come from their logs; fixed cases add 90
+        # rows of (150, 100) over 1000 columns, 894 of them past
+        # sigma1 ln j = 700 and taken in log space, and row 0 of (1000, 1)
+        # over 1e5 columns, past column N = 4096 where z_N = 16627
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
         mpmath = pytest.importorskip("mpmath")
@@ -895,7 +912,8 @@ class TestGramMoments:
                     assert got <= high[n] * (1 + mpmath.mpf(delta)) + eps, (case, n)
 
         check()
-        for sigma1, c, k, j_max in [(4.0, 3.5, 201, 20000), (50.5 + 1e-12, 50.0, 201, 20000),
+        for sigma1, c, k, j_max in [(150.0, 100.0, 90, 1000), (1000.0, 1.0, 1, 10**5),
+                                    (4.0, 3.5, 201, 20000), (50.5 + 1e-12, 50.0, 201, 20000),
                                     (50.5 + 1e-12, 50.0, 201, 4 * 10**5), (26.0, 25.5, 401, 10**6),
                                     (2.0, 0.5, 201, 10**6)]:
             check.hypothesis.inner_test((DirichletSymbol(sigma1, c), k, j_max))
@@ -904,6 +922,8 @@ class TestGramMoments:
         assert steep[-4:-1] == [True] * 3 and read[-4][0] == read[-3][0] == read[-2][0] == 512
         # 400 orders past column 256 of 1e6, the last 104 below 2^-1000
         assert used[-1] and read[-1] == (256, 10**6)
+        # all 1000 columns of (150, 100), and (1000, 1) past column 4096
+        assert read[-7] == (1000, 1000) and used[-6] and read[-6][0] == 4096
         assert any(used) and not all(used)
         assert sum(steep) > 2
 
@@ -914,9 +934,9 @@ class TestGramMoments:
         evaluated = []
         chain = operator_matrix._chain
 
-        def recorded(sym, top, columns):
+        def recorded(sym, k, columns):
             evaluated.append(columns.copy())
-            return chain(sym, top, columns)
+            return chain(sym, k, columns)
 
         monkeypatch.setattr(operator_matrix, "_chain", recorded)
         sym = DirichletSymbol(2.0, 0.5)
@@ -930,22 +950,71 @@ class TestGramMoments:
         assert est.lower**2 <= norm_bounds(sym).upper_sq
 
 
-    def test_direct_path_holds_one_chunk(self):
-        # (100.5 + 1e-12, 100) at 201 x 1e5, where (s - 1) ln N passes 700
-        # at every N the Euler-Maclaurin part would fit, sums all 1e5
-        # columns directly, 401 moments at a time over chunks of at most
-        # 2^17 entries (1 MiB): no 401 x J table is held
-        sym = DirichletSymbol(100.5 + 1e-12, 100.0)
-        m = build_matrix(sym, 200, 10**5)
-        assert operator_matrix._significant_rows(sym, 200, 10**5)[0] == 201
-        assert operator_matrix._em_columns(sym, 201, 10**5) == 10**5
+    @pytest.mark.parametrize("sigma1, c, i_max, j_max", [(2.0, 0.5, 40, 2000), (150.0, 100.0, 199, 1000)])
+    def test_gram_matches_the_block(self, sigma1, c, i_max, j_max):
+        # the Gram matrix from the moments against B_k B_k^T of the built
+        # block, entry by entry, within the moments' delta and eps, the
+        # block's own entry rounding on both factors and the product's
+        # gamma_J; (150, 100) takes the columns past j = 106 in log space
+        sym = DirichletSymbol(sigma1, c)
+        k, _ = operator_matrix._significant_rows(sym, i_max, j_max)
+        d, delta, eps = operator_matrix._gram_moments(sym, k, j_max)
+        gram = operator_matrix._gram(d)
+        rows = build_matrix(sym, i_max, j_max).magnitudes[:k]
+        block = rows @ rows.T
+        eta = operator_matrix._entry_rounding(sym, i_max, j_max)
+        slack = delta + 2.0 * eta + eta * eta + _gamma(j_max)
+        floor = eps + 4.0 * j_max * max(i_max, 1) * 2.0**-1074
+        assert np.all(np.abs(gram - block) <= slack * 1.01 * block + floor)
+
+    def test_moment_rounding_keeps_the_products_cap(self):
+        # phi, each product of two entries' bound, composed from
+        # _entry_rounding with reach 373 (a product of at least e^-746 has
+        # 2 sigma1 ln j <= 2I max|L| + 746), against the moment chain's own
+        # proof that it replaces; composing at the block's reach of 746
+        # charges the far columns' 4 sigma1 ln j term up to the product's
+        # underflow once per factor, and exceeds it
+        cases = {(2.0, 0.5, 28, 20000): 4.972043339606678e-14,
+                 (4.0, 3.5, 94, 20000): 1.5084419283229376e-13,
+                 (150.0, 100.0, 90, 1000): 2.153399817662881e-12,
+                 (80.0, 79.5, 41, 20000): 1.1165415960987342e-12,
+                 (1000.0, 1.0, 1, 10**5): 4.974909373347193e-13}
+        plain = []
+        for (sigma1, c, k, j_max), before in cases.items():
+            sym = DirichletSymbol(sigma1, c)
+            phi, _, _ = operator_matrix._gram_rounding(sym, k, j_max, j_max)
+            assert phi <= 1.01 * before, (sigma1, c, phi, before)
+            eta = operator_matrix._entry_rounding(sym, k - 1, j_max)
+            plain.append((1.0 + eta) ** 2 * (1.0 + UNIT_ROUNDOFF) - 1.0 > 1.01 * before)
+        assert plain == [False, False, False, True, True]
+
+    def test_direct_path_holds_one_chunk(self, monkeypatch):
+        # (40.5, 40) at 401 x 1e4, whose Euler-Maclaurin part past N = 512
+        # fails the rho test, sums all 1e4 columns directly, 401 rows of B
+        # at a time over chunks of at most 2^17 entries (1 MiB): the peak is
+        # the k x k Gram matrix and the squarings' products, five of them
+        # at 1.2 MiB, and two chunks' worth, where an 801 x 1e4 table would
+        # take 64 MB
+        read = []
+        chain_moments = operator_matrix._chain_moments
+
+        def recorded(sym, k, n_cut, j_max):
+            read.append(n_cut)
+            return chain_moments(sym, k, n_cut, j_max)
+
+        monkeypatch.setattr(operator_matrix, "_chain_moments", recorded)
+        sym = DirichletSymbol(40.5, 40.0)
+        m = build_matrix(sym, 400, 10**4)
+        k, _ = operator_matrix._significant_rows(sym, 400, 10**4)
+        assert k == 401
         tracemalloc.start()
         try:
             est = operator_norm_estimate(m)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert read == [512, 10**4]
+        assert peak < 5 * k * k * 8 + 2 * 2**20
         assert est.converged and est.lower <= est.upper
 
     def test_size_tables_are_kept_read_only_and_bounded(self, monkeypatch):
@@ -957,7 +1026,7 @@ class TestGramMoments:
         for sigma1, c, i_max in [(4.0, 3.5, 200), (2.0, 0.5, 100), (50.5 + 1e-12, 50.0, 200)]:
             operator_norm_estimate(build_matrix(DirichletSymbol(sigma1, c), i_max, 20000))
         kept = dict(om._tables)
-        assert set(kept) == {om._log_factorial_table, om._step_table, om._gram_factor_table,
+        assert set(kept) == {om._log_factorial_table, om._inverse_table, om._gram_factor_table,
                              om._falling_factorial_table}
         assert kept[om._gram_factor_table].shape == (201, 201)
         assert kept[om._falling_factorial_table].shape == (401, 2 * om._EM_TERMS)
