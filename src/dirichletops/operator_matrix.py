@@ -188,7 +188,7 @@ class TruncatedMatrix:
         with self._lock:
             if self._block is None:
                 block = _zeros((self.row_count, self.col_count), np.float64)
-                _rows(self.symbol, self.row_count, block)
+                _rows(self.symbol, block)
                 block.flags.writeable = False
                 self._block = block
         return self._block
@@ -228,8 +228,8 @@ def build_matrix(sym: DirichletSymbol, i_max: int, j_max: int) -> TruncatedMatri
     return TruncatedMatrix(sym, i_max, j_max)
 
 
-def _rows(sym: DirichletSymbol, count: int, out: np.ndarray) -> None:
-    """Fill rows 0..count-1 of the count x J block out with B, in order.
+def _rows(sym: DirichletSymbol, out: np.ndarray) -> None:
+    """Fill the I x J block out with rows 0..I-1 of B, in order.
 
     _log_space_rows gives row 0 and the columns past the recurrence.  On the
     others each row follows from the one above by the exact recurrence
@@ -243,7 +243,7 @@ def _rows(sym: DirichletSymbol, count: int, out: np.ndarray) -> None:
     lj = np.log(np.arange(1.0, out.shape[1] + 1.0))
     near = _log_space_rows(sym, lj, out)
     g = sym.c2_abs * lj[:near]
-    for i in range(1, count):
+    for i in range(1, out.shape[0]):
         head = out[i, :near]
         np.multiply(out[i - 1, :near], g, out=head)
         head *= 1.0 / i
@@ -777,6 +777,11 @@ def _euler_maclaurin_moments(
       ones over n < m <= M,
       M = 2k - 2 + 2 ceil(z_J) + 64, whichever bound below is smaller; the
       upper form misses sum_(m>M) p_m <= p_M, since z / (M + 1) <= 1/2.
+      Where z_N > 2k - 1, every Q_n(z_J) <= Q_n(z_N) is below 1/2 (a
+      Poisson law's median is at least z - ln 2), so the lower form is the
+      tighter, and it alone is taken, with M = 2k - 2: the Poisson terms
+      then number O(k) however large s and J are.  Below that, z_J =
+      z_N ln J / ln N, and so M, is O(k ln J).
 
     Rounding, in units of u = 2^-53 with Higham's gamma_n (see _gamma), log
     and pow within 2.  The sums for a (2p terms of one sign), W and FF W are
@@ -823,7 +828,7 @@ def _euler_maclaurin_moments(
 
     g = np.cumprod(np.concatenate([[1.0 / a], (c / a) * r[1:]]))
     z = a * log_x
-    top_m = top + 2 * math.ceil(z[1]) + 64
+    top_m = top + 2 * math.ceil(z[1]) + 64 if z[0] <= top + 1.0 else top
     m = np.arange(top_m + 1.0)
     p = np.empty((2, top_m + 1))
     for side, zx in zip(p, z.tolist()):  # as _poisson_terms takes them
@@ -835,11 +840,13 @@ def _euler_maclaurin_moments(
     eps_p = np.array([_gamma(5 * top + math.ceil(3.0 * zx) + 4 * top_m + 9) for zx in z.tolist()])
     eps_p += (1.0 + eps_p) * [_poisson_rounding(zx, top_m) for zx in z.tolist()]
     low = np.cumsum(p, axis=1)[:, : top + 1]
-    high = np.cumsum(p[:, ::-1], axis=1)[:, ::-1][:, 1 : top + 2]
-    err_low = eps_p @ low
-    err_high = eps_p @ high + 2.0 * (1.0 + eps_p) @ p[:, -1]
-    integral = g * np.where(err_high < err_low, high[1] - high[0], low[0] - low[1])
-    integral_err = g * np.minimum(err_low, err_high)
+    integral, integral_err = low[0] - low[1], eps_p @ low
+    if top_m > top:  # the upper form, where it can be the tighter
+        high = np.cumsum(p[:, ::-1], axis=1)[:, ::-1][:, 1 : top + 2]
+        err_high = eps_p @ high + 2.0 * (1.0 + eps_p) @ p[:, -1]
+        integral = np.where(err_high < integral_err, high[1] - high[0], integral)
+        integral_err = np.minimum(integral_err, err_high)
+    integral, integral_err = g * integral, g * integral_err
 
     eps_f = phi + _gamma(12 * _EM_TERMS) * (1.0 + phi)
     ratio = (n / log_x[0] * (1.0 + 4.0 * UNIT_ROUNDOFF) + s + _EM_TERMS - 0.5) / n_cut

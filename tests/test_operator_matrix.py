@@ -459,9 +459,9 @@ class TestRowsOnDemand:
         fills = []
         rows = operator_matrix._rows
 
-        def counted(sym, count, out):
-            fills.append(count)
-            return rows(sym, count, out)
+        def counted(sym, out):
+            fills.append(out.shape[0])
+            return rows(sym, out)
 
         monkeypatch.setattr(operator_matrix, "_rows", counted)
         m = build_matrix(sym, 100, 20000)
@@ -1016,6 +1016,25 @@ class TestGramMoments:
         assert read == [512, 10**4]
         assert peak < 5 * k * k * 8 + 2 * 2**20
         assert est.converged and est.lower <= est.upper
+
+    def test_euler_maclaurin_poisson_terms_do_not_grow_with_s(self, monkeypatch):
+        # (1e4, 1) at one row and 1e6 columns sums the columns past
+        # N = 65536 by Euler-Maclaurin, where z_N = (s - 1) ln N is about
+        # 2.2e5: only the lower Poisson sums are taken, so the part holds
+        # O(k) terms where the upper ones would need M > 2 z_J = 5.5e5 of
+        # them, 4.4 MB an array; the peak is the direct part's 1 MiB chunk
+        monkeypatch.setattr(operator_matrix, "_tables", {})
+        sym, j_max = DirichletSymbol(1e4, 1.0), 10**6
+        n_cut = operator_matrix._em_columns(sym, 1, j_max)
+        assert n_cut < j_max and (2.0 * sym.sigma1 - 1.0) * math.log(n_cut) > 2e5
+        tracemalloc.start()
+        try:
+            d, delta, eps = operator_matrix._gram_moments(sym, 1, j_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+        assert d[0] == 1.0 and delta < 1e-10 and eps < 1e-300
 
     def test_size_tables_are_kept_read_only_and_bounded(self, monkeypatch):
         # each kept table is read-only, serves every smaller size with the
