@@ -28,7 +28,6 @@ import os
 import threading
 import warnings
 from functools import cached_property
-from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -121,13 +120,13 @@ def _zeros(shape: tuple[int, int], dtype) -> np.ndarray:
 def _table(build: Callable[[int], np.ndarray], size: int) -> np.ndarray:
     """build(size), read-only, cut from the largest table build has made.
 
-    The tables built here (_log_factorial_table, _inverse_table,
-    _gram_factor_table and _falling_factorial_table) depend on nothing but
-    their size, and each is a prefix, or a leading block, of every larger
-    one.  So one table serves every smaller size, and it is rebuilt only
-    when a larger size is asked for.  A table is kept only while it holds
-    at most _TABLE_BYTES, so the four together keep at most 4 _TABLE_BYTES
-    = 8 MiB; a larger one serves its own call alone.  Kept tables, and so
+    The tables built here (_log_factorial_table, _gram_factor_table and
+    _falling_factorial_table) depend on nothing but their size, and each
+    is a prefix, or a leading block, of every larger one.  So one table
+    serves every smaller size, and it is rebuilt only when a larger size
+    is asked for.  A table is kept only while it holds at most
+    _TABLE_BYTES, so the three together keep at most 3 _TABLE_BYTES
+    = 6 MiB; a larger one serves its own call alone.  Kept tables, and so
     every slice handed out, are read-only.  Two threads may both build a table;
     both results are the same table, and either is kept.
     """
@@ -303,18 +302,18 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
       P_i = c^2i t^2i e^-st / (i!)^2 at t = max(2i/s, ln(J+1)).
     * Rows i >= k_t over all columns: row i is at most
       integral_1^inf g_i + max_(x>=2) g_i = b_i + P*_i.  b_(i+1) <= rho^2 b_i.
-      Where 2i/s >= ln 2, P*_i is the peak g_i(e^(2i/s)) =
-      (2ic / (se))^2i / (i!)^2, and P*_(i+1) <= (2c/s)^2 P*_i, as
-      (1 + 1/i)^2i <= e^2; left of that, P*_i = g_i(2), and at the first
-      row past it P*_(i+1) <= g_i(e^(2(i+1)/s)) (2c/s)^2 <= (2c/s)^2 g_i(2),
-      g_i falling from 2 on.  With 2c/s <= rho, the rows from k = k_t sum to
-      at most (b_k + Pi_k) / (1 - rho^2): Pi_k is the peak, which bounds
-      P*_i for every row, or, where 2k/s < ln 2 (tested with 4u to spare),
-      sum_(i>=k) g_i(2) <= 2^-s (y^k / k!)^2 e^2y, y = c ln 2,
-      as y^i / i! <= (y^k / k!)(y^(i-k) / (i-k)!), and at most 2^-s e^2y,
+      The peak g_i(e^(2i/s)) = (2ic / (se))^2i / (i!)^2 bounds P*_i, and
+      the next row's peak is at most (2c/s)^2 times it, as
+      (1 + 1/i)^2i <= e^2.  Where 2i/s < ln 2, P*_i = g_i(2), and at the
+      first row past it P*_(i+1) <= g_i(e^(2(i+1)/s)) (2c/s)^2 <=
+      (2c/s)^2 g_i(2), g_i falling from 2 on.  With 2c/s <= rho, the rows
+      from k = k_t sum to at most (b_k + Pi_k) / (1 - rho^2): Pi_k is the
+      peak, or, where 2k/s < ln 2 (tested with 4u to spare), the smaller
+      of the peak and a bound on sum_(i>=k) g_i(2), which is at most
+      2^-s (y^k / k!)^2 e^2y, y = c ln 2, as
+      y^i / i! <= (y^k / k!)(y^(i-k) / (i-k)!), and at most 2^-s e^2y,
       the whole series, whichever is smaller (the first grows without
-      limit while k < y):
-      Pi_k = exp(2 min(k ln y - log k!, 0) - (s - 2c) ln 2).
+      limit while k < y): exp(2 min(k ln y - log k!, 0) - (s - 2c) ln 2).
       1 / (1 - rho^2) is the square of approx_number_bound's prefactor
       times (s-1)/s, +inf for boundary symbols.
 
@@ -333,35 +332,37 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
     * Each p_m, m <= 2k - 2 with k = k_t, is within eps_p p_m of its value
       at that z, eps_p = _poisson_rounding(z, 2k - 2), plus 2^-1074 where
       it comes out below 2^-1022 (the proof is _poisson_terms').
-    * P_i = exp(2i (L + log w - w) - 2 log i!), L = ln(2i c / s) and
-      w = s t / (2i) = max(1, s ln(J+1) / (2i)), which takes the clamped s
-      (that lowers w and raises log w - w).  At w = 1, the peak itself,
-      the exponent is off by at most 2i (5 |L| + 5) + 10 log i! + 6,
-      largest at i = 1 or k_t - 1.  Past it, w is within 4u, which moves
-      log w - w by at most 4u (w - 1), and log w, the two new sums and
-      the larger terms rounded later add at most 2 |L| + 7 log w + 4w - 3
-      more per unit of 2i, at most 2 |L| + 15 (w - 1) + 1: L + log w - w
-      is raised by (2 |L| + 16 w) u, so the bound at w = 1 holds for every
-      row, and with exp's ulp each P_i is within eps_P = expm1(D u)
-      (1 + 2u) + 2u of its value, D that bound at its largest.  Below
-      c / s = 2^-1022 every P_i is below 2^-1074 and none is added.
+    * The padded peak, g_i's largest value from ln x = 2i w / s on,
+      w >= 1, is exp(2i (L + log w - w) - 2 log i!), L = ln(2i c / s).
+      At w = 1, the peak itself, the exponent is off by at most
+      D_i = 2i (5 |L| + 5) + 10 log i! + 6.  Past it, w is within 4u,
+      which moves log w - w by at most 4u (w - 1), and log w, the two new
+      sums and the larger terms rounded later add at most
+      2 |L| + 7 log w + 4w - 3 more per unit of 2i, at most
+      2 |L| + 15 (w - 1) + 1: raising L + log w - w by (2 |L| + 16 w) u
+      keeps D_i.  The exponent is raised by D_i u and exp's result by
+      1 + 2u, so it is at least the exact value, up to that product's
+      rounding; below c / s = 2^-1022 every peak is below 2^-1074, and it
+      is 0.  P_i takes w = s t / (2i) = max(1, s ln(J+1) / (2i)) with the
+      clamped s (that lowers w and raises log w - w), and Pi_k w = 1.
     * b_i (8i + 2 roundings), the 2i additions of Q_2i and their product
-      put each T_i within (1 + gamma_(10k-7)) (1 + eps_p).  Row 0 takes
-      its own rounding bound, (8 + (s+3) ln n) u of its remainder (five
-      roundings of the coefficient, its exponent's, pow and the product)
-      and gamma_5, and S gamma_2k: eps = gamma_(12k-7) + (1 +
-      gamma_(12k-7)) max(eps_p, eps_P), raised by 16u for its own
-      roundings.  1 + 8u covers the product by 1 + eps, the sum and the
-      floor's addition.
+      put each T_i within (1 + gamma_(10k-7)) (1 + eps_p), and each P_i,
+      short of its exact value by at most its product's rounding, within
+      gamma_1.  Row 0 takes its own
+      rounding bound, (8 + (s+3) ln n) u of its remainder (five roundings
+      of the coefficient, its exponent's, pow and the product) and
+      gamma_5, and S gamma_2k: eps = gamma_(12k-7) + (1 + gamma_(12k-7))
+      eps_p, raised by 16u for its own roundings.  1 + 8u covers the
+      product by 1 + eps, the sum and the floor's addition.
     * The row piece: b_k is below b' (1 + 2 gamma_(8k+2)) plus its
-      shortfall, b' the computed one.  Pi_k's exponent is raised by its
-      own error bound before exp, which leaves exp's 2u:
-      2k (5 |L| + 5) + 10 log k! + 6 at the peak, as for P_i, and at
-      column 2, where y = c ln 2 is within 2u,
-      2k (4 |ln y| + 3) + 10 log k! + 4 (s - 2c) + 10 plus the exponent's
-      own size.  The prefactor, squared, exceeds its exact square by at
-      most u, and (s-1)/s takes 2: 1 + 6u covers them and the product, and
-      1 + 4u the sum and the product by 1 / (1 - rho^2).
+      shortfall, b' the computed one.  Pi_k is the padded peak, or the
+      smaller of it and the column-2 bound, whose exponent is raised by
+      its own error bound before exp and the result by 1 + 2u: where
+      y = c ln 2 is within 2u, 2k (4 |ln y| + 3) + 10 log k! + 4 (s - 2c)
+      + 10 plus the exponent's own size.  The prefactor, squared, exceeds
+      its exact square by at most u, and (s-1)/s takes 2: 1 + 6u covers
+      them and the product, and 1 + 4u the sum, Pi_k's product and the
+      product by 1 / (1 - rho^2).
     * The floor, in units of 2^-1074: a result below 2^-1022 is off by at
       most one unit past its relative bound, times what multiplies it
       later.  The pass tracks how far b and Q may fall short: a step below
@@ -399,7 +400,20 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
         geometric = law.prefactor * law.prefactor * (s1 / s) * (1.0 + 6.0 * UNIT_ROUNDOFF)
         v, r_sq = 0.5 * (c / sym.sigma1), (0.5 * (c / (sym.sigma1 - 0.5))) ** 2  # sigma1, unclamped
         log_y, gap = math.log(c * math.log(2.0)), min(2.0 * (sym.sigma1 - c), 2.0**1000)
-        z = s1 * log_n * (1.0 - 6.0 * UNIT_ROUNDOFF)
+        u, pad = UNIT_ROUNDOFF, 1.0 + 2.0 * UNIT_ROUNDOFF  # pad: exp's ulp
+
+        def peak(i: int, lgam: float, w: float) -> float:
+            """g_i's largest value from ln x = 2i w / s on, w >= 1, padded."""
+            if v < _TINY:  # every peak lies below 2^-1074
+                return 0.0
+            n, big_l = 2 * i, math.log(2 * i * v)
+            lead = big_l + math.log(w) - w
+            if w > 1.0:
+                lead += (2.0 * abs(big_l) + 16.0 * w) * u
+            size = n * (5.0 * abs(big_l) + 5.0) + 10.0 * lgam + 6.0
+            return math.exp(n * lead - 2.0 * lgam + size * u) * pad
+
+        z, s_log_n = s1 * log_n * (1.0 - 6.0 * UNIT_ROUNDOFF), s * log_n
         poisson = _poisson_terms(z)
         b, q = 1.0 / s1, next(poisson)
         b_low, q_low = 0.0, float(q < _TINY)  # shortfalls in units of 2^-1074
@@ -412,40 +426,26 @@ def tail_bounds(sym: DirichletSymbol, i_max: int, j_max: int) -> float:
             cut = max(UNIT_ROUNDOFF * col, 2.0**-1074)
             row_sq = geometric * b * (1.0 + 2.0 * _gamma(8 * i + 2)) * (1.0 + 4.0 * UNIT_ROUNDOFF)
             if i > i_max or row_sq <= cut:  # else the row piece passes the cut already
+                rest = peak(i, lgam, 1.0)
                 if 2 * i < s * math.log(2.0) * (1.0 - 4.0 * UNIT_ROUNDOFF):  # the peak lies left of 2
                     lead = 2.0 * min(i * log_y - lgam, 0.0) - gap * math.log(2.0)
                     size = 2 * i * (4.0 * abs(log_y) + 3.0) + 10.0 * lgam + 4.0 * gap + 10.0 + abs(lead)
-                else:  # the peak, which bounds every row's largest summand
-                    big_l = math.log(2 * i * v)
-                    lead = 2 * i * (big_l - 1.0) - 2.0 * lgam
-                    size = 2 * i * (5.0 * abs(big_l) + 5.0) + 10.0 * lgam + 6.0
-                rest = math.exp(lead + size * UNIT_ROUNDOFF) * (1.0 + 2.0 * UNIT_ROUNDOFF)
+                    rest = min(rest, math.exp(lead + size * u) * pad)
                 row_sq += geometric * rest * (1.0 + 4.0 * UNIT_ROUNDOFF)
                 if i > i_max or row_sq <= cut:
                     floor += 2.0 * geometric * (b_low + 2.0)  # rows i.. are charged by this piece
                     break
-            for p in islice(poisson, 2):  # m = 2i - 1, 2i
-                q += p
-                q_low += p < _TINY
+            p, p2 = next(poisson), next(poisson)  # m = 2i - 1, 2i
+            q, q_low = q + p + p2, q_low + (p < _TINY) + (p2 < _TINY)
             t = b * q
             col += t
             floor += 2.0 * (b * q_low + b_low * q) + (t < _TINY)
-            if v >= _TINY:  # the summand's largest value from column J + 1 on
-                big_l, w = math.log(2 * i * v), max(s * log_n / (2 * i), 1.0)
-                lead = big_l + math.log(w) - w
-                if w > 1.0:  # column J + 1 lies right of the peak
-                    lead += (2.0 * abs(big_l) + 16.0 * w) * UNIT_ROUNDOFF
-                p = math.exp(2 * i * lead - 2.0 * lgam)
-                col += p
-                floor += 2.0 * (p < _TINY)
+            p = peak(i, lgam, max(s_log_n / (2 * i), 1.0))  # from column J + 1 on
+            col += p
+            floor += 2.0 * (p < _TINY)
             i += 1
-        top = i - 1
-        if top:
-            term_eps = _poisson_rounding(z, 2 * top)
-            if v >= _TINY:  # P_i's exponent bound, at its largest
-                size = 5.0 * max(abs(math.log(2.0 * v)), abs(math.log(2.0 * top * v))) + 5.0
-                size = (2.0 * top * size + 10.0 * math.lgamma(top + 1.0) + 6.0) * UNIT_ROUNDOFF
-                term_eps = max(term_eps, math.expm1(size) * (1 + 2 * UNIT_ROUNDOFF) + 2 * UNIT_ROUNDOFF)
+        if i > 1:
+            term_eps = _poisson_rounding(z, 2 * i - 2)
 
     gamma = _gamma(12 * i - 7)
     eps = (gamma + (1.0 + gamma) * term_eps) * (1 + 16 * UNIT_ROUNDOFF)
@@ -715,14 +715,9 @@ def _chain(sym: DirichletSymbol, k: int, columns: np.ndarray) -> np.ndarray:
     rows = np.empty((k, columns.size))
     near = _log_space_rows(sym, lj, rows)
     head = rows[:, :near]
-    np.multiply.outer(_table(_inverse_table, k - 1), sym.c2_abs * lj[:near], out=head[1:])
+    np.multiply.outer(1.0 / np.arange(1.0, k), sym.c2_abs * lj[:near], out=head[1:])
     np.cumprod(head, axis=0, out=head)
     return rows
-
-
-def _inverse_table(size: int) -> np.ndarray:
-    """1 / i for i = 1..size (see _chain)."""
-    return 1.0 / np.arange(1.0, size + 1.0)
 
 
 def _derivative_table() -> np.ndarray:
@@ -977,7 +972,7 @@ def operator_norm_estimate(m: TruncatedMatrix, tol: float = 1e-12) -> NormEstima
     by Euler-Maclaurin with p = _EM_TERMS Bernoulli terms, O(k N + k p)
     work whatever J is, N a power of two from 64 (or N = J, summed at most
     2^17 entries of B_k at a time).  The tables that depend on k alone are
-    kept between calls, read-only, in at most 8 MiB (see _table).  The
+    kept between calls, read-only, in at most 6 MiB (see _table).  The
     start vector is taken by squaring G (see _start_vector); any x > 0
     would do.  Each step computes y = G x, k^2 products, and brackets the
     Perron root:

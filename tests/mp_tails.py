@@ -47,12 +47,12 @@ def mp_tail_sq(sigma1, c, i_max, j_max):
     column J + 1 on, c^2i t^2i e^-st / (i!)^2, t = max(2i/s, ln(J+1)), and
     the rows from I + 1 over all columns, (b_k + Pi_k) / (1 - rho^2) at
     k = I + 1: b_k = C(2k, k) r^2k / (s-1), rho = 2r, s = 2 sigma1, and
-    Pi_k the summand's peak (2kc / (se))^2k / (k!)^2 where 2k/s >= ln 2,
-    else 2^-(s - 2c) min((c ln 2)^k / k!, 1)^2.  Each column tail of row i is at
-    most the whole of row i, so this is the least closed form over all row
-    cuts k_t.  Past the first row i whose row piece is below 1e-40 times
-    the sum, the remaining rows are bracketed by the row piece from i
-    instead.
+    Pi_k the summand's peak (2kc / (se))^2k / (k!)^2, or, where
+    2k/s < ln 2, the smaller of it and 2^-(s - 2c) min((c ln 2)^k / k!, 1)^2.
+    Each column tail of row i is at most the whole of row i, so this is the
+    least closed form over all row cuts k_t.  Past the first row i whose
+    row piece is below 1e-40 times the sum, the remaining rows are
+    bracketed by the row piece from i instead.
     """
     s = 2 * mpmath.mpf(sigma1)
     c = mpmath.mpf(c)
@@ -64,12 +64,11 @@ def mp_tail_sq(sigma1, c, i_max, j_max):
 
     def row(k):
         b = mpmath.binomial(2 * k, k) * r ** (2 * k) / (s - 1)
-        if 2 * k >= s * mpmath.log(2):
-            peak = (2 * k * c / (s * mpmath.e)) ** (2 * k) / mpmath.factorial(k) ** 2
-        else:
+        peak = (2 * k * c / (s * mpmath.e)) ** (2 * k) / mpmath.factorial(k) ** 2
+        if 2 * k < s * mpmath.log(2):
             y = c * mpmath.log(2)
             lead = min(k * mpmath.log(y) - mpmath.loggamma(k + 1), 0)
-            peak = mpmath.exp(2 * lead - (s - 2 * c) * mpmath.log(2))
+            peak = min(peak, mpmath.exp(2 * lead - (s - 2 * c) * mpmath.log(2)))
         return (b + peak) / (1 - rho_sq)
 
     z, log_n = (s - 1) * mpmath.log(j_max + 1), mpmath.log(j_max + 1)

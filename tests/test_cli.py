@@ -197,6 +197,13 @@ class TestMatrixNorm:
         assert code == 0
         assert math.isfinite(doc["result"]["tail_bound"])
 
+    def test_subnormal_c2_answers(self, capsys):
+        # |c2| / (2 Re c1) underflows to 0, whose log raised ValueError in
+        # the row piece; below 2^-1022 every peak is below 2^-1074
+        code, doc, _ = run_json(capsys, ["matrix-norm", "--c1-re", "1", "--c2-abs", "5e-324"])
+        assert code == 0
+        assert math.isfinite(doc["result"]["tail_bound"])
+
     @pytest.mark.parametrize("c2_arg", ["0", "0.5"])
     def test_largest_float_symbol_answers(self, capsys, c2_arg):
         big = "1.7976931348623157e308"

@@ -513,18 +513,16 @@ class TestTailBounds:
         # for (2, 0.5), s = 4, r = 1/6 and rho = 1/3, the rows from
         # k = I + 1 on are charged (b_k + Pi_k) / (1 - rho^2), their own
         # integrals b_k = C(2k, k) 6^-2k / 3 plus the largest summand from
-        # column 2 on: the peak (k / (4e))^2k / (k!)^2 for k >= 2, and at
-        # k = 1, whose summand peaks left of column 2, 2^-3 (ln 2 / 2)^2.
-        # That is below half the approximation-number bound squared,
-        # (4/3) (1/9)^k / (1 - 1/9), which the rows were charged before
+        # column 2 on, at most the peak (k / (4e))^2k / (k!)^2: at k = 1,
+        # whose summand peaks left of column 2, (1 / (4e))^2 is below the
+        # column-2 bound 2^-3 (ln 2 / 2)^2.  That is below half the
+        # approximation-number bound squared, (4/3) (1/9)^k / (1 - 1/9),
+        # which the rows were charged before
         sym = DirichletSymbol(2.0, 0.5)
         for i_max in (0, 3, 10):
             k = i_max + 1
             b = math.comb(2 * k, k) / 36.0**k / 3.0
-            if k >= 2:
-                peak = (k / (4.0 * math.e)) ** (2 * k) / math.factorial(k) ** 2
-            else:
-                peak = (0.5 * math.log(2.0)) ** 2 / 8.0
+            peak = (k / (4.0 * math.e)) ** (2 * k) / math.factorial(k) ** 2
             row_sq = (b + peak) * 9.0 / 8.0
             t = tail_bounds(sym, i_max, 10**6)
             # the column tails of rows 0..I past J = 1e6 add below 1e-13
@@ -584,6 +582,8 @@ class TestTailBounds:
             (1e302, 9e301, 300, 2),
             (1e302, 9e301, 300, 1),
             (20.0, 10.0, 30, 1),  # rows 1..13 peak in (J, J + 1)
+            (1.0, 5e-324, 5, 100),  # c / s underflows to 0: no peak is taken
+            (1.0, 5e-324, 40, 2000),
         ],
     )
     def test_rounded_outward_against_mpmath(self, sigma1, c2, i_max, j_max):
@@ -591,17 +591,39 @@ class TestTailBounds:
 
     @pytest.mark.parametrize(
         "sigma1, c, i_max, j_max, most",
-        [(2000.0, 1999.0, 100, 1000, 100.0), (1000.0, 999.0, 99, 2000, 100.0),
-         (300.0, 299.0, 99, 2000, 100.0), (1100.0, 1000.0, 100, 1000, 1e-6)],
+        [(2000.0, 1999.0, 100, 1000, 2.0), (1000.0, 999.0, 99, 2000, 2.0),
+         (300.0, 299.0, 99, 2000, 1.0), (1100.0, 1000.0, 100, 1000, 1e-6)],
     )
     def test_row_piece_left_of_column_2_is_capped(self, sigma1, c, i_max, j_max, most):
         # rows from k whose summands peak left of column 2 sum there to at
         # most 2^-s (y^k / k!)^2 e^2y, y = |c2| ln 2, which grows without
         # limit while k < y: exp overflowed at (2000, 1999), and the bound
         # read 1.85e127, 4.1e74 and 1.7e97 on the others.  The whole series
-        # caps it at 2^-s e^2y
+        # caps it at 2^-s e^2y, and the peak caps it below that (with the
+        # series alone the first three read 22.4, 15.8 and 8.66)
         t = assert_tail_matches_closed_form(DirichletSymbol(sigma1, c), i_max, j_max)
         assert t < most
+
+    @pytest.mark.parametrize(
+        "sigma1, c, i_max, j_max, before",
+        [
+            (2.0, 0.5, 40, 2000, 1.3355874038933798e-4),
+            (2.0, 0.5, 100, 20000, 1.2518419700164138e-5),
+            (2.5, 0.5, 125, 20000, 7.255906238923931e-8),
+            (3.0, 1.5, 150, 20000, 9.471031251862051e-6),
+            (1.6, 0.3, 200, 20000, 1.1546425928373159e-4),
+            (20.0, 10.0, 30, 1, 3.3710261453332477e-4),
+        ],
+    )
+    def test_each_peak_carries_its_own_rounding(self, sigma1, c, i_max, j_max, before):
+        # `before` is the bound when every P_i shared the largest row's
+        # exponent error as one relative term on the whole column sum; each
+        # P_i now carries its own, which is never looser and is tighter here
+        # in the 12th significant digit on the two widest symbols
+        t = assert_tail_matches_closed_form(DirichletSymbol(sigma1, c), i_max, j_max)
+        assert t <= before
+        if (sigma1, i_max) in ((2.0, 100), (3.0, 150)):
+            assert t < before
 
     def test_closed_form_sweep(self):
         # gaps from 1e-12 (boundary symbols within EQ_TOL: +inf) to 10,
@@ -1039,14 +1061,13 @@ class TestGramMoments:
     def test_size_tables_are_kept_read_only_and_bounded(self, monkeypatch):
         # each kept table is read-only, serves every smaller size with the
         # bits a build at that size gives, and is kept only up to
-        # _TABLE_BYTES, so the four keep at most 4 _TABLE_BYTES
+        # _TABLE_BYTES, so the three keep at most 3 _TABLE_BYTES
         monkeypatch.setattr(operator_matrix, "_tables", {})
         om = operator_matrix
         for sigma1, c, i_max in [(4.0, 3.5, 200), (2.0, 0.5, 100), (50.5 + 1e-12, 50.0, 200)]:
             operator_norm_estimate(build_matrix(DirichletSymbol(sigma1, c), i_max, 20000))
         kept = dict(om._tables)
-        assert set(kept) == {om._log_factorial_table, om._inverse_table, om._gram_factor_table,
-                             om._falling_factorial_table}
+        assert set(kept) == {om._log_factorial_table, om._gram_factor_table, om._falling_factorial_table}
         assert kept[om._gram_factor_table].shape == (201, 201)
         assert kept[om._falling_factorial_table].shape == (401, 2 * om._EM_TERMS)
         for build in kept:
@@ -1058,7 +1079,7 @@ class TestGramMoments:
         assert not log_factorials(10).flags.writeable
         om._gram(np.ones(2 * 600 - 1))  # a 600 x 600 table of 2.7 MiB serves that call only
         assert om._tables[om._gram_factor_table] is kept[om._gram_factor_table]
-        assert sum(table.nbytes for table in om._tables.values()) <= 4 * om._TABLE_BYTES == 8 * 2**20
+        assert sum(table.nbytes for table in om._tables.values()) <= 3 * om._TABLE_BYTES == 6 * 2**20
 
 
     def test_threads_share_the_size_tables(self, monkeypatch):
